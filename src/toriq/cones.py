@@ -4,14 +4,21 @@ All computations are exact.  A cone is the set of nonnegative rational
 combinations of its integer generators; a non-pointed cone carries its
 lineality space as explicit plus/minus generator pairs.
 
-Duals are computed by enumerating active constraint sets (the extreme rays
-of ``{m : <m, v> >= 0 for all v}`` are kernels of corank-one subsets of the
-constraints), which needs nothing beyond exact integer kernels.  Hilbert
-bases come from the lattice points of fundamental parallelepipeds of
-independent generator subsets, closed by an irreducibility filter; the
-non-pointed case splits off the lineality lattice first.  This is simple
-to verify, deterministic, and fast enough at desk scale (rank <= 4, small
-entries); no attempt is made at project-and-lift sophistication.
+Duals.  The extreme rays of ``{m : <m, v> >= 0 for all v}`` are kernels of
+corank-one generator subsets.  When the generators split into plus/minus
+pairs and a set independent modulo the pairs' span (every fan cone, every
+dual of one, every quotient cone below), each independent generator owns
+one ray: one kernel per facet.  Any other cone falls back to scanning all
+corank-one subsets.
+
+Hilbert bases.  A pointed cone in rank 2 with two generators is walked
+along its boundary (Hirzebruch-Jung continued fraction), in steps
+proportional to the size of the basis.  Any other pointed cone takes
+candidates from fundamental parallelepipeds, closed by an irreducibility
+filter: the single full parallelepiped when the generators are linearly
+independent, else one per independent generator subset.  The non-pointed
+case splits off the lineality lattice first and recurses on the pointed
+quotient.
 """
 
 from __future__ import annotations
@@ -103,6 +110,12 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
     lineality space enters as a basis together with its negation.  Ray
     representatives are reduced modulo the lineality lattice so the output
     is canonical.
+
+    Rays come from ``_split_rays`` (one kernel per independent generator)
+    when the generators split into plus/minus pairs and a set independent
+    modulo their span, and from ``_scanned_rays`` (every corank-one
+    generator subset) otherwise.  Both feed the same reduction, which is
+    linear, so the output does not depend on the path.
     """
     n = sigma.ambient_rank
     gens = sigma.generators
@@ -115,24 +128,56 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
         out.add(tuple(-x for x in b))
     if rho > 0:
         reduce_mod = _lineality_reducer(lineality, n)
-        for subset in combinations(range(len(gens)), rho - 1):
-            rows = [gens[i] for i in subset]
-            if rows and IntMatrix.from_rows(rows, n).rank() != rho - 1:
-                continue
-            kernel = _kernel_columns(rows, n)
-            if len(kernel) != ell + 1:
-                continue
-            u = _direction_outside(kernel, lineality, n)
-            if u is None:
-                continue
-            if all(dot(g, u) >= 0 for g in gens):
-                ray = u
-            elif all(dot(g, u) <= 0 for g in gens):
-                ray = tuple(-x for x in u)
-            else:
-                continue
-            out.add(primitive(reduce_mod(ray)))
+        rays = _split_rays(gens, rho, n)
+        if rays is None:
+            rays = _scanned_rays(gens, rho, lineality, n)
+        out.update(primitive(reduce_mod(ray)) for ray in rays)
     return RationalCone(n, tuple(out))
+
+
+def _split_rays(gens, rho, rank):
+    """Dual rays of ``span(P) + cone(R)`` for R independent modulo span(P).
+
+    P collects the generators whose negation is also a generator.  The
+    dual ray of r in R is the kernel direction of ``P + R - {r}`` that is
+    positive on r.  Returns ``None`` when the generators do not split so.
+    """
+    gen_set = set(gens)
+    pairs, rest = [], []
+    for g in gens:
+        (pairs if tuple(-x for x in g) in gen_set else rest).append(g)
+    pair_rank = IntMatrix.from_rows(pairs, rank).rank() if pairs else 0
+    if pair_rank + len(rest) != rho:
+        return None
+    rays = []
+    for i, r in enumerate(rest):
+        kernel = _kernel_columns(pairs + rest[:i] + rest[i + 1:], rank)
+        # kernel vectors vanish on every generator but r; those off the
+        # lineality space are exactly those not vanishing on r
+        u = next(v for v in kernel if dot(v, r) != 0)
+        rays.append(u if dot(u, r) > 0 else tuple(-x for x in u))
+    return rays
+
+
+def _scanned_rays(gens, rho, lineality, rank):
+    """Dual rays found by scanning all C(len(gens), rho - 1) subsets."""
+    ell = len(lineality)
+    rays = []
+    for subset in combinations(range(len(gens)), rho - 1):
+        rows = [gens[i] for i in subset]
+        if rows and IntMatrix.from_rows(rows, rank).rank() != rho - 1:
+            continue
+        kernel = _kernel_columns(rows, rank)
+        if len(kernel) != ell + 1:
+            continue
+        u = _direction_outside(kernel, lineality, rank)
+        if u is None:
+            continue
+        if all(dot(g, u) >= 0 for g in gens):
+            rays.append(u)
+        elif all(dot(g, u) <= 0 for g in gens):
+            rays.append(tuple(-x for x in u))
+    return rays
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -249,17 +294,35 @@ def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
                            dual_gens: tuple[IntVector, ...]) -> list[IntVector]:
     """Hilbert basis of a pointed cone given with its dual generators.
 
-    Candidates: lattice points of fundamental parallelepipeds over all
-    independent generator subsets, plus the generators.  Filtered in
-    increasing order of a linear grading strictly positive on the cone.
+    Three paths, by the shape of the generators:
+
+    * two independent generators in rank 2: the boundary walk of
+      ``_rank2_hilbert_basis``, no candidates and no filter;
+    * linearly independent generators (simplicial): candidates are the
+      generators and the lattice points of their one full fundamental
+      parallelepiped, whose ``t_i = 0`` faces are the parallelepipeds of
+      the generator subsets;
+    * otherwise: candidates from the parallelepipeds of all independent
+      generator subsets, plus the generators.
+
+    Candidates are filtered in increasing order of a linear grading
+    strictly positive on the cone.
     """
+    if not gens:
+        return []
+    independent = IntMatrix.from_rows(gens, rank).rank() == len(gens)
+    if independent and len(gens) == rank == 2:
+        return _rank2_hilbert_basis(*gens)
     weight = tuple(sum(d[i] for d in dual_gens) for i in range(rank))
     candidates: set[IntVector] = set(gens)
-    for size in range(1, min(len(gens), rank) + 1):
-        for subset in combinations(gens, size):
-            if IntMatrix.from_rows(list(subset), rank).rank() != size:
-                continue
-            candidates.update(_parallelepiped_points(list(subset), rank))
+    if independent:
+        candidates.update(_parallelepiped_points(list(gens), rank))
+    else:
+        for size in range(1, min(len(gens), rank) + 1):
+            for subset in combinations(gens, size):
+                if IntMatrix.from_rows(list(subset), rank).rank() != size:
+                    continue
+                candidates.update(_parallelepiped_points(list(subset), rank))
     candidates.discard((0,) * rank)
     graded = sorted(candidates, key=lambda x: (dot(weight, x), _grlex_key(x)))
     accepted: list[IntVector] = []
@@ -280,14 +343,59 @@ def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
     return accepted
 
 
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """``(x, y)`` with ``a*x + b*y == 1``, for coprime ``a`` and ``b``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (x0, y0) if a == 1 else (-x0, -y0)
+
+
+def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
+    """Hilbert basis of the cone spanned by independent primitive u, w in Z^2.
+
+    The basis is the lattice boundary from u to w (Hirzebruch-Jung; Cox,
+    Little and Schenck, *Toric Varieties*, 10.2).  With ``d = |det(u, w)|``
+    and ``e`` the lattice point with ``det(u, e) = ±1`` (the sign of
+    ``det(u, w)``) and ``w = d*e - k*u``, ``0 <= k < d``, the walk starts at
+    ``u, e``.  While ``w = p*v_prev + q*v`` with ``p < 0`` it steps to
+    ``b*v - v_prev``, ``b = ceil(q / -p)``; ``|p|`` strictly falls and the
+    walk ends on ``w``.  The cost is one integer step per basis element.
+    """
+    det = u[0] * w[1] - u[1] * w[0]
+    sign = 1 if det > 0 else -1
+    d = abs(det)
+    x, y = _bezout(u[0], u[1])
+    e = (-sign * y, sign * x)
+    # w - d*e is a multiple c*u of u; (x, y) reads off c
+    c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
+    t = -(-c // d)
+    e = (e[0] + t * u[0], e[1] + t * u[1])
+    p, q = c - d * t, d
+    out = [u, e]
+    prev, cur = u, e
+    while p:
+        b = -(q // p)
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        p, q = p * b + q, -p
+        out.append(cur)
+    return out
+
+
 @lru_cache(maxsize=None)
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Minimal generating set of the semigroup of lattice points of a cone.
 
-    For a non-pointed cone the lineality lattice contributes a basis and
-    its negation, and the pointed quotient is handled recursively; its
-    basis elements are lifted along a fixed section, keeping the output
-    deterministic.  Output is graded-lex sorted.
+    A pointed cone goes to ``_pointed_hilbert_basis``, which picks the
+    rank-2 boundary walk, the single parallelepiped of a simplicial cone or
+    the all-subsets enumeration.  For a non-pointed cone the lineality
+    lattice contributes a basis and its negation, and the pointed quotient
+    is handled recursively; its basis elements are lifted along a fixed
+    section, keeping the output deterministic.  Output is graded-lex
+    sorted.
     """
     n = cone.ambient_rank
     dual = dual_cone(cone)

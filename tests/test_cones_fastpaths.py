@@ -1,0 +1,142 @@
+"""Fast paths of ``toriq.cones`` against the exhaustive algorithms they
+replaced (``slow_paths.py``), plus output-sensitivity and Hirzebruch-Jung
+checks of the rank-2 boundary walk."""
+
+import random
+from fractions import Fraction
+from math import gcd
+from itertools import product
+
+from slow_paths import slow_dual_cone, slow_hilbert_basis
+from toriq import catalog
+from toriq.cones import (
+    RationalCone,
+    affine_fiber_rank,
+    dual_cone,
+    fan_cone,
+    hilbert_basis,
+    lineality_basis,
+)
+from toriq.fans import build_fan
+from toriq.intlinalg import IntMatrix
+
+SEED = 20261018
+
+
+def _unit(rank, i, sign=1):
+    return tuple(sign * int(i == j) for j in range(rank))
+
+
+def _product_fan(dims):
+    """cp^{d_1} x ... x cp^{d_k}: a product of standard projective fans."""
+    rank = sum(dims)
+    rays, blocks, offset = [], [], 0
+    for m in dims:
+        pad = lambda v: (0,) * offset + v + (0,) * (rank - offset - m)
+        blocks.append(range(len(rays), len(rays) + m + 1))
+        rays += [pad(_unit(m, i)) for i in range(m)] + [pad((-1,) * m)]
+        offset += m
+    cones = [
+        [i for block, skip in zip(blocks, choice) for i in block if i != skip]
+        for choice in product(*blocks)
+    ]
+    return build_fan(rank, rays, cones, complete=True)
+
+
+def _simplicial_cones(rng, count):
+    """Independent generator sets, full-dimensional with |det| <= 60 or of
+    lower dimension, ranks 1-4."""
+    cones = []
+    while len(cones) < count:
+        rank = rng.choice([1, 2, 2, 3, 3, 4])
+        k = rank if rng.random() < 0.8 else rng.randint(1, rank)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(k)]
+        if IntMatrix.from_rows(gens, rank).rank() != k:
+            continue
+        if k == rank and abs(IntMatrix.from_rows(gens, rank).det()) > 60:
+            continue
+        cones.append(RationalCone.from_generators(rank, gens))
+    return cones
+
+
+def _non_simplicial_pointed_cones(rng, count):
+    """More generators than the rank, all on one side of a hyperplane."""
+    cones = []
+    while len(cones) < count:
+        rank = rng.choice([2, 3, 3, 4])
+        k = rng.randint(rank + 1, rank + 2)
+        top = 2 if rank < 4 else 1
+        gens = [
+            tuple(rng.randint(-top, top) for _ in range(rank - 1)) + (rng.randint(1, 2),)
+            for _ in range(k)
+        ]
+        cone = RationalCone.from_generators(rank, gens)
+        if len(cone.generators) > rank:
+            cones.append(cone)
+    return cones
+
+
+def _fan_duals():
+    """Duals of every cone (zero cone included) of the shipped fans, cp^1-4
+    and product fans.  Every one but the duals of maximal cones is
+    non-pointed."""
+    fans = list(catalog.shipped_fans().values())
+    fans += [catalog.projective_space(m) for m in range(1, 5)]
+    fans += [_product_fan(dims) for dims in ((1, 1), (1, 2), (1, 1, 1), (2, 2), (1, 1, 2))]
+    return [dual_cone(fan_cone(fan, c)) for fan in fans for c in fan.cones()]
+
+
+def _boundary_cones():
+    cones = [RationalCone.from_generators(3, [(0, 0, 1), (0, -1, 2), (0, 5, -1)])]
+    for rank in range(1, 5):
+        cones.append(RationalCone(rank, ()))
+        cones.append(RationalCone.from_generators(
+            rank, [_unit(rank, i, s) for i in range(rank) for s in (1, -1)]
+        ))
+    return cones
+
+
+def test_fast_paths_match_slow_paths():
+    rng = random.Random(SEED)
+    simplicial = _simplicial_cones(rng, 160)
+    fan_duals = _fan_duals()
+    other = _non_simplicial_pointed_cones(rng, 30) + _boundary_cones()
+    cones = simplicial + fan_duals + other
+    assert len(cones) >= 300
+    assert {c.ambient_rank for c in cones} == {1, 2, 3, 4}
+    assert sum(1 for d in fan_duals if lineality_basis(d)) >= 100
+    for cone in cones:
+        assert dual_cone(cone).generators == slow_dual_cone(cone).generators, cone
+        assert hilbert_basis(cone).generators == slow_hilbert_basis(cone), cone
+    # duals of the dual cones: the pointed side of every fan cone, and the
+    # split (pairs plus independent rays) input shape of the fast dual
+    for cone in simplicial + fan_duals:
+        dual = dual_cone(cone)
+        assert dual_cone(dual).generators == slow_dual_cone(dual).generators, cone
+
+
+def test_rank2_walk_is_output_sensitive():
+    cone = RationalCone.from_generators(2, [(0, 1), (100000, -1)])
+    assert hilbert_basis(cone).generators == ((0, 1), (1, 0), (100000, -1))
+    for n in (3, 50, 20000):
+        assert affine_fiber_rank(catalog.weighted_plane(n), (0, 1)) == n + 1
+
+
+def _hirzebruch_jung(d, k):
+    """Entries b_i of d/k = b_1 - 1/(b_2 - 1/(...))."""
+    x, out = Fraction(d, k), []
+    while True:
+        b = -((-x.numerator) // x.denominator)  # ceiling
+        out.append(b)
+        if x == b:
+            return out
+        x = 1 / (b - x)
+
+
+def test_rank2_basis_size_is_hirzebruch_jung_length():
+    for d in range(2, 201):
+        for k in range(1, d):
+            if gcd(d, k) != 1:
+                continue
+            cone = RationalCone.from_generators(2, [(0, 1), (d, -k)])
+            assert hilbert_basis(cone).rank_r == 2 + len(_hirzebruch_jung(d, k)), (d, k)
