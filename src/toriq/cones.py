@@ -14,9 +14,9 @@ corank-one subsets.
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
 along its boundary (Hirzebruch-Jung continued fraction), in steps
 proportional to the size of the basis.  Any other pointed cone takes
-candidates from fundamental parallelepipeds, closed by an irreducibility
-filter: the single full parallelepiped when the generators are linearly
-independent, else one per independent generator subset.  The non-pointed
+candidates from the fundamental parallelepipeds of its maximal independent
+generator subsets (a single one when the generators are linearly
+independent), closed by an irreducibility filter.  The non-pointed
 case splits off the lineality lattice first and recurses on the pointed
 quotient.
 """
@@ -294,35 +294,28 @@ def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
                            dual_gens: tuple[IntVector, ...]) -> list[IntVector]:
     """Hilbert basis of a pointed cone given with its dual generators.
 
-    Three paths, by the shape of the generators:
-
-    * two independent generators in rank 2: the boundary walk of
-      ``_rank2_hilbert_basis``, no candidates and no filter;
-    * linearly independent generators (simplicial): candidates are the
-      generators and the lattice points of their one full fundamental
-      parallelepiped, whose ``t_i = 0`` faces are the parallelepipeds of
-      the generator subsets;
-    * otherwise: candidates from the parallelepipeds of all independent
-      generator subsets, plus the generators.
+    Two independent generators in rank 2 take the boundary walk of
+    ``_rank2_hilbert_basis``, with no candidates and no filter.  Any other
+    cone takes as candidates the generators and the lattice points of the
+    fundamental parallelepiped of each maximal independent generator
+    subset (``rho`` generators, ``rho`` the rank of the generators).  Every
+    independent subset lies in a maximal one, and its parallelepiped is a
+    ``t_i = 0`` face of the maximal one's, so no point of a smaller subset
+    is missed.  Simplicial cones have exactly one such subset.
 
     Candidates are filtered in increasing order of a linear grading
     strictly positive on the cone.
     """
     if not gens:
         return []
-    independent = IntMatrix.from_rows(gens, rank).rank() == len(gens)
-    if independent and len(gens) == rank == 2:
+    rho = IntMatrix.from_rows(gens, rank).rank()
+    if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
     weight = tuple(sum(d[i] for d in dual_gens) for i in range(rank))
     candidates: set[IntVector] = set(gens)
-    if independent:
-        candidates.update(_parallelepiped_points(list(gens), rank))
-    else:
-        for size in range(1, min(len(gens), rank) + 1):
-            for subset in combinations(gens, size):
-                if IntMatrix.from_rows(list(subset), rank).rank() != size:
-                    continue
-                candidates.update(_parallelepiped_points(list(subset), rank))
+    for subset in combinations(gens, rho):
+        if rho == len(gens) or IntMatrix.from_rows(list(subset), rank).rank() == rho:
+            candidates.update(_parallelepiped_points(list(subset), rank))
     candidates.discard((0,) * rank)
     graded = sorted(candidates, key=lambda x: (dot(weight, x), _grlex_key(x)))
     accepted: list[IntVector] = []
@@ -390,12 +383,12 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Minimal generating set of the semigroup of lattice points of a cone.
 
     A pointed cone goes to ``_pointed_hilbert_basis``, which picks the
-    rank-2 boundary walk, the single parallelepiped of a simplicial cone or
-    the all-subsets enumeration.  For a non-pointed cone the lineality
-    lattice contributes a basis and its negation, and the pointed quotient
-    is handled recursively; its basis elements are lifted along a fixed
-    section, keeping the output deterministic.  Output is graded-lex
-    sorted.
+    rank-2 boundary walk or the parallelepipeds of the maximal independent
+    generator subsets (one for a simplicial cone).  For a non-pointed cone
+    the lineality lattice contributes a basis and its negation, and the
+    pointed quotient is handled recursively; its basis elements are lifted
+    along a fixed section, keeping the output deterministic.  Output is
+    graded-lex sorted.
     """
     n = cone.ambient_rank
     dual = dual_cone(cone)
