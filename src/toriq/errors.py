@@ -35,5 +35,10 @@ class IncompleteFanError(DomainError):
     """The operation needs a fan declared complete."""
 
 
+class ResourceLimitError(DomainError):
+    """An exact computation would exceed a size cap; the message names the
+    stage, the input sizes and the cap."""
+
+
 class LevelMismatchError(DomainError):
     """Two truncated values live at different levels; refine explicitly first."""

@@ -154,10 +154,10 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     sub = IntMatrix.from_rows([q.row(i) for i in rows], s)
 
     # moduli: solve sub @ x = valuation vector, over the integers, per prime
-    ratios = [z2.coords[i].rho / z.coords[i].rho for i in rows]
-    primes = sorted({p for r in ratios for p in _valuations(r)})
+    vals = [_valuations(z2.coords[i].rho / z.coords[i].rho) for i in rows]
+    primes = sorted({p for v in vals for p in v})
     for p in primes:
-        target = tuple(_valuations(r).get(p, 0) for r in ratios)
+        target = tuple(v.get(p, 0) for v in vals)
         if solve_integer(sub, target) is None:
             return False
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .errors import DomainError, IncompleteFanError, TorusFactorError
+from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
 from .fans import Fan
 from .intlinalg import IntMatrix, integer_kernel, smith_normal_form
 
@@ -132,17 +132,22 @@ def group_structure(fan: Fan) -> QuotientGroupStructure:
 
 @lru_cache(maxsize=None)
 def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
-    """Minimal ray subsets generating no cone, by ascending-cardinality scan."""
-    n = fan.n_rays
-    minimal: list[tuple[int, ...]] = []
-    from itertools import combinations
+    """Primitive collections: the minimal ray subsets generating no cone.
 
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if any(set(t) <= set(subset) for t in minimal):
-                continue
-            if not fan.is_cone(subset):
-                minimal.append(subset)
+    Every proper subset of a primitive collection is a cone, so it has at
+    most max-cone-size + 1 rays.  Each one S arises exactly once as
+    F + (j,) with F = S minus max(S) a cone and j > max(F); it is kept when
+    S is no cone but every S minus one ray is.  Cost: O(#cones * n_rays *
+    rank) hash lookups in the cone set.
+    """
+    cones = fan.cones()
+    faces = set(cones)
+    minimal: list[tuple[int, ...]] = []
+    for face in cones:
+        for j in range(face[-1] + 1 if face else 0, fan.n_rays):
+            s = face + (j,)
+            if s not in faces and all(s[:k] + s[k + 1:] in faces for k in range(len(face))):
+                minimal.append(s)
     return DiscriminantAntichain(tuple(sorted(minimal, key=lambda t: (len(t), t))))
 
 
@@ -249,8 +254,10 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
         for cls in classes:
             total *= factorial(len(cls))
         if total > _ENUMERATION_CAP:
-            raise DomainError(
-                f"fan symmetry enumeration too large ({total} candidate permutations)"
+            raise ResourceLimitError(
+                f"fan_symmetry: {total} candidate permutations for {n} rays "
+                f"(row class sizes {[len(c) for c in classes]}) exceed the cap "
+                f"of {_ENUMERATION_CAP}"
             )
         members = []
         pools = [list(permutations(cls)) for cls in classes]

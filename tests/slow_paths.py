@@ -1,12 +1,12 @@
-"""The exhaustive cone algorithms that the fast paths in ``toriq.cones``
-replaced, kept as differential oracles.
+"""The exhaustive algorithms that the fast paths in ``toriq.cones`` and
+``toriq.quotient`` replaced, kept as differential oracles.
 
 Unlike ``oracles.py`` these reuse the library's exact primitives (kernels,
-Smith forms, parallelepiped enumeration); what they keep is the original
-search: every corank-one generator subset for a dual, and every independent
-generator subset for a Hilbert basis.  ``slow_hilbert_basis`` is
-``toriq.cones.hilbert_basis`` with both searches put back, so the two must
-agree byte for byte.
+Smith forms, parallelepiped enumeration, ``Fan.is_cone``); what they keep is
+the original search: every corank-one generator subset for a dual, every
+independent generator subset for a Hilbert basis, and every ray subset for
+the discriminant.  ``slow_hilbert_basis`` is ``toriq.cones.hilbert_basis``
+with both searches put back, so the two must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -114,3 +114,17 @@ def slow_hilbert_basis(cone: RationalCone) -> tuple:
             for h in slow_hilbert_basis(quotient):
                 out.append(uinv.mat_vec((0,) * ell + tuple(h)))
     return tuple(sorted(set(out), key=_grlex_key))
+
+
+def slow_discriminant_locus(fan) -> tuple:
+    """Minimal ray subsets generating no cone, by an ascending-cardinality
+    scan over all 2^n ray subsets, sorted like ``discriminant_locus``."""
+    n = fan.n_rays
+    minimal: list[tuple[int, ...]] = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            if any(set(t) <= set(subset) for t in minimal):
+                continue
+            if not fan.is_cone(subset):
+                minimal.append(subset)
+    return tuple(sorted(minimal, key=lambda t: (len(t), t)))
