@@ -16,15 +16,16 @@ along its boundary (Hirzebruch-Jung continued fraction), in steps
 proportional to the size of the basis.  Any other pointed cone takes
 candidates from the fundamental parallelepipeds of its maximal independent
 generator subsets (a single one when the generators are linearly
-independent), closed by an irreducibility filter.  The non-pointed
-case splits off the lineality lattice first and recurses on the pointed
-quotient.
+independent), closed by an irreducibility filter.  The lattice points of a
+parallelepiped are the cosets of its generators' lattice, read off one
+Smith form in integer arithmetic.  The non-pointed case projects to the
+quotient by the lineality lattice (the same projection that makes dual
+rays canonical) and recurses on the pointed quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -127,11 +128,11 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
         out.add(b)
         out.add(tuple(-x for x in b))
     if rho > 0:
-        reduce_mod = _lineality_reducer(lineality, n)
+        project, lift = _lineality_quotient(lineality, n)
         rays = _split_rays(gens, rho, n)
         if rays is None:
             rays = _scanned_rays(gens, rho, lineality, n)
-        out.update(primitive(reduce_mod(ray)) for ray in rays)
+        out.update(primitive(lift(project(ray))) for ray in rays)
     return RationalCone(n, tuple(out))
 
 
@@ -192,20 +193,22 @@ def _direction_outside(kernel, lineality, rank):
     return None
 
 
-def _lineality_reducer(lineality, rank):
-    """Map x to the canonical representative of x modulo the lineality lattice."""
+def _lineality_quotient(lineality, rank):
+    """``(project, lift)`` for Z^rank modulo the saturated lineality lattice.
+
+    ``project`` gives coordinates in the quotient Z^(rank - ell) and
+    ``lift`` maps them back along a fixed section, so ``lift(project(x))``
+    is a canonical representative of x modulo the lattice.
+    """
     if not lineality:
-        return lambda x: x
-    basis = IntMatrix(tuple(zip(*lineality)), len(lineality))
-    u, _, _ = smith_normal_form(basis)
-    uinv = inverse_unimodular(u)
+        return (lambda x: x), (lambda y: y)
     ell = len(lineality)
-
-    def reduce_mod(x):
-        coords = u.mat_vec(x)
-        return uinv.mat_vec((0,) * ell + tuple(coords[ell:]))
-
-    return reduce_mod
+    u, _, _ = smith_normal_form(IntMatrix(tuple(zip(*lineality)), ell))
+    uinv = inverse_unimodular(u)
+    return (
+        lambda x: u.mat_vec(x)[ell:],
+        lambda y: uinv.mat_vec((0,) * ell + tuple(y)),
+    )
 
 
 def lineality_basis(cone: RationalCone) -> list[IntVector]:
@@ -222,72 +225,29 @@ def cone_contains(cone: RationalCone, point) -> bool:
     return all(dot(d, p) >= 0 for d in dual_cone(cone).generators)
 
 
-def _saturation_basis(vectors: list[IntVector], rank: int) -> list[IntVector]:
-    """Basis of ``span(vectors) ∩ Z^rank`` (the saturated column lattice)."""
-    orth = _kernel_columns(vectors, rank)
-    return _kernel_columns(orth, rank)
-
-
 def _parallelepiped_points(subset: list[IntVector], rank: int) -> list[IntVector]:
     """Lattice points of ``{sum t_i g_i : 0 <= t_i < 1}`` for independent g_i.
 
-    Enumerated as coset representatives of the sublattice spanned by the
-    generators inside the saturation of their span.
+    They are the cosets of the generators' lattice in the saturation of its
+    span, and a Smith form ``U @ G^T @ V = D`` of the generator columns
+    indexes them: ``G^T @ t`` is integral exactly when ``V^-1 @ t`` has i-th
+    coordinate in ``Z / d_i``.  Each residue vector ``0 <= r_i < d_i`` gives
+    ``t = V @ (r_i / d_i)``; over the common denominator ``d_k`` (every
+    ``d_i`` divides it) ``t mod 1`` is ``(V @ (r_i * d_k / d_i) mod d_k) / d_k``
+    and the point ``G^T @ (t mod 1)`` is an exact integer quotient.
     """
     k = len(subset)
-    basis = _saturation_basis(subset, rank)
-    bmat = IntMatrix(tuple(zip(*basis)), k)
-    coords = []
-    for g in subset:
-        h = _solve_fraction(bmat, g)
-        assert all(x.denominator == 1 for x in h)  # saturation guarantees integrality
-        coords.append(tuple(x.numerator for x in h))
-    h = IntMatrix.from_rows(coords, k).transpose()  # columns = generators in basis coords
-    u, d, _ = smith_normal_form(h)
-    uinv = inverse_unimodular(u)
-    hinv_cols = [_solve_fraction(h, tuple(int(i == j) for i in range(k))) for j in range(k)]
+    _, d, v = smith_normal_form(IntMatrix(tuple(zip(*subset)), k))
+    diag = [d.entries[i][i] for i in range(k)]
+    top = diag[-1]
     points = []
-    for residues in product(*(range(d.entries[i][i]) for i in range(k))):
-        rep = uinv.mat_vec(residues)
-        t = [sum(hinv_cols[j][i] * rep[j] for j in range(k)) for i in range(k)]
-        frac = [x - (x.numerator // x.denominator) for x in t]
-        y = [sum(coords[j][i] * frac[j] for j in range(k)) for i in range(k)]
-        assert all(x.denominator == 1 for x in y)
-        point = tuple(
-            sum(basis[j][i] * int(y[j]) for j in range(k)) for i in range(rank)
-        )
-        points.append(point)
+    for residues in product(*(range(di) for di in diag)):
+        w = [r * (top // di) for r, di in zip(residues, diag)]
+        t = [dot(row, w) % top for row in v.entries]
+        points.append(tuple(
+            sum(g[i] * tj for g, tj in zip(subset, t)) // top for i in range(rank)
+        ))
     return points
-
-
-def _solve_fraction(a: IntMatrix, b) -> list[Fraction]:
-    """Unique rational solution of ``a @ x = b`` for injective ``a``."""
-    m, n = a.rows, a.cols
-    work = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a.entries, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    if r < n:
-        raise DomainError("system is underdetermined")
-    for i in range(r, m):
-        if work[i][n] != 0:
-            raise DomainError("system is inconsistent")
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = work[i][n]
-    return x
 
 
 def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
@@ -402,18 +362,11 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
         out.append(b)
         out.append(tuple(-x for x in b))
     if ell < n:
-        basis = IntMatrix(tuple(zip(*lineality)), ell)
-        u, _, _ = smith_normal_form(basis)
-        uinv = inverse_unimodular(u)
-        proj_gens = []
-        for g in cone.generators:
-            img = u.mat_vec(g)[ell:]
-            if any(img):
-                proj_gens.append(img)
+        project, lift = _lineality_quotient(lineality, n)
+        proj_gens = [img for img in map(project, cone.generators) if any(img)]
         if proj_gens:
             quotient = RationalCone.from_generators(n - ell, proj_gens)
-            for h in hilbert_basis(quotient).generators:
-                out.append(uinv.mat_vec((0,) * ell + tuple(h)))
+            out.extend(map(lift, hilbert_basis(quotient).generators))
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 

@@ -1,16 +1,14 @@
 """Exact integer matrix algebra: Smith normal form, Hermite forms, kernels.
 
-Everything runs on Python's arbitrary-precision integers (plus exact
-``Fraction`` solves where a rational intermediate is unavoidable).  No
-floating point is used anywhere: normal-form intermediates can exceed any
-fixed width, and a silent overflow would corrupt every invariant built on
-top of this module.
+Everything runs on Python's arbitrary-precision integers.  No floating
+point is used anywhere: normal-form intermediates can exceed any fixed
+width, and a silent overflow would corrupt every invariant built on top of
+this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
@@ -122,49 +120,48 @@ class IntMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise DomainError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, pivot = _bareiss(self.entries, self.cols)
+        return pivot if rank == self.cols else 0
 
     def rank(self) -> int:
-        """Rank over the rationals, via integer cross-multiplication echelon."""
-        a = [list(row) for row in self.entries]
-        m, n = self.rows, self.cols
-        r = 0
-        for c in range(n):
-            pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            for i in range(r + 1, m):
-                if a[i][c] != 0:
-                    p, q = a[r][c], a[i][c]
-                    a[i] = [p * a[i][j] - q * a[r][j] for j in range(n)]
-            r += 1
-            if r == m:
-                break
-        return r
+        """Rank over the rationals, by fraction-free Bareiss elimination."""
+        return _bareiss(self.entries, self.cols)[0]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+
+
+def _bareiss(rows, cols: int) -> tuple[int, int]:
+    """Fraction-free row echelon (Bareiss, Math. Comp. 22 (1968)).
+
+    Returns the rank and the last pivot, negated once per row swap (1 when
+    the rank is 0).  After ``r`` pivots every entry below them is an
+    ``(r + 1)``-minor of the input, so each division by the previous pivot
+    is exact and entries stay the size of minors.  For a square matrix of
+    full rank the signed last pivot is the determinant.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, m):
+            row = a[i]
+            q = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * p - q * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 def _swap_rows(a, i, j):
@@ -194,10 +191,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         raise DomainError("smith_normal_form requires a nonempty matrix")
     m, n = a.rows, a.cols
     A = [list(row) for row in a.entries]
-    U = [list(row) for row in IntMatrix.identity(m).entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
-    # column operations act on V; run them through the transpose helper
-    Vt = [list(col) for col in zip(*V)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    # column operations act on V; run them on the rows of its transpose
+    Vt = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_swap(j, k):
         for row in A:
@@ -285,11 +281,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             _negate_row(U, t)
         t += 1
 
-    V = [list(col) for col in zip(*Vt)] if Vt else [[] for _ in range(n)]
     return (
         IntMatrix.from_rows(U, m),
         IntMatrix.from_rows(A, n),
-        IntMatrix.from_rows(V, n),
+        IntMatrix.from_rows(zip(*Vt), n),
     )
 
 
@@ -384,29 +379,20 @@ def solve_integer(a: IntMatrix, b) -> IntVector | None:
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant ±1."""
+    """Exact inverse of an integer matrix with determinant ±1.
+
+    The Smith form ``U @ a @ V`` is the identity exactly when ``a`` is
+    unimodular, and then ``a`` inverts to ``V @ U``.  Every invariant factor
+    divides the last one, so the last one decides.
+    """
     if a.rows != a.cols:
         raise DomainError("inverse of a non-square matrix")
-    n = a.rows
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.entries)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        work[c], work[pivot] = work[pivot], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    inv = []
-    for row in work:
-        out = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise DomainError("matrix is not unimodular")
-            out.append(int(x))
-        inv.append(tuple(out))
-    return IntMatrix(tuple(inv), n)
+    if a.is_empty:
+        return a
+    u, d, v = smith_normal_form(a)
+    last = d.entries[-1][-1]
+    if last == 0:
+        raise DomainError("matrix is singular")
+    if last != 1:
+        raise DomainError("matrix is not unimodular")
+    return v @ u

@@ -2,14 +2,14 @@
 
 These deliberately avoid the library's own algorithms: cone membership and
 feasibility run through Fourier-Motzkin elimination over exact rationals,
-lattice decompositions through bounded search, and irreducibility through
-exhaustive polytope scans.
+lattice decompositions through bounded search, irreducibility through
+exhaustive polytope scans, and determinants through the permutation sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from toriq.intlinalg import dot
 
@@ -170,3 +170,16 @@ def irreducible_in_semigroup(element, dual_generators, rank: int) -> bool:
             if all(dot(d, z) >= 0 for d in dual_generators):
                 return False
     return True
+
+
+def leibniz_det(rows) -> int:
+    """Determinant as the signed sum over all permutations (n! terms)."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total

@@ -1,27 +1,32 @@
-"""The exhaustive algorithms that the fast paths in ``toriq.cones`` and
-``toriq.quotient`` replaced, kept as differential oracles.
+"""The exhaustive or rational-arithmetic algorithms that the fast paths in
+``toriq.cones``, ``toriq.quotient`` and ``toriq.intlinalg`` replaced, kept as
+differential oracles.
 
-Unlike ``oracles.py`` these reuse the library's exact primitives (kernels,
-Smith forms, parallelepiped enumeration, ``Fan.is_cone``); what they keep is
-the original search: every corank-one generator subset for a dual, every
-independent generator subset for a Hilbert basis, and every ray subset for
-the discriminant.  ``slow_hilbert_basis`` is ``toriq.cones.hilbert_basis``
-with both searches put back, so the two must agree byte for byte.
+Unlike ``oracles.py`` these reuse some of the library's exact primitives
+(kernels, Smith forms, the lineality quotient, ``Fan.is_cone``); what they
+keep is the original search: every corank-one generator subset for a dual,
+every independent generator subset for a Hilbert basis, and every ray subset
+for the discriminant.  They also keep the original arithmetic: the
+parallelepiped enumeration by ``Fraction`` solves, the cross-multiplying
+rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
+``toriq.cones.hilbert_basis`` with both searches and the old parallelepiped
+enumeration put back, so the two must agree byte for byte.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 from toriq.cones import (
     RationalCone,
     _direction_outside,
     _grlex_key,
     _kernel_columns,
-    _lineality_reducer,
-    _parallelepiped_points,
+    _lineality_quotient,
 )
-from toriq.intlinalg import IntMatrix, dot, inverse_unimodular, primitive, smith_normal_form
+from toriq.errors import DomainError
+from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form
 
 
 def slow_dual_cone(sigma: RationalCone) -> RationalCone:
@@ -36,7 +41,7 @@ def slow_dual_cone(sigma: RationalCone) -> RationalCone:
         out.add(b)
         out.add(tuple(-x for x in b))
     if rho > 0:
-        reduce_mod = _lineality_reducer(lineality, n)
+        project, lift = _lineality_quotient(lineality, n)
         for subset in combinations(range(len(gens)), rho - 1):
             rows = [gens[i] for i in subset]
             if rows and IntMatrix.from_rows(rows, n).rank() != rho - 1:
@@ -53,7 +58,7 @@ def slow_dual_cone(sigma: RationalCone) -> RationalCone:
                 ray = tuple(-x for x in u)
             else:
                 continue
-            out.add(primitive(reduce_mod(ray)))
+            out.add(primitive(lift(project(ray))))
     return RationalCone(n, tuple(out))
 
 
@@ -66,7 +71,7 @@ def slow_pointed_hilbert_basis(gens, rank, dual_gens):
         for subset in combinations(gens, size):
             if IntMatrix.from_rows(list(subset), rank).rank() != size:
                 continue
-            candidates.update(_parallelepiped_points(list(subset), rank))
+            candidates.update(slow_parallelepiped_points(list(subset), rank))
     candidates.discard((0,) * rank)
     graded = sorted(candidates, key=lambda x: (dot(weight, x), _grlex_key(x)))
     accepted = []
@@ -101,19 +106,128 @@ def slow_hilbert_basis(cone: RationalCone) -> tuple:
         out.append(b)
         out.append(tuple(-x for x in b))
     if ell < n:
-        basis = IntMatrix(tuple(zip(*lineality)), ell)
-        u, _, _ = smith_normal_form(basis)
-        uinv = inverse_unimodular(u)
-        proj_gens = []
-        for g in cone.generators:
-            img = u.mat_vec(g)[ell:]
-            if any(img):
-                proj_gens.append(img)
+        project, lift = _lineality_quotient(lineality, n)
+        proj_gens = [img for img in map(project, cone.generators) if any(img)]
         if proj_gens:
             quotient = RationalCone.from_generators(n - ell, proj_gens)
-            for h in slow_hilbert_basis(quotient):
-                out.append(uinv.mat_vec((0,) * ell + tuple(h)))
+            out.extend(map(lift, slow_hilbert_basis(quotient)))
     return tuple(sorted(set(out), key=_grlex_key))
+
+
+def _saturation_basis(vectors, rank):
+    """Basis of ``span(vectors) ∩ Z^rank`` (the saturated column lattice)."""
+    orth = _kernel_columns(vectors, rank)
+    return _kernel_columns(orth, rank)
+
+
+def _solve_fraction(a: IntMatrix, b) -> list:
+    """Unique rational solution of ``a @ x = b`` for injective ``a``."""
+    m, n = a.rows, a.cols
+    work = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a.entries, b)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    if r < n:
+        raise DomainError("system is underdetermined")
+    for i in range(r, m):
+        if work[i][n] != 0:
+            raise DomainError("system is inconsistent")
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = work[i][n]
+    return x
+
+
+def slow_parallelepiped_points(subset, rank):
+    """Lattice points of ``{sum t_i g_i : 0 <= t_i < 1}`` for independent g_i,
+    as coset representatives of the generators' lattice inside a basis of
+    its saturation, found by ``Fraction`` solves."""
+    k = len(subset)
+    basis = _saturation_basis(subset, rank)
+    bmat = IntMatrix(tuple(zip(*basis)), k)
+    coords = []
+    for g in subset:
+        h = _solve_fraction(bmat, g)
+        assert all(x.denominator == 1 for x in h)  # saturation guarantees integrality
+        coords.append(tuple(x.numerator for x in h))
+    h = IntMatrix.from_rows(coords, k).transpose()  # columns = generators in basis coords
+    u, d, _ = smith_normal_form(h)
+    uinv = slow_inverse_unimodular(u)
+    hinv_cols = [_solve_fraction(h, tuple(int(i == j) for i in range(k))) for j in range(k)]
+    points = []
+    for residues in product(*(range(d.entries[i][i]) for i in range(k))):
+        rep = uinv.mat_vec(residues)
+        t = [sum(hinv_cols[j][i] * rep[j] for j in range(k)) for i in range(k)]
+        frac = [x - (x.numerator // x.denominator) for x in t]
+        y = [sum(coords[j][i] * frac[j] for j in range(k)) for i in range(k)]
+        assert all(x.denominator == 1 for x in y)
+        point = tuple(
+            sum(basis[j][i] * int(y[j]) for j in range(k)) for i in range(rank)
+        )
+        points.append(point)
+    return points
+
+
+def slow_rank(a: IntMatrix) -> int:
+    """Rank over the rationals, via integer cross-multiplication echelon."""
+    rows = [list(row) for row in a.entries]
+    m, n = a.rows, a.cols
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, m):
+            if rows[i][c] != 0:
+                p, q = rows[r][c], rows[i][c]
+                rows[i] = [p * rows[i][j] - q * rows[r][j] for j in range(n)]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def slow_inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of an integer matrix with determinant ±1, by
+    ``Fraction`` Gauss-Jordan elimination."""
+    if a.rows != a.cols:
+        raise DomainError("inverse of a non-square matrix")
+    n = a.rows
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a.entries)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            raise DomainError("matrix is singular")
+        work[c], work[pivot] = work[pivot], work[c]
+        pv = work[c][c]
+        work[c] = [x / pv for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    inv = []
+    for row in work:
+        out = []
+        for x in row[n:]:
+            if x.denominator != 1:
+                raise DomainError("matrix is not unimodular")
+            out.append(int(x))
+        inv.append(tuple(out))
+    return IntMatrix(tuple(inv), n)
 
 
 def slow_discriminant_locus(fan) -> tuple:

@@ -7,10 +7,11 @@ from fractions import Fraction
 from math import gcd
 from itertools import product
 
-from slow_paths import slow_dual_cone, slow_hilbert_basis
+from slow_paths import slow_dual_cone, slow_hilbert_basis, slow_parallelepiped_points
 from toriq import catalog
 from toriq.cones import (
     RationalCone,
+    _parallelepiped_points,
     affine_fiber_rank,
     dual_cone,
     fan_cone,
@@ -113,6 +114,29 @@ def test_fast_paths_match_slow_paths():
     for cone in simplicial + fan_duals:
         dual = dual_cone(cone)
         assert dual_cone(dual).generators == slow_dual_cone(dual).generators, cone
+
+
+def test_parallelepiped_points_match_slow_path():
+    """Smith-form enumeration against the ``Fraction``-solve enumeration, on
+    independent subsets of rank 1-4, lower-dimensional ones included.  A
+    Gram determinant of at most 30^2 bounds the number of points by 30.
+    Points are compared as sorted lists, so a repeated coset shows."""
+    rng = random.Random(SEED)
+    shapes = set()
+    checked = 0
+    while checked < 2000:
+        rank = rng.randint(1, 4)
+        k = rank if rng.random() < 0.5 else rng.randint(1, rank)
+        bound = 9 if rank == 1 else 4
+        gens = [tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(k)]
+        g = IntMatrix.from_rows(gens, rank)
+        if g.rank() != k or (g @ g.transpose()).det() > 30 ** 2:
+            continue
+        points = _parallelepiped_points(gens, rank)
+        assert sorted(points) == sorted(slow_parallelepiped_points(gens, rank)), gens
+        shapes.add((rank, k))
+        checked += 1
+    assert shapes == {(r, k) for r in range(1, 5) for k in range(1, r + 1)}
 
 
 def test_rank2_walk_is_output_sensitive():

@@ -1,8 +1,14 @@
-"""Exact linear algebra: normal forms, kernels, primitivity."""
+"""Exact linear algebra: normal forms, kernels, primitivity, and the
+Bareiss rank and determinant and Smith-form inverse against the slow paths
+they replaced."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import leibniz_det
+from slow_paths import slow_inverse_unimodular, slow_rank
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
@@ -170,8 +176,84 @@ def test_solve_integer():
     assert solve_integer(a, (1, 0)) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_rank_and_det_match_oracles(a):
+    assert a.rank() == slow_rank(a)
+    if a.rows == a.cols:
+        assert a.det() == leibniz_det(a.entries)
+
+
+def test_rank_and_det_of_products_and_empty_shapes():
+    """Products through an inner dimension k have rank at most k, so these
+    include rank-deficient and zero matrices of every shape up to 6 x 6."""
+    rng = random.Random(5)
+    for _ in range(400):
+        m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+        left = IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)], k
+        )
+        right = IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)], n
+        )
+        a = left @ right
+        assert a.rank() == slow_rank(a) <= k
+        if m == n:
+            assert a.det() == leibniz_det(a.entries)
+    for rows in (0, 1, 3):
+        assert IntMatrix(((),) * rows, 0).rank() == 0
+    assert IntMatrix((), 3).rank() == 0
+    assert IntMatrix((), 0).det() == 1
+
+
+def _random_unimodular(rng, n):
+    """A product of elementary row operations: swaps, negations and
+    additions of a multiple of one row to another."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(3)
+        if op == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == 1 or i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.randint(-4, 4)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows, n)
+
+
+def _inverse_or_error(inverse, a):
+    try:
+        return inverse(a).entries
+    except DomainError as exc:
+        return str(exc)
+
+
 def test_inverse_unimodular():
     a = IntMatrix.from_rows([[1, 2], [0, 1]])
     assert (inverse_unimodular(a) @ a).entries == IntMatrix.identity(2).entries
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="matrix is not unimodular"):
         inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(DomainError, match="matrix is singular"):
+        inverse_unimodular(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(DomainError, match="inverse of a non-square matrix"):
+        inverse_unimodular(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(DomainError, match="inverse of a non-square matrix"):
+        inverse_unimodular(IntMatrix((), 2))
+    empty = inverse_unimodular(IntMatrix((), 0))
+    assert (empty.entries, empty.cols) == ((), 0)
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        a = _random_unimodular(rng, n)
+        inv = inverse_unimodular(a)
+        assert (inv @ a).entries == (a @ inv).entries == IntMatrix.identity(n).entries
+        assert inv.entries == slow_inverse_unimodular(a).entries
+    # random square matrices: the same inverse or the same error message
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        assert _inverse_or_error(inverse_unimodular, a) == _inverse_or_error(
+            slow_inverse_unimodular, a
+        )
