@@ -17,7 +17,6 @@ from toriq.solenoid import (
     SolenoidPoint,
     cover_map,
     nu,
-    pf_add,
     phi,
     refine,
     sol_exp,
@@ -27,7 +26,7 @@ from toriq.solenoid import (
 # compatible projections to every divisor.
 a = ProfiniteInt(12, 7)
 b = ProfiniteInt(12, 9)
-print("7 + 9 at level 12:", pf_add(a, b))
+print("7 + 9 at level 12:", a + b)
 print("projections of 7:", {d: a.project(d) for d in (1, 2, 3, 4, 6, 12)})
 
 # The bonding maps of the net raise coordinates to powers.

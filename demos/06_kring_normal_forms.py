@@ -14,7 +14,6 @@ from fractions import Fraction as F
 from toriq.kring import (
     FormalSum,
     in_level_image,
-    multiply,
     oracle_reduce,
     parse_expression,
     reduce,
@@ -34,7 +33,7 @@ print("(x^(1/2)-1)(x^(1/3)-1)   ->", reduce(rel))
 # Multiplication in normal form: x^(1/2) squares to x, and x is identified
 # with 2*x^(1/2) - 1 because the square of (x^(1/2) - 1) vanishes.
 half = reduce(FormalSum.monomial(F(1, 2)))
-print("x^(1/2) * x^(1/2)        ->", multiply(half, half))
+print("x^(1/2) * x^(1/2)        ->", half * half)
 print("2*x^(1/2) - 1            ->", reduce(parse_expression("2*x^(1/2) - 1")))
 
 # The closed form is gated on a brute-force splitting oracle: rewrite
@@ -52,4 +51,4 @@ for n in (1, 2, 3, 6, 12):
 # Inverses exist for the monomial classes: x^(-q) reduces like any other
 # rational power, and the product lands back at rank 1, class 0.
 inv = reduce(parse_expression("x^(-1/2)"))
-print("\nx^(-1/2):", inv, "| product with x^(1/2):", multiply(half, inv))
+print("\nx^(-1/2):", inv, "| product with x^(1/2):", half * inv)

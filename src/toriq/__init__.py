@@ -59,8 +59,6 @@ from .solenoid import (
     SolenoidPoint,
     cover_map,
     nu,
-    pf_add,
-    pf_project,
     phi,
     refine,
     sol_exp,
@@ -112,8 +110,6 @@ __all__ = [
     "integer_kernel",
     "load_fan",
     "nu",
-    "pf_add",
-    "pf_project",
     "phi",
     "power_map",
     "primitive",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
 from .errors import DomainError, ExpressionError, InputError
 from .fans import Fan, load_fan
-from .kring import KRingElement, in_level_image, multiply, parse_expression, reduce
+from .kring import in_level_image, parse_expression, reduce
 from .moment import delzant_report, delzant_svg
 from .quotient import quotient_report
 from .solenoid import PolarComplex, ProfiniteInt, cover_map, refine, sol_exp, SolenoidPoint
@@ -143,7 +143,7 @@ def cmd_kring(args) -> int:
     elif args.action == "mul":
         u = reduce(parse_expression(args.expr[0]))
         v = reduce(parse_expression(args.expr[1]))
-        print(multiply(u, v))
+        print(u * v)
     else:  # level
         element = reduce(parse_expression(args.expr[0]))
         print("true" if in_level_image(element, args.n) else "false")

@@ -8,7 +8,8 @@ Duals.  The extreme rays of ``{m : <m, v> >= 0 for all v}`` are kernels of
 corank-one generator subsets.  When the generators split into plus/minus
 pairs and a set independent modulo the pairs' span (every fan cone, every
 dual of one, every quotient cone below), each independent generator owns
-one ray: one kernel per facet.  Any other cone falls back to scanning all
+one ray, and one Smith form of the generators gives every ray together
+with the lineality space.  Any other cone falls back to scanning all
 corank-one subsets.
 
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
@@ -34,6 +35,7 @@ from .fans import Fan
 from .intlinalg import (
     IntMatrix,
     IntVector,
+    _smith_kernel,
     dot,
     integer_kernel,
     inverse_unimodular,
@@ -80,7 +82,7 @@ class RationalCone:
 
     def generator_matrix(self) -> IntMatrix:
         """Generators as matrix rows."""
-        return IntMatrix.from_rows(self.generators, self.ambient_rank)
+        return IntMatrix._trusted(self.generators, self.ambient_rank)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
     """Saturated integer kernel basis of the row system; handles no rows."""
     if not rows:
         return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    k = integer_kernel(IntMatrix.from_rows(rows, rank))
+    k = integer_kernel(IntMatrix._trusted(tuple(rows), rank))
     return [k.column(j) for j in range(k.cols)]
 
 
@@ -112,85 +114,80 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
     representatives are reduced modulo the lineality lattice so the output
     is canonical.
 
-    Rays come from ``_split_rays`` (one kernel per independent generator)
-    when the generators split into plus/minus pairs and a set independent
-    modulo their span, and from ``_scanned_rays`` (every corank-one
-    generator subset) otherwise.  Both feed the same reduction, which is
-    linear, so the output does not depend on the path.
+    One Smith form of the generators (``_smith_rays``) gives the lineality
+    basis and, when the generators split into plus/minus pairs and a set
+    independent modulo their span, every ray.  Other cones take their rays
+    from ``_scanned_rays`` (every corank-one generator subset).  Both feed
+    the same reduction, which is linear, so the output does not depend on
+    the path.
     """
     n = sigma.ambient_rank
     gens = sigma.generators
-    lineality = _kernel_columns(list(gens), n)
-    ell = len(lineality)
-    rho = n - ell
+    lineality, rays = _smith_rays(gens, n)
+    rho = n - len(lineality)
     out: set[IntVector] = set()
     for b in lineality:
         out.add(b)
         out.add(tuple(-x for x in b))
     if rho > 0:
         project, lift = _lineality_quotient(lineality, n)
-        rays = _split_rays(gens, rho, n)
         if rays is None:
-            rays = _scanned_rays(gens, rho, lineality, n)
+            rays = _scanned_rays(gens, rho, n)
         out.update(primitive(lift(project(ray))) for ray in rays)
     return RationalCone(n, tuple(out))
 
 
-def _split_rays(gens, rho, rank):
-    """Dual rays of ``span(P) + cone(R)`` for R independent modulo span(P).
+def _smith_rays(gens, rank):
+    """``(lineality, rays)`` from one Smith form of the generators.
 
-    P collects the generators whose negation is also a generator.  The
-    dual ray of r in R is the kernel direction of ``P + R - {r}`` that is
-    positive on r.  Returns ``None`` when the generators do not split so.
+    P collects the generators whose negation is also a generator and R the
+    rest.  ``U @ M @ V == D`` factors M = rows(R) then one row of each pair
+    in P, with ``rho`` nonzero ``d_j``.  The lineality basis is the kernel
+    read off V.  The rows ``j >= rho`` of U span the relations among the
+    rows of M, so R is independent modulo span(P) exactly when they vanish
+    on R.  Then, with ``top = d_(rho-1)``, the ray of ``r_i`` is
+    ``V[:, :rho] @ (U[j][i] * top / d_j)``: M maps it to ``top * e_i``, so it
+    is positive on ``r_i`` and zero on every other generator.  ``rays`` is
+    ``None`` when the generators do not split so.
     """
+    if not gens:
+        return _kernel_columns([], rank), []
     gen_set = set(gens)
-    pairs, rest = [], []
+    rest, pairs = [], []
     for g in gens:
-        (pairs if tuple(-x for x in g) in gen_set else rest).append(g)
-    pair_rank = IntMatrix.from_rows(pairs, rank).rank() if pairs else 0
-    if pair_rank + len(rest) != rho:
-        return None
+        neg = tuple(-x for x in g)
+        if neg not in gen_set:
+            rest.append(g)
+        elif g > neg:
+            pairs.append(g)
+    u, d, v = smith_normal_form(IntMatrix._trusted(tuple(rest + pairs), rank))
+    lineality = list(_smith_kernel(d, v).columns())
+    diag = [d.entries[j][j] for j in range(rank - len(lineality))]
+    rho, k = len(diag), len(rest)
+    if any(u.entries[j][i] for j in range(rho, u.rows) for i in range(k)):
+        return lineality, None
+    top = diag[-1]
     rays = []
-    for i, r in enumerate(rest):
-        kernel = _kernel_columns(pairs + rest[:i] + rest[i + 1:], rank)
-        # kernel vectors vanish on every generator but r; those off the
-        # lineality space are exactly those not vanishing on r
-        u = next(v for v in kernel if dot(v, r) != 0)
-        rays.append(u if dot(u, r) > 0 else tuple(-x for x in u))
-    return rays
+    for i in range(k):
+        y = [u.entries[j][i] * (top // dj) for j, dj in enumerate(diag)]
+        rays.append(tuple(dot(row[:rho], y) for row in v.entries))
+    return lineality, rays
 
 
-def _scanned_rays(gens, rho, lineality, rank):
+def _scanned_rays(gens, rho, rank):
     """Dual rays found by scanning all C(len(gens), rho - 1) subsets."""
-    ell = len(lineality)
     rays = []
-    for subset in combinations(range(len(gens)), rho - 1):
-        rows = [gens[i] for i in subset]
-        if rows and IntMatrix.from_rows(rows, rank).rank() != rho - 1:
+    for rows in combinations(gens, rho - 1):
+        if rows and IntMatrix._trusted(rows, rank).rank() != rho - 1:
             continue
-        kernel = _kernel_columns(rows, rank)
-        if len(kernel) != ell + 1:
-            continue
-        u = _direction_outside(kernel, lineality, rank)
-        if u is None:
-            continue
+        # the kernel is the lineality space plus one direction; a basis
+        # vector is off the lineality space iff some generator sees it
+        u = next(v for v in _kernel_columns(rows, rank) if any(dot(g, v) for g in gens))
         if all(dot(g, u) >= 0 for g in gens):
             rays.append(u)
         elif all(dot(g, u) <= 0 for g in gens):
             rays.append(tuple(-x for x in u))
     return rays
-
-
-def _direction_outside(kernel, lineality, rank):
-    """A kernel basis vector independent of the lineality columns."""
-    if not lineality:
-        return kernel[0] if kernel else None
-    lin = IntMatrix.from_rows(lineality, rank)
-    base = lin.rank()
-    for u in kernel:
-        if IntMatrix.from_rows(lineality + [u], rank).rank() > base:
-            return u
-    return None
 
 
 def _lineality_quotient(lineality, rank):
@@ -203,7 +200,7 @@ def _lineality_quotient(lineality, rank):
     if not lineality:
         return (lambda x: x), (lambda y: y)
     ell = len(lineality)
-    u, _, _ = smith_normal_form(IntMatrix(tuple(zip(*lineality)), ell))
+    u, _, _ = smith_normal_form(IntMatrix._trusted(tuple(zip(*lineality)), ell))
     uinv = inverse_unimodular(u)
     return (
         lambda x: u.mat_vec(x)[ell:],
@@ -237,7 +234,7 @@ def _parallelepiped_points(subset: list[IntVector], rank: int) -> list[IntVector
     and the point ``G^T @ (t mod 1)`` is an exact integer quotient.
     """
     k = len(subset)
-    _, d, v = smith_normal_form(IntMatrix(tuple(zip(*subset)), k))
+    _, d, v = smith_normal_form(IntMatrix._trusted(tuple(zip(*subset)), k))
     diag = [d.entries[i][i] for i in range(k)]
     top = diag[-1]
     points = []
@@ -268,13 +265,13 @@ def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
     """
     if not gens:
         return []
-    rho = IntMatrix.from_rows(gens, rank).rank()
+    rho = IntMatrix._trusted(gens, rank).rank()
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
     weight = tuple(sum(d[i] for d in dual_gens) for i in range(rank))
     candidates: set[IntVector] = set(gens)
     for subset in combinations(gens, rho):
-        if rho == len(gens) or IntMatrix.from_rows(list(subset), rank).rank() == rho:
+        if rho == len(gens) or IntMatrix._trusted(subset, rank).rank() == rho:
             candidates.update(_parallelepiped_points(list(subset), rank))
     candidates.discard((0,) * rank)
     graded = sorted(candidates, key=lambda x: (dot(weight, x), _grlex_key(x)))

@@ -76,6 +76,19 @@ class IntMatrix:
         return cls(rows, cols)
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Build without the per-entry check, for results of this package.
+
+        ``entries`` must already be a tuple of ``cols``-long tuples of
+        ``int``, as ``from_rows`` would leave it: equality and hashing
+        compare the stored tuples.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
@@ -97,14 +110,14 @@ class IntMatrix:
         return tuple(self.column(j) for j in range(self.cols))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)), self.rows)
+        return IntMatrix._trusted(tuple(self.columns()), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DomainError("matrix product shape mismatch")
-        ot = other.transpose()
-        return IntMatrix(
-            tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries),
+        ot = other.columns()
+        return IntMatrix._trusted(
+            tuple(tuple(dot(r, c) for c in ot) for r in self.entries),
             other.cols,
         )
 
@@ -282,9 +295,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         t += 1
 
     return (
-        IntMatrix.from_rows(U, m),
-        IntMatrix.from_rows(A, n),
-        IntMatrix.from_rows(zip(*Vt), n),
+        IntMatrix._trusted(tuple(map(tuple, U)), m),
+        IntMatrix._trusted(tuple(map(tuple, A)), n),
+        IntMatrix._trusted(tuple(zip(*Vt)), n),
     )
 
 
@@ -326,15 +339,12 @@ def row_hermite_form(a: IntMatrix) -> IntMatrix:
             r += 1
             if r == m:
                 break
-    return IntMatrix.from_rows([row for row in A[:r]], n)
+    return IntMatrix._trusted(tuple(map(tuple, A[:r])), n)
 
 
 def column_hermite_form(a: IntMatrix) -> IntMatrix:
     """Canonical form of the column lattice: Hermite on the transpose."""
-    if a.rows == 0:
-        return IntMatrix((), 0)
-    h = row_hermite_form(a.transpose())
-    return IntMatrix(tuple(h.column(j) for j in range(h.cols)), h.rows)
+    return row_hermite_form(a.transpose()).transpose()
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -347,13 +357,20 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
     _, d, v = smith_normal_form(a)
-    m, n = a.rows, a.cols
-    rank = sum(1 for i in range(min(m, n)) if d.entries[i][i] != 0)
-    if rank == n:
-        return IntMatrix(tuple(() for _ in range(n)), 0)
-    cols = [v.column(j) for j in range(rank, n)]
-    k = IntMatrix(tuple(zip(*cols)), len(cols))
-    return column_hermite_form(k)
+    return _smith_kernel(d, v)
+
+
+def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
+    """``integer_kernel`` read off a Smith form ``U @ a @ V == D``.
+
+    The columns of V past the nonzero diagonal entries are a saturated
+    kernel basis; their column Hermite form makes it canonical.
+    """
+    n = v.cols
+    rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
+    return column_hermite_form(
+        IntMatrix._trusted(tuple(row[rank:] for row in v.entries), n - rank)
+    )
 
 
 def solve_integer(a: IntMatrix, b) -> IntVector | None:

@@ -108,14 +108,6 @@ def reduce(s: FormalSum) -> KRingElement:
     return KRingElement(a, r)
 
 
-def multiply(u: KRingElement, v: KRingElement) -> KRingElement:
-    return u * v
-
-
-def add(u: KRingElement, v: KRingElement) -> KRingElement:
-    return u + v
-
-
 def in_level_image(e: KRingElement, n: int) -> bool:
     """Is the element in the image of the level-n covering, i.e. is the class
     part a multiple of 1/n?"""

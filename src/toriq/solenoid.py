@@ -76,15 +76,6 @@ class ProfiniteInt:
         return f"{self.residue} mod {self.level}"
 
 
-def pf_add(x: ProfiniteInt, y: ProfiniteInt) -> ProfiniteInt:
-    """Addition at a common level; differing levels are an explicit error."""
-    return x + y
-
-
-def pf_project(x: ProfiniteInt, d: int) -> int:
-    return x.project(d)
-
-
 @dataclass(frozen=True)
 class PolarComplex:
     """Exact polar form rho * e^(2*pi*i*turns): rational modulus and turns.
@@ -148,14 +139,19 @@ class PolarComplex:
 
 
 def _exact_root(n: int, q: int) -> int:
-    """Integer q-th root of n, or an error when n is not a perfect power."""
+    """Integer q-th root of n, or an error when n is not a perfect power.
+
+    For ``n >= 2`` a root x >= 2 has ``x ** q >= 2 ** q``, so there is
+    none unless ``q`` is below ``n.bit_length()``, and then
+    ``x < 2 ** (bit_length // q + 1)`` bounds the search: no power above
+    ``2 ** (bit_length + q)`` is formed.
+    """
     if n < 0:
         raise DomainError("negative radicand")
     if n in (0, 1):
         return n
-    lo, hi = 1, 1
-    while hi ** q < n:
-        hi *= 2
+    bits = n.bit_length()
+    lo, hi = 1, (1 << (bits // q + 1) if q < bits else 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if mid ** q < n:

@@ -5,8 +5,9 @@ differential oracles.
 Unlike ``oracles.py`` these reuse some of the library's exact primitives
 (kernels, Smith forms, the lineality quotient, ``Fan.is_cone``); what they
 keep is the original search: every corank-one generator subset for a dual,
-every independent generator subset for a Hilbert basis, and every ray subset
-for the discriminant.  They also keep the original arithmetic: the
+one kernel per facet for the rays of a split dual, every independent
+generator subset for a Hilbert basis, and every ray subset for the
+discriminant.  They also keep the original arithmetic: the
 parallelepiped enumeration by ``Fraction`` solves, the cross-multiplying
 rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
 ``toriq.cones.hilbert_basis`` with both searches and the old parallelepiped
@@ -20,13 +21,23 @@ from itertools import combinations, product
 
 from toriq.cones import (
     RationalCone,
-    _direction_outside,
     _grlex_key,
     _kernel_columns,
     _lineality_quotient,
 )
 from toriq.errors import DomainError
 from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form
+
+
+def _direction_outside(kernel, lineality, rank):
+    """A kernel basis vector independent of the lineality columns."""
+    if not lineality:
+        return kernel[0] if kernel else None
+    base = IntMatrix.from_rows(lineality, rank).rank()
+    for u in kernel:
+        if IntMatrix.from_rows(lineality + [u], rank).rank() > base:
+            return u
+    return None
 
 
 def slow_dual_cone(sigma: RationalCone) -> RationalCone:
@@ -60,6 +71,31 @@ def slow_dual_cone(sigma: RationalCone) -> RationalCone:
                 continue
             out.add(primitive(lift(project(ray))))
     return RationalCone(n, tuple(out))
+
+
+def slow_split_rays(gens, rho, rank):
+    """Dual rays of ``span(P) + cone(R)`` for R independent modulo span(P),
+    by one kernel per facet.
+
+    P collects the generators whose negation is also a generator.  The
+    dual ray of r in R is the kernel direction of ``P + R - {r}`` that is
+    positive on r.  Returns ``None`` when the generators do not split so.
+    """
+    gen_set = set(gens)
+    pairs, rest = [], []
+    for g in gens:
+        (pairs if tuple(-x for x in g) in gen_set else rest).append(g)
+    pair_rank = IntMatrix.from_rows(pairs, rank).rank() if pairs else 0
+    if pair_rank + len(rest) != rho:
+        return None
+    rays = []
+    for i, r in enumerate(rest):
+        kernel = _kernel_columns(pairs + rest[:i] + rest[i + 1:], rank)
+        # kernel vectors vanish on every generator but r; those off the
+        # lineality space are exactly those not vanishing on r
+        u = next(v for v in kernel if dot(v, r) != 0)
+        rays.append(u if dot(u, r) > 0 else tuple(-x for x in u))
+    return rays
 
 
 def slow_pointed_hilbert_basis(gens, rank, dual_gens):

@@ -24,7 +24,7 @@ from toriq.cones import (
 from toriq.fans import build_fan
 from toriq.homogeneous import HomogeneousPoint, TorusElement, check_equivariance, in_discriminant
 from toriq.intlinalg import IntMatrix, column_hermite_form, dot, integer_kernel, smith_normal_form, solve_integer
-from toriq.kring import FormalSum, KRingElement, in_level_image, multiply, oracle_reduce, reduce
+from toriq.kring import FormalSum, KRingElement, in_level_image, oracle_reduce, reduce
 from toriq.moment import cusp_count, face_lattice
 from toriq.quotient import charge_matrix, discriminant_locus, fan_symmetry, quotient_report
 from toriq.solenoid import PolarComplex, ProfiniteInt, cover_map, nu, phi
@@ -257,7 +257,7 @@ def test_kring_normal_forms():
             assert oracle_reduce(sum_, seed=trial + 10**6) == closed
         # worked identity: x^(1/2) * x^(1/2) == 2 x^(1/2) - 1 in normal form
         half = reduce(FormalSum.monomial(F(1, 2)))
-        assert multiply(half, half) == reduce(
+        assert half * half == reduce(
             FormalSum.from_terms([(F(1, 2), 2), (F(0), -1)])
         )
         # directedness of level images under divisibility

@@ -7,11 +7,19 @@ from fractions import Fraction
 from math import gcd
 from itertools import product
 
-from slow_paths import slow_dual_cone, slow_hilbert_basis, slow_parallelepiped_points
+from slow_paths import (
+    slow_dual_cone,
+    slow_hilbert_basis,
+    slow_parallelepiped_points,
+    slow_split_rays,
+)
 from toriq import catalog
 from toriq.cones import (
     RationalCone,
+    _kernel_columns,
+    _lineality_quotient,
     _parallelepiped_points,
+    _smith_rays,
     affine_fiber_rank,
     dual_cone,
     fan_cone,
@@ -19,7 +27,7 @@ from toriq.cones import (
     lineality_basis,
 )
 from toriq.fans import build_fan
-from toriq.intlinalg import IntMatrix
+from toriq.intlinalg import IntMatrix, primitive
 
 SEED = 20261018
 
@@ -114,6 +122,38 @@ def test_fast_paths_match_slow_paths():
     for cone in simplicial + fan_duals:
         dual = dual_cone(cone)
         assert dual_cone(dual).generators == slow_dual_cone(dual).generators, cone
+
+
+def test_smith_rays_match_per_facet_kernels():
+    """Rays read off one Smith form against one kernel per facet, on the
+    corpus above and the duals of its simplicial cones and fan duals.  Both
+    must agree on which inputs split, and on split inputs the rays must
+    reduce modulo the lineality lattice to the same list, in generator
+    order."""
+    rng = random.Random(SEED)
+    simplicial = _simplicial_cones(rng, 160)
+    fan_duals = _fan_duals()
+    other = _non_simplicial_pointed_cones(rng, 30) + _boundary_cones()
+    cones = simplicial + fan_duals + other
+    cones += [dual_cone(cone) for cone in simplicial + fan_duals]
+    split = not_split = 0
+    for cone in cones:
+        n, gens = cone.ambient_rank, cone.generators
+        lineality, rays = _smith_rays(gens, n)
+        assert lineality == _kernel_columns(list(gens), n), cone
+        rho = n - len(lineality)
+        if rho == 0:
+            continue
+        oracle = slow_split_rays(gens, rho, n)
+        assert (rays is None) == (oracle is None), cone
+        if rays is None:
+            not_split += 1
+            continue
+        split += 1
+        project, lift = _lineality_quotient(lineality, n)
+        assert ([primitive(lift(project(r))) for r in rays]
+                == [primitive(lift(project(r))) for r in oracle]), cone
+    assert split >= 500 and not_split >= 30
 
 
 def test_parallelepiped_points_match_slow_path():

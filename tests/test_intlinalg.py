@@ -3,12 +3,14 @@ Bareiss rank and determinant and Smith-form inverse against the slow paths
 they replaced."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import leibniz_det
 from slow_paths import slow_inverse_unimodular, slow_rank
+from toriq.cones import RationalCone
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
@@ -16,6 +18,7 @@ from toriq.intlinalg import (
     integer_kernel,
     inverse_unimodular,
     primitive,
+    row_hermite_form,
     smith_normal_form,
     solve_integer,
 )
@@ -168,6 +171,40 @@ def test_smith_rejects_empty():
 def test_rejects_floats():
     with pytest.raises(DomainError):
         IntMatrix.from_rows([[1.0, 2]])
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([[True, 0]], 2),
+    ([[1, 2.0]], 2),
+    ([[Fraction(1), 2]], 2),
+    ([[1, 2], [3]], 2),
+    ([[1, 2]], 3),
+    ([], -1),
+])
+def test_public_constructors_validate(rows, cols):
+    with pytest.raises(DomainError):
+        IntMatrix.from_rows(rows, cols)
+    with pytest.raises(DomainError):
+        IntMatrix(tuple(tuple(r) for r in rows), cols)
+
+
+def _assert_plain(m):
+    """Equal to, and hashing like, the validated rebuild of its entries."""
+    assert type(m.entries) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m.entries)
+    rebuilt = IntMatrix.from_rows(list(map(list, m.entries)), m.cols)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_internal_results_match_validated_rebuilds(a):
+    u, d, v = smith_normal_form(a)
+    for m in (u, d, v, row_hermite_form(a), column_hermite_form(a),
+              integer_kernel(a), a.transpose(), u @ a @ v):
+        _assert_plain(m)
+    gens = [row for row in a.entries if any(row)]
+    _assert_plain(RationalCone.from_generators(a.cols, gens).generator_matrix())
 
 
 def test_solve_integer():

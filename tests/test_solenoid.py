@@ -1,5 +1,6 @@
 """Profinite integers, polar arithmetic, solenoid points and their maps."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +11,10 @@ from toriq.solenoid import (
     PolarComplex,
     ProfiniteInt,
     SolenoidPoint,
+    _exact_root,
     common_level,
     cover_map,
     nu,
-    pf_add,
-    pf_project,
     phi,
     refine,
     sol_exp,
@@ -27,15 +27,15 @@ positive_rationals = st.fractions(min_value=F(1, 24), max_value=8, max_denominat
 
 
 def test_pf_add_examples():
-    assert pf_add(ProfiniteInt(6, 4), ProfiniteInt(6, 5)) == ProfiniteInt(6, 3)
+    assert ProfiniteInt(6, 4) + ProfiniteInt(6, 5) == ProfiniteInt(6, 3)
     x = ProfiniteInt(12, 7)
-    assert pf_add(x, ProfiniteInt(12, 0)) == x
-    assert pf_add(x, x) == ProfiniteInt(12, 2)
+    assert x + ProfiniteInt(12, 0) == x
+    assert x + x == ProfiniteInt(12, 2)
 
 
 def test_pf_add_level_mismatch():
     with pytest.raises(LevelMismatchError):
-        pf_add(ProfiniteInt(4, 1), ProfiniteInt(6, 1))
+        ProfiniteInt(4, 1) + ProfiniteInt(6, 1)
 
 
 def test_pf_group_laws():
@@ -45,18 +45,18 @@ def test_pf_group_laws():
     for _ in range(200):
         m = rng.randint(1, 60)
         a, b, c = (ProfiniteInt(m, rng.randrange(m)) for _ in range(3))
-        assert pf_add(pf_add(a, b), c) == pf_add(a, pf_add(b, c))
-        assert pf_add(a, b) == pf_add(b, a)
-        assert pf_add(a, -a) == ProfiniteInt(m, 0)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a + -a == ProfiniteInt(m, 0)
 
 
 def test_pf_project_examples():
     x = ProfiniteInt(12, 7)
-    assert pf_project(x, 4) == 3
-    assert pf_project(x, 1) == 0
-    assert pf_project(x, 12) == 7
+    assert x.project(4) == 3
+    assert x.project(1) == 0
+    assert x.project(12) == 7
     with pytest.raises(DomainError):
-        pf_project(x, 5)
+        x.project(5)
 
 
 def test_pf_project_compatible():
@@ -169,6 +169,22 @@ def test_refine_section_property():
         refine(z, 12, 4)
     with pytest.raises(DomainError):
         refine(z, 7, 0)  # 3 does not divide 7
+
+
+def test_exact_root_search_is_bounded_by_bit_length():
+    for x in range(1, 40):
+        for q in range(1, 9):
+            assert _exact_root(x ** q, q) == x
+            if q > 1:
+                with pytest.raises(DomainError, match="not a perfect"):
+                    _exact_root(x ** q + 1, q)
+    # an unbounded search would form 2 ** (10 ** 12), a 125 GB integer
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="not a perfect"):
+        _exact_root(3, 10 ** 12)
+    with pytest.raises(DomainError, match="not a perfect"):
+        PolarComplex(F(3)).root(10 ** 12, 0)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_refine_requires_exact_radicals():
