@@ -28,7 +28,7 @@ from .cones import (
     hilbert_basis,
 )
 from .errors import DomainError, InputError, ToriqError
-from .fans import ConePoset, Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
+from .fans import Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
 from .homogeneous import (
     HomogeneousPoint,
     TorusElement,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutPresentation",
     "ChargeMatrix",
-    "ConePoset",
     "DiscriminantAntichain",
     "DomainError",
     "FaceLattice",

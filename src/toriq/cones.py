@@ -10,7 +10,8 @@ pairs and a set independent modulo the pairs' span (every fan cone, every
 dual of one, every quotient cone below), each independent generator owns
 one ray, and one Smith form of the generators gives every ray together
 with the lineality space.  Any other cone falls back to scanning all
-corank-one subsets.
+corank-one subsets.  The dual carries its lineality basis (the primal's
+orthogonal complement), so ``lineality_basis`` need not recompute it.
 
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
 along its boundary (Hirzebruch-Jung continued fraction), in steps
@@ -53,11 +54,14 @@ class RationalCone:
     """Cone of nonnegative combinations of the stored generators.
 
     Generators are stored primitive, deduplicated and graded-lex sorted;
-    the empty generator tuple is the zero cone.
+    the empty generator tuple is the zero cone.  A cone may carry its
+    lineality basis (see ``lineality_basis``); that is not part of its
+    value, so equality, hashing and ``repr`` ignore it.
     """
 
     ambient_rank: int
     generators: tuple[IntVector, ...]
+    _lineality = None  # not a field; see lineality_basis
 
     def __post_init__(self):
         if self.ambient_rank < 1:
@@ -75,6 +79,16 @@ class RationalCone:
     @classmethod
     def from_generators(cls, ambient_rank, generators) -> "RationalCone":
         return cls(ambient_rank, tuple(tuple(v) for v in generators))
+
+    @classmethod
+    def _trusted(cls, ambient_rank: int, generators, lineality) -> "RationalCone":
+        """Build carrying ``lineality``, without the per-generator check:
+        ``generators`` must be primitive tuples of ``int`` of the right length."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ambient_rank", ambient_rank)
+        object.__setattr__(cone, "generators", tuple(sorted(set(generators), key=_grlex_key)))
+        object.__setattr__(cone, "_lineality", tuple(lineality))
+        return cone
 
     @property
     def is_zero(self) -> bool:
@@ -115,11 +129,12 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
     is canonical.
 
     One Smith form of the generators (``_smith_rays``) gives the lineality
-    basis and, when the generators split into plus/minus pairs and a set
-    independent modulo their span, every ray.  Other cones take their rays
-    from ``_scanned_rays`` (every corank-one generator subset).  Both feed
-    the same reduction, which is linear, so the output does not depend on
-    the path.
+    basis, which the output carries (the Hermite form ``lineality_basis``
+    would compute), and, when the generators split into plus/minus pairs
+    and a set independent modulo their span, every ray.  Other cones take
+    their rays from ``_scanned_rays`` (every corank-one generator subset).
+    Both feed the same reduction, which is linear, so the output does not
+    depend on the path.
     """
     n = sigma.ambient_rank
     gens = sigma.generators
@@ -134,7 +149,7 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
         if rays is None:
             rays = _scanned_rays(gens, rho, n)
         out.update(primitive(lift(project(ray))) for ray in rays)
-    return RationalCone(n, tuple(out))
+    return RationalCone._trusted(n, out, lineality)
 
 
 def _smith_rays(gens, rank):
@@ -209,9 +224,12 @@ def _lineality_quotient(lineality, rank):
 
 
 def lineality_basis(cone: RationalCone) -> list[IntVector]:
-    """Saturated lattice basis of ``cone ∩ -cone``."""
-    dual = dual_cone(cone)
-    return _kernel_columns(list(dual.generators), cone.ambient_rank)
+    """Saturated lattice basis of ``cone ∩ -cone``, in column Hermite form:
+    carried by duals and quotient cones, computed once for any other cone."""
+    if cone._lineality is None:
+        basis = _kernel_columns(list(dual_cone(cone).generators), cone.ambient_rank)
+        object.__setattr__(cone, "_lineality", tuple(basis))
+    return list(cone._lineality)
 
 
 def cone_contains(cone: RationalCone, point) -> bool:
@@ -247,27 +265,29 @@ def _parallelepiped_points(subset: list[IntVector], rank: int) -> list[IntVector
     return points
 
 
-def _pointed_hilbert_basis(gens: tuple[IntVector, ...], rank: int,
-                           dual_gens: tuple[IntVector, ...]) -> list[IntVector]:
-    """Hilbert basis of a pointed cone given with its dual generators.
+def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
+    """Hilbert basis of a pointed cone.
 
     Two independent generators in rank 2 take the boundary walk of
-    ``_rank2_hilbert_basis``, with no candidates and no filter.  Any other
-    cone takes as candidates the generators and the lattice points of the
-    fundamental parallelepiped of each maximal independent generator
-    subset (``rho`` generators, ``rho`` the rank of the generators).  Every
-    independent subset lies in a maximal one, and its parallelepiped is a
-    ``t_i = 0`` face of the maximal one's, so no point of a smaller subset
-    is missed.  Simplicial cones have exactly one such subset.
+    ``_rank2_hilbert_basis``, with no candidates, no filter and no dual.
+    Any other cone takes as candidates the generators and the lattice
+    points of the fundamental parallelepiped of each maximal independent
+    generator subset (``rho`` generators, ``rho`` the rank of the
+    generators).  Every independent subset lies in a maximal one, and its
+    parallelepiped is a ``t_i = 0`` face of the maximal one's, so no point
+    of a smaller subset is missed.  Simplicial cones have exactly one such
+    subset.
 
-    Candidates are filtered in increasing order of a linear grading
-    strictly positive on the cone.
+    Candidates are filtered, using the dual generators, in increasing
+    order of a linear grading strictly positive on the cone.
     """
+    gens, rank = cone.generators, cone.ambient_rank
     if not gens:
         return []
     rho = IntMatrix._trusted(gens, rank).rank()
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
+    dual_gens = dual_cone(cone).generators
     weight = tuple(sum(d[i] for d in dual_gens) for i in range(rank))
     candidates: set[IntVector] = set(gens)
     for subset in combinations(gens, rho):
@@ -343,15 +363,14 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     rank-2 boundary walk or the parallelepipeds of the maximal independent
     generator subsets (one for a simplicial cone).  For a non-pointed cone
     the lineality lattice contributes a basis and its negation, and the
-    pointed quotient is handled recursively; its basis elements are lifted
-    along a fixed section, keeping the output deterministic.  Output is
-    graded-lex sorted.
+    pointed quotient (built carrying its empty lineality) is handled
+    recursively; its basis elements are lifted along a fixed section,
+    keeping the output deterministic.  Output is graded-lex sorted.
     """
     n = cone.ambient_rank
-    dual = dual_cone(cone)
-    lineality = _kernel_columns(list(dual.generators), n)
+    lineality = lineality_basis(cone)
     if not lineality:
-        gens = _pointed_hilbert_basis(cone.generators, n, dual.generators)
+        gens = _pointed_hilbert_basis(cone)
         return HilbertBasis(cone, tuple(sorted(gens, key=_grlex_key)))
     ell = len(lineality)
     out: list[IntVector] = []
@@ -360,9 +379,9 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
         out.append(tuple(-x for x in b))
     if ell < n:
         project, lift = _lineality_quotient(lineality, n)
-        proj_gens = [img for img in map(project, cone.generators) if any(img)]
+        proj_gens = [primitive(img) for img in map(project, cone.generators) if any(img)]
         if proj_gens:
-            quotient = RationalCone.from_generators(n - ell, proj_gens)
+            quotient = RationalCone._trusted(n - ell, proj_gens, ())
             out.extend(map(lift, hilbert_basis(quotient).generators))
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
@@ -372,9 +391,6 @@ def fan_cone(fan: Fan, indices) -> RationalCone:
     idx = tuple(sorted(set(indices)))
     if not fan.is_cone(idx):
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
-    if not idx:
-        # zero cone: no generators
-        return RationalCone(fan.lattice_rank, ())
     return RationalCone.from_generators(fan.lattice_rank, [fan.rays[i] for i in idx])
 
 

@@ -141,32 +141,6 @@ class Fan:
         # simplicial: generators of every cone are independent
         return len(tuple(indices))
 
-    def cone_poset(self) -> "ConePoset":
-        return ConePoset(self.cones())
-
-
-@dataclass(frozen=True)
-class ConePoset:
-    """Cones of a fan ordered by inclusion of ray-index sets."""
-
-    cones: tuple[ConeRef, ...]
-
-    def dim(self, cone: ConeRef) -> int:
-        return len(cone)
-
-    def leq(self, a: ConeRef, b: ConeRef) -> bool:
-        return set(a) <= set(b)
-
-    @property
-    def minimum(self) -> ConeRef:
-        return ()
-
-    def by_dimension(self) -> dict[int, tuple[ConeRef, ...]]:
-        out: dict[int, list[ConeRef]] = {}
-        for c in self.cones:
-            out.setdefault(len(c), []).append(c)
-        return {d: tuple(v) for d, v in sorted(out.items())}
-
 
 @lru_cache(maxsize=None)
 def _fan_cones(fan: Fan) -> tuple[ConeRef, ...]:

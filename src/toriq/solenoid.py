@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, LevelMismatchError
+from .errors import DomainError, LevelMismatchError, ResourceLimitError
+
+# Bound on |k| * (bit length of the larger part of rho, less one) in pow_int,
+# about the bit size of the power; tests and benchmark workloads stay below 600.
+_POW_BITS_CAP = 1 << 20
 
 
 def _as_fraction(x) -> Fraction:
@@ -122,6 +126,11 @@ class PolarComplex:
             if k < 1:
                 raise DomainError("0 cannot be raised to a nonpositive power")
             return PolarComplex.zero()
+        num, den = self.rho.numerator.bit_length(), self.rho.denominator.bit_length()
+        if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
+            raise ResourceLimitError(
+                f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
+                f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
         return PolarComplex(self.rho ** k, self.turns * k)
 
     def root(self, q: int, branch: int) -> "PolarComplex":

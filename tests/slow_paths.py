@@ -12,6 +12,8 @@ parallelepiped enumeration by ``Fraction`` solves, the cross-multiplying
 rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
 ``toriq.cones.hilbert_basis`` with both searches and the old parallelepiped
 enumeration put back, so the two must agree byte for byte.
+``slow_lineality_basis`` recomputes a cone's lineality from the generators
+of its dual, as every call did before dual cones carried it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from toriq.cones import (
     _grlex_key,
     _kernel_columns,
     _lineality_quotient,
+    dual_cone,
 )
 from toriq.errors import DomainError
 from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form
@@ -71,6 +74,12 @@ def slow_dual_cone(sigma: RationalCone) -> RationalCone:
                 continue
             out.add(primitive(lift(project(ray))))
     return RationalCone(n, tuple(out))
+
+
+def slow_lineality_basis(cone: RationalCone) -> list:
+    """Saturated basis of ``cone ∩ -cone``: the kernel of the generators of
+    the dual, never read from a basis a cone carries."""
+    return _kernel_columns(list(dual_cone(cone).generators), cone.ambient_rank)
 
 
 def slow_split_rays(gens, rho, rank):

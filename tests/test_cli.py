@@ -145,6 +145,10 @@ def test_solenoid_subcommands(capsys):
 def test_solenoid_errors(capsys):
     code, _, err = run(capsys, "solenoid", "cover", "--n", "4", "--m", "6", "--rho", "1", "--turns", "0")
     assert code == 1 and "n | m" in err
+    code, _, err = run(
+        capsys, "solenoid", "cover", "--n", "1", "--m", "1000000000", "--rho", "3/2", "--turns", "0"
+    )
+    assert code == 1 and "pow_int" in err and "cap" in err
     code, _, err = run(capsys, "solenoid", "exp", "--a", "1", "--turns", "0")
     assert code == 2 and "--level" in err
     code, _, err = run(

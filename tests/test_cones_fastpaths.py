@@ -10,10 +10,11 @@ from itertools import product
 from slow_paths import (
     slow_dual_cone,
     slow_hilbert_basis,
+    slow_lineality_basis,
     slow_parallelepiped_points,
     slow_split_rays,
 )
-from toriq import catalog
+from toriq import catalog, cones as cones_module
 from toriq.cones import (
     RationalCone,
     _kernel_columns,
@@ -122,6 +123,59 @@ def test_fast_paths_match_slow_paths():
     for cone in simplicial + fan_duals:
         dual = dual_cone(cone)
         assert dual_cone(dual).generators == slow_dual_cone(dual).generators, cone
+
+
+def test_lineality_basis_matches_slow_path():
+    """The lineality basis, in order, against the kernel of the dual's
+    generators, on the corpus and its duals.  Duals carry the basis
+    ``dual_cone`` built them with; a fresh rebuild of each cone carries
+    none, computes it on the first call and keeps it."""
+    rng = random.Random(SEED)
+    corpus = (_simplicial_cones(rng, 160) + _fan_duals()
+              + _non_simplicial_pointed_cones(rng, 30) + _boundary_cones())
+    duals = [dual_cone(cone) for cone in corpus]
+    assert all(dual._lineality is not None for dual in duals)
+    non_pointed = 0
+    for cone in corpus + duals:
+        expected = slow_lineality_basis(cone)
+        non_pointed += bool(expected)
+        if cone._lineality is not None:
+            assert lineality_basis(cone) == expected, cone
+        fresh = RationalCone.from_generators(cone.ambient_rank, cone.generators)
+        assert fresh._lineality is None
+        assert lineality_basis(fresh) == expected, cone
+        assert fresh._lineality == tuple(expected)
+    assert non_pointed >= 200
+
+
+def test_rank2_fiber_ranks_take_no_dual_of_a_dual(monkeypatch):
+    """From empty caches, the fiber ranks of a weighted plane and of cp^2
+    never take the Smith form of a dual cone's generators: ``hilbert_basis``
+    reads the lineality the dual carries, and the rank-2 walk needs no
+    dual."""
+    smith_rays, dual = cones_module._smith_rays, cones_module.dual_cone
+    inputs, outputs, repeats = [], set(), []
+
+    def recording_smith_rays(gens, rank):
+        inputs.append(gens)
+        if gens in outputs:
+            repeats.append(gens)
+        return smith_rays(gens, rank)
+
+    def recording_dual(sigma):
+        out = dual(sigma)
+        outputs.add(out.generators)
+        return out
+
+    dual_cone.cache_clear()
+    hilbert_basis.cache_clear()
+    monkeypatch.setattr(cones_module, "_smith_rays", recording_smith_rays)
+    monkeypatch.setattr(cones_module, "dual_cone", recording_dual)
+    for fan in (catalog.weighted_plane(7), catalog.projective_plane()):
+        for cone in fan.cones():
+            affine_fiber_rank(fan, cone)
+    assert len(inputs) >= 14 and len(outputs) >= 14
+    assert repeats == []
 
 
 def test_smith_rays_match_per_facet_kernels():

@@ -82,18 +82,13 @@ def test_is_cone_index_validation():
         fan.is_cone({7})
 
 
-def test_cone_poset_cp1():
-    poset = catalog.projective_line().cone_poset()
-    assert poset.cones == ((), (0,), (1,))
-    assert poset.minimum == ()
-    assert [poset.dim(c) for c in poset.cones] == [0, 1, 1]
-    assert poset.leq((), (0,)) and not poset.leq((0,), (1,))
+def test_fan_cones_cp1():
+    assert catalog.projective_line().cones() == ((), (0,), (1,))
 
 
-def test_cone_poset_cp2_counts():
-    poset = catalog.projective_plane().cone_poset()
-    by_dim = poset.by_dimension()
-    assert [len(by_dim[d]) for d in sorted(by_dim)] == [1, 3, 3]
+def test_fan_cones_cp2_counts():
+    cones = catalog.projective_plane().cones()
+    assert [sum(1 for c in cones if len(c) == k) for k in range(3)] == [1, 3, 3]
 
 
 def test_single_cone_chain():

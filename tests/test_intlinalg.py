@@ -4,13 +4,15 @@ they replaced."""
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import leibniz_det
-from slow_paths import slow_inverse_unimodular, slow_rank
-from toriq.cones import RationalCone
+from slow_paths import slow_inverse_unimodular, slow_lineality_basis, slow_rank
+from toriq import cones
+from toriq.cones import HilbertBasis, RationalCone, dual_cone, hilbert_basis, lineality_basis
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
@@ -196,6 +198,26 @@ def _assert_plain(m):
     assert m == rebuilt and hash(m) == hash(rebuilt)
 
 
+def _assert_plain_cone(c):
+    """Equal to, hashing and printing like the validated rebuild of its
+    generators, whatever lineality basis it carries."""
+    _assert_plain(c.generator_matrix())
+    rebuilt = RationalCone.from_generators(c.ambient_rank, list(map(list, c.generators)))
+    assert c == rebuilt and hash(c) == hash(rebuilt) and repr(c) == repr(rebuilt)
+
+
+def _quotient_cones(cone):
+    """The cones ``hilbert_basis(cone)`` recurses on: the body runs
+    uncached, and each recursive call records its cone and stops there."""
+    quotients = []
+    if lineality_basis(cone):
+        body = hilbert_basis.__wrapped__
+        with patch.object(cones, "hilbert_basis",
+                          lambda q: quotients.append(q) or HilbertBasis(q, ())):
+            body(cone)
+    return quotients
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_internal_results_match_validated_rebuilds(a):
@@ -204,7 +226,13 @@ def test_internal_results_match_validated_rebuilds(a):
               integer_kernel(a), a.transpose(), u @ a @ v):
         _assert_plain(m)
     gens = [row for row in a.entries if any(row)]
-    _assert_plain(RationalCone.from_generators(a.cols, gens).generator_matrix())
+    cone = RationalCone.from_generators(a.cols, gens)
+    _assert_plain(cone.generator_matrix())
+    dual = dual_cone(cone)
+    _assert_plain_cone(dual)
+    for q in _quotient_cones(cone) + _quotient_cones(dual):
+        _assert_plain_cone(q)
+        assert lineality_basis(q) == slow_lineality_basis(q) == []
 
 
 def test_solve_integer():

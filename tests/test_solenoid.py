@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriq.errors import DomainError, LevelMismatchError
+from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
 from toriq.solenoid import (
+    _POW_BITS_CAP,
     PolarComplex,
     ProfiniteInt,
     SolenoidPoint,
@@ -94,6 +95,21 @@ def test_cover_map_examples():
     assert cover_map(2, 6, PolarComplex(F(2), F(1, 3))) == PolarComplex(F(8), F(0))
     with pytest.raises(DomainError):
         cover_map(4, 6, z)
+
+
+def test_pow_int_size_cap():
+    """The cap trips before any power is formed, and a unit modulus, whose
+    powers stay one bit, covers exactly at any level."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"pow_int: exponent 1000000000 .* 2/2 bits"):
+        cover_map(1, 10**9, PolarComplex(F(3, 2)))
+    assert time.perf_counter() - start < 1.0
+    assert cover_map(1, 10**9, PolarComplex(F(1), F(1, 3))) == PolarComplex(F(1), F(1, 3))
+    assert PolarComplex(F(1, 2)).pow_int(-_POW_BITS_CAP).rho == 2 ** _POW_BITS_CAP
+    with pytest.raises(ResourceLimitError, match=f"cap of {_POW_BITS_CAP} bits"):
+        PolarComplex(F(1, 2)).pow_int(-_POW_BITS_CAP - 1)
+    with pytest.raises(ResourceLimitError):
+        SolenoidPoint(10**9, PolarComplex(F(3), F(0))).base_coordinate()
 
 
 def test_cover_functoriality_divisor_chains():
