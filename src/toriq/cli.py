@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
-from .errors import DomainError, ExpressionError, InputError
+from .errors import DomainError, ExpressionError, InputError, ResourceLimitError
 from .fans import Fan, load_fan
 from .kring import in_level_image, parse_expression, reduce
 from .moment import delzant_report, delzant_svg
@@ -22,8 +23,31 @@ from .quotient import quotient_report
 from .solenoid import PolarComplex, ProfiniteInt, cover_map, refine, sol_exp, SolenoidPoint
 
 
-def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _max_bits(x) -> int:
+    """Bit length of the largest integer in a result or its fields."""
+    if isinstance(x, Fraction):
+        x = (x.numerator, x.denominator)
+    elif isinstance(x, dict):
+        x = tuple(x.values())
+    elif is_dataclass(x):
+        x = tuple(vars(x).values())
+    if isinstance(x, (list, tuple)):
+        return max(map(_max_bits, x), default=0)
+    return x.bit_length() if isinstance(x, int) else 0
+
+
+def _print(args, result) -> None:
+    """Print a report as JSON, anything else with ``str``.  An integer past
+    Python's ``sys.get_int_max_str_digits()`` raises ``ResourceLimitError``."""
+    try:
+        text = json.dumps(result, indent=2, sort_keys=True) if isinstance(result, dict) else str(result)
+    except ValueError:
+        command = f"{args.command} {getattr(args, 'action', '')}".rstrip()
+        raise ResourceLimitError(
+            f"{command}: the result holds a {_max_bits(result)}-bit integer, past the limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits on integer-to-string conversion"
+        ) from None
+    print(text)
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -60,7 +84,7 @@ def cmd_analyze(args) -> int:
         report["face_lattice"] = {"f_vector": moment["f_vector"], "cusps": moment["cusps"]}
     else:
         report["face_lattice"] = None
-    _emit(report)
+    _print(args, report)
     return 0
 
 
@@ -72,7 +96,7 @@ def cmd_delzant(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(delzant_svg(fan))
         report["svg"] = args.svg
-    _emit(report)
+    _print(args, report)
     return 0
 
 
@@ -82,7 +106,8 @@ def cmd_hilbert(args) -> int:
     sigma = fan_cone(fan, indices)
     dual = dual_cone(sigma)
     basis = hilbert_basis(dual)
-    _emit(
+    _print(
+        args,
         {
             "cone": [i + 1 for i in indices],
             "dual_generators": [list(v) for v in dual.generators],
@@ -120,12 +145,12 @@ def cmd_solenoid(args) -> int:
     if args.action == "exp":
         a = _parse_profinite(args)
         turns = _parse_fraction(args.turns, "--turns")
-        print(sol_exp(a, turns))
+        _print(args, sol_exp(a, turns))
     elif args.action == "cover":
         if args.n < 1 or args.m < 1:
             raise InputError("--n and --m must be positive")
         z = PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns"))
-        print(cover_map(args.n, args.m, z))
+        _print(args, cover_map(args.n, args.m, z))
     else:  # refine
         if args.level is None:
             raise InputError("--level is required for refine")
@@ -133,17 +158,17 @@ def cmd_solenoid(args) -> int:
             args.level,
             PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns")),
         )
-        print(refine(z, args.to, args.branch))
+        _print(args, refine(z, args.to, args.branch))
     return 0
 
 
 def cmd_kring(args) -> int:
     if args.action == "reduce":
-        print(reduce(parse_expression(args.expr[0])))
+        _print(args, reduce(parse_expression(args.expr[0])))
     elif args.action == "mul":
         u = reduce(parse_expression(args.expr[0]))
         v = reduce(parse_expression(args.expr[1]))
-        print(u * v)
+        _print(args, u * v)
     else:  # level
         element = reduce(parse_expression(args.expr[0]))
         print("true" if in_level_image(element, args.n) else "false")

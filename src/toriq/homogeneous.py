@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, LevelMismatchError
 from .fans import Fan
-from .intlinalg import IntMatrix, smith_normal_form, solve_integer
+from .intlinalg import IntMatrix, smith_normal_form
 from .quotient import charge_matrix, discriminant_locus
-from .solenoid import PolarComplex, _check_level
+from .solenoid import PolarComplex, _check_level, _integer_root
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
@@ -108,35 +109,48 @@ def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -
     return left.coords == right.coords
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers give every number, by gcd
+    refinement: b and x sharing g > 1 give way to g, x / g and b / g, so the
+    product of all pending numbers falls by g at each step."""
+    base: list[int] = []
+    pending = list(numbers)
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        for k, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[k]
+                pending += [g, x // g, b // g]
+                break
+        else:
+            base.append(x)
+    return base
 
 
-def _valuations(x: Fraction) -> dict[int, int]:
-    vals = dict(_prime_factors(x.numerator))
-    for p, e in _prime_factors(x.denominator).items():
-        vals[p] = vals.get(p, 0) - e
-    return {p: e for p, e in vals.items() if e}
+def _multiplicity(b: int, n: int) -> int:
+    k = 0
+    while n % b == 0:
+        n //= b
+        k += 1
+    return k
 
 
 def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     """Decide whether some torus element maps z to z2.
 
-    Splits into an integer system per prime (valuations of the modulus
-    ratios; torus moduli are positive rationals, so exponent vectors are
-    integral) and a rational congruence system for the turns.  Both are
-    solved exactly through Smith forms, so the decision is complete for
-    the exact rational data representable here.
+    One Smith form ``U @ sub @ V == D`` of the charge rows of the nonzero
+    coordinates decides both halves.  Turns: ``sub @ x == delta (mod 1)``
+    must be solvable over the rationals.  Moduli, without factoring: the
+    ratios' numerators and denominators refine by gcds into a pairwise
+    coprime base B.  A prime p divides one b in B, and its valuations over
+    the ratios are v_p(b) * E_b for b's exponent vector E_b.  ``m * E_b``
+    lies in the image of sub iff a_b divides m, where a_b is the lcm over
+    d_i != 0 of d_i / gcd(d_i, (U @ E_b)_i), and for no m if
+    (U @ E_b)_i != 0 at some d_i == 0.  So the moduli are solvable iff every
+    b is a perfect a_b-th power, a root test bounded by b's bit length.
     """
     if z.fan != z2.fan:
         raise DomainError("points belong to different fans")
@@ -152,22 +166,23 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     if s == 0:
         return all(z.coords[i] == z2.coords[i] for i in rows)
     sub = IntMatrix.from_rows([q.row(i) for i in rows], s)
+    u, d, _ = smith_normal_form(sub)
+    diag = [d.entries[i][i] if i < min(len(rows), s) else 0 for i in range(len(rows))]
 
-    # moduli: solve sub @ x = valuation vector, over the integers, per prime
-    vals = [_valuations(z2.coords[i].rho / z.coords[i].rho) for i in rows]
-    primes = sorted({p for v in vals for p in v})
-    for p in primes:
-        target = tuple(v.get(p, 0) for v in vals)
-        if solve_integer(sub, target) is None:
+    ratios = [z2.coords[i].rho / z.coords[i].rho for i in rows]
+    for b in _coprime_base([n for x in ratios for n in (x.numerator, x.denominator)]):
+        e = tuple(_multiplicity(b, x.numerator) - _multiplicity(b, x.denominator) for x in ratios)
+        a = 1
+        for di, ci in zip(diag, u.mat_vec(e)):
+            if di:
+                a = lcm(a, di // gcd(di, ci))
+            elif ci:
+                return False
+        if a > 1 and _integer_root(b, a) is None:
             return False
 
-    # turns: solvability of sub @ x == delta (mod 1) over the rationals
     delta = [z2.coords[i].turns - z.coords[i].turns for i in rows]
-    u, d, _ = smith_normal_form(sub)
-    c = [sum(Fraction(u.entries[i][j]) * delta[j] for j in range(len(rows)))
-         for i in range(len(rows))]
-    for i in range(len(rows)):
-        di = d.entries[i][i] if i < min(len(rows), s) else 0
-        if di == 0 and c[i].denominator != 1:
+    for di, row in zip(diag, u.entries):
+        if di == 0 and sum(Fraction(uij) * dj for uij, dj in zip(row, delta)).denominator != 1:
             return False
     return True

@@ -147,8 +147,8 @@ class PolarComplex:
         return f"rho={self.rho} turns={self.turns}"
 
 
-def _exact_root(n: int, q: int) -> int:
-    """Integer q-th root of n, or an error when n is not a perfect power.
+def _integer_root(n: int, q: int) -> int | None:
+    """Integer q-th root of n, or ``None`` when n is not a perfect power.
 
     For ``n >= 2`` a root x >= 2 has ``x ** q >= 2 ** q``, so there is
     none unless ``q`` is below ``n.bit_length()``, and then
@@ -167,11 +167,17 @@ def _exact_root(n: int, q: int) -> int:
             lo = mid + 1
         else:
             hi = mid
-    if lo ** q != n:
+    return lo if lo ** q == n else None
+
+
+def _exact_root(n: int, q: int) -> int:
+    """``_integer_root``, raising when n is not a perfect q-th power."""
+    root = _integer_root(n, q)
+    if root is None:
         raise DomainError(
             f"{n} is not a perfect {q}-th power; refine only along exact radicals"
         )
-    return lo
+    return root
 
 
 def cover_map(n: int, m: int, z: PolarComplex) -> PolarComplex:

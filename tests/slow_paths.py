@@ -14,6 +14,8 @@ rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
 enumeration put back, so the two must agree byte for byte.
 ``slow_lineality_basis`` recomputes a cone's lineality from the generators
 of its dual, as every call did before dual cones carried it.
+``slow_same_orbit`` factors every modulus ratio by trial division and
+solves one integer system per prime.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from toriq.cones import (
     dual_cone,
 )
 from toriq.errors import DomainError
-from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form
+from toriq.homogeneous import HomogeneousPoint
+from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form, solve_integer
+from toriq.quotient import charge_matrix
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -287,3 +291,58 @@ def slow_discriminant_locus(fan) -> tuple:
             if not fan.is_cone(subset):
                 minimal.append(subset)
     return tuple(sorted(minimal, key=lambda t: (len(t), t)))
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    n = abs(n)
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _valuations(x: Fraction) -> dict[int, int]:
+    vals = dict(_prime_factors(x.numerator))
+    for p, e in _prime_factors(x.denominator).items():
+        vals[p] = vals.get(p, 0) - e
+    return {p: e for p, e in vals.items() if e}
+
+
+def slow_same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
+    """``same_orbit`` with one ``solve_integer`` per prime of the modulus
+    ratios, found by trial division; the caller checks fan and level."""
+    if z.zero_pattern != z2.zero_pattern:
+        return False
+    rows = sorted(set(range(z.fan.n_rays)) - z.zero_pattern)
+    if not rows:
+        return True
+    q = charge_matrix(z.fan).matrix
+    s = q.cols
+    if s == 0:
+        return all(z.coords[i] == z2.coords[i] for i in rows)
+    sub = IntMatrix.from_rows([q.row(i) for i in rows], s)
+
+    # moduli: solve sub @ x = valuation vector, over the integers, per prime
+    vals = [_valuations(z2.coords[i].rho / z.coords[i].rho) for i in rows]
+    primes = sorted({p for v in vals for p in v})
+    for p in primes:
+        target = tuple(v.get(p, 0) for v in vals)
+        if solve_integer(sub, target) is None:
+            return False
+
+    # turns: solvability of sub @ x == delta (mod 1) over the rationals
+    delta = [z2.coords[i].turns - z.coords[i].turns for i in rows]
+    u, d, _ = smith_normal_form(sub)
+    c = [sum(Fraction(u.entries[i][j]) * delta[j] for j in range(len(rows)))
+         for i in range(len(rows))]
+    for i in range(len(rows)):
+        di = d.entries[i][i] if i < min(len(rows), s) else 0
+        if di == 0 and c[i].denominator != 1:
+            return False
+    return True

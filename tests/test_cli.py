@@ -1,6 +1,7 @@
 """Command-line interface: golden reports, exit codes, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,21 @@ def test_solenoid_errors(capsys):
         "--rho", "2", "--turns", "0",
     )
     assert code == 1 and "perfect" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer-to-string conversion")
+def test_overlong_integer_output_is_resource_error(capsys):
+    # (3/2)^20000 has a 31,700-bit numerator, past the 4,300-digit default
+    limit = str(sys.get_int_max_str_digits())
+    code, out, err = run(capsys, "solenoid", "cover", "--n", "1", "--m", "20000",
+                         "--rho", "3/2", "--turns", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: solenoid cover: ") and "31700-bit" in err and limit in err
+    big = "9" * 3000
+    code, out, err = run(capsys, "kring", "mul", big, big)
+    assert code == 1 and out == ""
+    assert err.startswith("error: kring mul: ") and limit in err
 
 
 def test_kring_subcommands(capsys):

@@ -1,24 +1,21 @@
 """The primitive-collection discriminant against the exhaustive 2^n-subset
 scan it replaced (``slow_paths.slow_discriminant_locus``), its scaling on
-many-ray fans, the single valuation pass of ``same_orbit`` and the named
-error at the ``fan_symmetry`` enumeration cap."""
+many-ray fans and the named error at the ``fan_symmetry`` enumeration
+cap."""
 
 import json
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from slow_paths import slow_discriminant_locus
-from toriq import catalog, homogeneous, quotient
+from toriq import catalog, quotient
 from toriq.cli import main
 from toriq.errors import DomainError, ResourceLimitError
 from toriq.fans import build_fan, fan_to_dict
-from toriq.homogeneous import HomogeneousPoint, same_orbit
 from toriq.quotient import discriminant_locus, fan_symmetry
-from toriq.solenoid import PolarComplex
 
 SEED = 20261019
 
@@ -167,26 +164,6 @@ def test_discriminant_of_a_40_ray_polygon():
     assert len(expected) == n * (n - 3) // 2 == 740
     assert discriminant_locus(fan).minimal_subsets == expected
     assert discriminant_locus(catalog.projective_plane()).minimal_subsets == ((0, 1, 2),)
-
-
-def test_same_orbit_factors_each_ratio_once(monkeypatch):
-    calls = []
-    real = homogeneous._prime_factors
-
-    def counting(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(homogeneous, "_prime_factors", counting)
-    # cp2: t scales all three coordinates alike, so three equal ratios
-    # 6/35 are one orbit and every prime 2, 3, 5, 7 gets its own system
-    fan = catalog.projective_plane()
-    z = HomogeneousPoint(fan, 1, (PolarComplex(Fraction(1), Fraction(0)),) * 3)
-    z2 = HomogeneousPoint(fan, 1, (PolarComplex(Fraction(6, 35), Fraction(0)),) * 3)
-    calls.clear()
-    assert same_orbit(z, z2)
-    assert sorted(set(calls)) == [6, 35]
-    assert len(calls) == 2 * 3  # numerator and denominator of each ratio
 
 
 def test_symmetry_cap_raises_named_error(monkeypatch, tmp_path, capsys):
