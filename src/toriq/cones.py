@@ -18,18 +18,22 @@ along its boundary (Hirzebruch-Jung continued fraction), in steps
 proportional to the size of the basis.  Any other pointed cone takes
 candidates from the fundamental parallelepipeds of its maximal independent
 generator subsets (a single one when the generators are linearly
-independent), closed by an irreducibility filter.  The lattice points of a
-parallelepiped are the cosets of its generators' lattice, read off one
-Smith form in integer arithmetic.  The non-pointed case projects to the
-quotient by the lineality lattice (the same projection that makes dual
-rays canonical) and recurses on the pointed quotient.
+independent).  The lattice points of a parallelepiped are the cosets of its
+generators' lattice, read off one Smith form in integer arithmetic.  One
+irreducibility filter, pairing-vector dominance under the degree-halving
+bound (Bruns-Ichim, J. Algebra 324 (2010)), serves every such cone.  The
+non-pointed case projects to the quotient by the lineality lattice (the
+same projection that makes dual rays canonical) and recurses on the
+pointed quotient.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from operator import le, mul
 
 from .errors import DomainError
 from .fans import Fan
@@ -278,8 +282,12 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     of a smaller subset is missed.  Simplicial cones have exactly one such
     subset.
 
-    Candidates are filtered, using the dual generators, in increasing
-    order of a linear grading strictly positive on the cone.
+    Candidates are filtered in increasing grade ``s(x) = sum(p(x))``, where
+    the pairing vector ``p(x)`` lists x's pairings with the dual generators.
+    ``p(y) <= p(x)`` componentwise iff ``x - y`` lies in the cone, and a
+    reducible x has a basis summand y with ``2 * s(y) <= s(x)`` (the
+    degree-halving bound), so x is rejected iff an accepted such y has
+    ``p(y) <= p(x)``.  One test serves simplicial and other cones alike.
     """
     gens, rank = cone.generators, cone.ambient_rank
     if not gens:
@@ -288,28 +296,19 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
     dual_gens = dual_cone(cone).generators
-    weight = tuple(sum(d[i] for d in dual_gens) for i in range(rank))
     candidates: set[IntVector] = set(gens)
     for subset in combinations(gens, rho):
         if rho == len(gens) or IntMatrix._trusted(subset, rank).rank() == rho:
             candidates.update(_parallelepiped_points(list(subset), rank))
     candidates.discard((0,) * rank)
-    graded = sorted(candidates, key=lambda x: (dot(weight, x), _grlex_key(x)))
-    accepted: list[IntVector] = []
-    accepted_by_grade: list[tuple[int, IntVector]] = []
-    for x in graded:
-        wx = dot(weight, x)
-        reducible = False
-        for wy, y in accepted_by_grade:
-            if wy >= wx:
-                break
-            z = tuple(a - b for a, b in zip(x, y))
-            if all(dot(d, z) >= 0 for d in dual_gens):
-                reducible = True
-                break
-        if not reducible:
+    pairings = [tuple(sum(map(mul, d, x)) for d in dual_gens) for x in candidates]
+    grades, accepted_pairings, accepted = [], [], []
+    for s, p, x in sorted(zip(map(sum, pairings), pairings, candidates)):
+        half = bisect_right(grades, s // 2)
+        if not any(all(map(le, q, p)) for q in islice(accepted_pairings, half)):
+            grades.append(s)
+            accepted_pairings.append(p)
             accepted.append(x)
-            accepted_by_grade.append((wx, x))
     return accepted
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -239,17 +240,18 @@ def parse_expression(text: str) -> FormalSum:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ExpressionError(f"cannot parse term {chunk.strip()!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var") is None:
-            exponent = Fraction(0)
-        elif m.group("plain") is not None:
-            exponent = Fraction(int(m.group("plain")))
-        elif m.group("num") is not None:
-            den = int(m.group("den")) if m.group("den") else 1
-            if den == 0:
-                raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
-            exponent = Fraction(int(m.group("num")), den)
-        else:
-            exponent = Fraction(1)
-        terms.append((exponent, sgn * coeff))
+        # x^(num/den), x^plain, bare x (exponent 1) or a constant (exponent 0)
+        bare = "1" if m.group("var") else "0"
+        literals = (m.group("coeff") or "1", m.group("plain") or m.group("num") or bare,
+                    m.group("den") or "1")
+        try:
+            coeff, num, den = map(int, literals)
+        except ValueError:  # a literal past sys.get_int_max_str_digits()
+            raise ExpressionError(
+                f"term {chunk.strip()[:40]!r}... holds an integer literal past the limit of "
+                f"{sys.get_int_max_str_digits()} digits on string-to-integer conversion"
+            ) from None
+        if den == 0:
+            raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
+        terms.append((Fraction(num, den), sgn * coeff))
     return FormalSum.from_terms(terms)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product as iproduct
+from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
 from .fans import Fan
@@ -240,25 +240,21 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
             class_of[i] = cls
     filter_vacuous = all(
         set(t) == set().union(*(class_of[i] for i in t)) for t in antichain
-    ) if antichain else True
+    )
+    total = _product_of_factorials(len(c) for c in classes)
 
     if filter_vacuous:
-        order = 1
-        for cls in classes:
-            order *= factorial(len(cls))
+        order = total
         generators = tuple(_adjacent_transpositions(classes, n))
         orbit_sizes = [len(c) for c in classes]
         name = _structure_name(order, orbit_sizes, True)
+    elif total > _ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"fan_symmetry: {total} candidate permutations for {n} rays "
+            f"(row class sizes {[len(c) for c in classes]}) exceed the cap "
+            f"of {_ENUMERATION_CAP}"
+        )
     else:
-        total = 1
-        for cls in classes:
-            total *= factorial(len(cls))
-        if total > _ENUMERATION_CAP:
-            raise ResourceLimitError(
-                f"fan_symmetry: {total} candidate permutations for {n} rays "
-                f"(row class sizes {[len(c) for c in classes]}) exceed the cap "
-                f"of {_ENUMERATION_CAP}"
-            )
         members = []
         pools = [list(permutations(cls)) for cls in classes]
 
@@ -268,8 +264,6 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
                 for src, dst in zip(cls, images):
                     perm[src] = dst
             return tuple(perm)
-
-        from itertools import product as iproduct
 
         for choice in iproduct(*pools):
             perm = assemble(choice)
@@ -307,10 +301,7 @@ def _orbits(group, n) -> list[tuple[int, ...]]:
 
 
 def _product_of_factorials(sizes) -> int:
-    out = 1
-    for s in sizes:
-        out *= factorial(s)
-    return out
+    return prod(map(factorial, sizes))
 
 
 @lru_cache(maxsize=None)

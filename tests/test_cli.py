@@ -174,6 +174,18 @@ def test_overlong_integer_output_is_resource_error(capsys):
     assert err.startswith("error: kring mul: ") and limit in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on string-to-integer conversion")
+def test_overlong_integer_literal_is_expression_error(capsys):
+    limit = str(sys.get_int_max_str_digits())
+    big = "7" * 5000
+    for expr in (f"{big}*x^(1/2) + 1", f"x^({big}/3)", f"x^{big}", f"x^(1/{big})"):
+        code, out, err = run(capsys, "kring", "reduce", expr)
+        assert code == 2 and out == "", expr
+        assert err.startswith("error: term ") and limit in err, expr
+        assert "Traceback" not in err and len(err) < 300, expr
+
+
 def test_kring_subcommands(capsys):
     code, out, _ = run(capsys, "kring", "reduce", "3*x^(1/2) - x^(2/3) + 1")
     assert code == 0 and out == "rank_part=3 class_part=5/6\n"

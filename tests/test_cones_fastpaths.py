@@ -4,7 +4,7 @@ checks of the rank-2 boundary walk."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from itertools import product
 
 from slow_paths import (
@@ -69,6 +69,22 @@ def _simplicial_cones(rng, count):
     return cones
 
 
+def _singular_simplicial_cones():
+    """Full-dimensional simplicial cones of rank 3 and 4 with |det| up to 100,
+    past the random corpus's bound of 60."""
+    gens = [
+        [(1, 0, 0), (0, 1, 0), (1, 2, 97)],
+        [(1, 0, 0), (0, 1, 0), (-1, -1, -12)],
+        [(2, 1, 0), (0, 3, 1), (1, 0, 5)],
+        [(1, 1, 1), (1, -1, 2), (3, 2, -7)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 100)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -2, -3, -47)],
+        [(1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (1, 0, 0, 5)],
+        [(2, 1, 1, 0), (-1, 3, 0, 2), (1, -1, 4, 1), (0, 2, -1, 3)],
+    ]
+    return [RationalCone.from_generators(len(g[0]), g) for g in gens]
+
+
 def _non_simplicial_pointed_cones(rng, count):
     """More generators than the rank, all on one side of a hyperplane."""
     cones = []
@@ -108,7 +124,7 @@ def _boundary_cones():
 
 def test_fast_paths_match_slow_paths():
     rng = random.Random(SEED)
-    simplicial = _simplicial_cones(rng, 160)
+    simplicial = _simplicial_cones(rng, 160) + _singular_simplicial_cones()
     fan_duals = _fan_duals()
     other = _non_simplicial_pointed_cones(rng, 30) + _boundary_cones()
     cones = simplicial + fan_duals + other
@@ -238,6 +254,16 @@ def test_rank2_walk_is_output_sensitive():
     assert hilbert_basis(cone).generators == ((0, 1), (1, 0), (100000, -1))
     for n in (3, 50, 20000):
         assert affine_fiber_rank(catalog.weighted_plane(n), (0, 1)) == n + 1
+
+
+def test_hilbert_basis_closed_form_sizes():
+    """Sizes past the reach of the slow path: the dual of the chart
+    (e1, e2, (-1, -1, -n)) of P(1,1,1,n) has C(n+2, 2) basis elements, and
+    the cone (e1, e2, (1, 2, d)) has d + 2."""
+    chart = RationalCone.from_generators(3, [(1, 0, 0), (0, 1, 0), (-1, -1, -50)])
+    assert hilbert_basis(dual_cone(chart)).rank_r == comb(52, 2) == 1326
+    cone = RationalCone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 2, 2001)])
+    assert hilbert_basis(cone).rank_r == 2003
 
 
 def _hirzebruch_jung(d, k):
