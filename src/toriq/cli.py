@@ -152,8 +152,6 @@ def cmd_solenoid(args) -> int:
         z = PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns"))
         _print(args, cover_map(args.n, args.m, z))
     else:  # refine
-        if args.level is None:
-            raise InputError("--level is required for refine")
         z = SolenoidPoint(
             args.level,
             PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns")),

@@ -40,6 +40,7 @@ from .fans import Fan
 from .intlinalg import (
     IntMatrix,
     IntVector,
+    _hermite,
     _smith_kernel,
     dot,
     integer_kernel,
@@ -312,17 +313,6 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     return accepted
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """``(x, y)`` with ``a*x + b*y == 1``, for coprime ``a`` and ``b``."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (x0, y0) if a == 1 else (-x0, -y0)
-
-
 def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     """Hilbert basis of the cone spanned by independent primitive u, w in Z^2.
 
@@ -337,7 +327,9 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     det = u[0] * w[1] - u[1] * w[0]
     sign = 1 if det > 0 else -1
     d = abs(det)
-    x, y = _bezout(u[0], u[1])
+    bezout = [[1, 0], [0, 1]]
+    _hermite([[u[0]], [u[1]]], bezout)
+    x, y = bezout[0]  # x*u0 + y*u1 == gcd(u) == 1
     e = (-sign * y, sign * x)
     # w - d*e is a multiple c*u of u; (x, y) reads off c
     c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
@@ -390,7 +382,9 @@ def fan_cone(fan: Fan, indices) -> RationalCone:
     idx = tuple(sorted(set(indices)))
     if not fan.is_cone(idx):
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
-    return RationalCone.from_generators(fan.lattice_rank, [fan.rays[i] for i in idx])
+    # the fan checked its rays primitive, and its cones are simplicial,
+    # hence pointed
+    return RationalCone._trusted(fan.lattice_rank, [fan.rays[i] for i in idx], ())
 
 
 def affine_fiber_rank(fan: Fan, indices) -> int:

@@ -1,9 +1,15 @@
-"""Exact integer matrix algebra: Smith normal form, Hermite forms, kernels.
+"""Exact integer matrix algebra: Smith normal form, Hermite forms, kernels,
+unimodular inverses.
 
 Everything runs on Python's arbitrary-precision integers.  No floating
 point is used anywhere: normal-form intermediates can exceed any fixed
 width, and a silent overflow would corrupt every invariant built on top of
 this module.
+
+Both normal forms clear columns with one gcd step, ``_clear_column``.
+``_hermite`` repeats its row operations on a matrix T; from the identity,
+T ends as the unimodular inverse, or as a Bezout pair for a column of two
+coprime entries.
 """
 
 from __future__ import annotations
@@ -192,13 +198,38 @@ def _negate_row(a, i):
     a[i] = [-x for x in a[i]]
 
 
+def _clear_column(A, T, t, c):
+    """Reduce column c below the nonzero pivot ``A[t][c]`` to remainders,
+    by row operations on A and T alike.  Swap the least nonzero remainder
+    (lowest row on ties) into row t and return its old row, or return
+    ``None`` when the column is clear.  Repeated, this is Euclid's
+    algorithm on the column."""
+    p = A[t][c]
+    least = None
+    for i in range(t + 1, len(A)):
+        x = A[i][c]
+        if x:
+            q = x // p
+            if q:
+                _row_sub(A, i, t, q)
+                _row_sub(T, i, t, q)
+            x = A[i][c]
+            if x and (least is None or abs(x) < abs(A[least][c])):
+                least = i
+    if least is not None:
+        _swap_rows(A, t, least)
+        _swap_rows(T, t, least)
+    return least
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``U``, diagonal ``D`` and unimodular ``V`` with
     ``U @ a @ V == D``, the diagonal nonnegative with ``d_i | d_{i+1}``.
 
     Classic elimination: repeatedly move a least-magnitude entry to the
-    pivot, clear its row and column, and absorb any entry the pivot fails
-    to divide.  Deterministic pivot choice keeps results reproducible.
+    pivot, clear its column (``_clear_column``) and its row, and absorb any
+    entry the pivot fails to divide.  Deterministic pivot choice keeps
+    results reproducible.
     """
     if a.is_empty:
         raise DomainError("smith_normal_form requires a nonempty matrix")
@@ -213,24 +244,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             row[j], row[k] = row[k], row[j]
         _swap_rows(Vt, j, k)
 
-    def col_sub(j, t, q):
-        # col_j -= q * col_t
-        for row in A:
-            row[j] -= q * row[t]
-        _row_sub(Vt, j, t, q)
-
-    def min_entry(t):
+    for t in range(min(m, n)):
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 v = A[i][j]
-                if v != 0 and (best is None or abs(v) < best[0]):
+                if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        best = min_entry(t)
         if best is None:
             break
         _, pi, pj = best
@@ -240,51 +260,28 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if pj != t:
             col_swap(t, pj)
         while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        _row_sub(A, i, t, q)
-                        _row_sub(U, i, t, q)
-                    if A[i][t] != 0:
-                        dirty = True
-            if dirty:
-                i0 = min(
-                    (i for i in range(t, m) if A[i][t] != 0),
-                    key=lambda i: (abs(A[i][t]), i),
-                )
-                if i0 != t:
-                    _swap_rows(A, t, i0)
-                    _swap_rows(U, t, i0)
-                continue
-            # clear the pivot row
-            dirty = False
+            while _clear_column(A, U, t, t) is not None:
+                pass
+            # clear the pivot row: column t is now zero off the pivot, so
+            # col_j -= q * col_t changes A only at (t, j)
+            top = A[t]
+            p = top[t]
+            least = None
             for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
+                if top[j]:
+                    q, top[j] = divmod(top[j], p)
                     if q:
-                        col_sub(j, t, q)
-                    if A[t][j] != 0:
-                        dirty = True
-            if dirty:
-                j0 = min(
-                    (j for j in range(t, n) if A[t][j] != 0),
-                    key=lambda j: (abs(A[t][j]), j),
-                )
-                if j0 != t:
-                    col_swap(t, j0)
+                        _row_sub(Vt, j, t, q)
+                    if top[j] and (least is None or abs(top[j]) < abs(top[least])):
+                        least = j
+            if least is not None:
+                col_swap(t, least)
                 continue
-            # pivot must divide the remaining block for the chain to hold
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # pivot must divide the remaining block for the chain to hold;
+            # a unit pivot divides everything
+            offender = None if p in (1, -1) else next(
+                (i for i in range(t + 1, m) for x in A[i][t + 1:] if x % p), None
+            )
             if offender is None:
                 break
             _row_sub(A, t, offender, -1)  # row_t += row_offender
@@ -292,7 +289,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if A[t][t] < 0:
             _negate_row(A, t)
             _negate_row(U, t)
-        t += 1
 
     return (
         IntMatrix._trusted(tuple(map(tuple, U)), m),
@@ -301,45 +297,45 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def _hermite(A, T) -> int:
+    """Bring A to row Hermite form in place (see ``row_hermite_form``; rows
+    past the rank end zero), repeating every row operation on T, which may
+    have no columns.  Returns the rank."""
+    m, n = len(A), len(A[0]) if A else 0
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nonzero = [i for i in range(r, m) if A[i][c]]
+        if not nonzero:
+            continue
+        i0 = min(nonzero, key=lambda i: (abs(A[i][c]), i))
+        if i0 != r:
+            _swap_rows(A, r, i0)
+            _swap_rows(T, r, i0)
+        while _clear_column(A, T, r, c) is not None:
+            pass
+        if A[r][c] < 0:
+            _negate_row(A, r)
+            _negate_row(T, r)
+        for i in range(r):
+            q = A[i][c] // A[r][c]
+            if q:
+                _row_sub(A, i, r, q)
+                _row_sub(T, i, r, q)
+        r += 1
+    return r
+
+
 def row_hermite_form(a: IntMatrix) -> IntMatrix:
     """Canonical row-style Hermite form (row span preserved).
 
     Echelon with positive pivots; entries above each pivot reduced into
     ``[0, pivot)``.  Zero rows are dropped.
     """
-    if a.cols == 0:
-        return IntMatrix((), a.cols)
     A = [list(row) for row in a.entries]
-    m, n = len(A), a.cols
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
-            if i0 != r:
-                _swap_rows(A, r, i0)
-            done = True
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    _row_sub(A, i, r, q)
-                    if A[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < m and A[r][c] != 0:
-            if A[r][c] < 0:
-                _negate_row(A, r)
-            for i in range(r):
-                q = A[i][c] // A[r][c]
-                if q:
-                    _row_sub(A, i, r, q)
-            r += 1
-            if r == m:
-                break
-    return IntMatrix._trusted(tuple(map(tuple, A[:r])), n)
+    r = _hermite(A, [[] for _ in A])
+    return IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols)
 
 
 def column_hermite_form(a: IntMatrix) -> IntMatrix:
@@ -398,18 +394,18 @@ def solve_integer(a: IntMatrix, b) -> IntVector | None:
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant ±1.
 
-    The Smith form ``U @ a @ V`` is the identity exactly when ``a`` is
-    unimodular, and then ``a`` inverts to ``V @ U``.  Every invariant factor
-    divides the last one, so the last one decides.
+    One Hermite reduction ``T @ a == H`` carries T from the identity.  The
+    rank falls short exactly when ``a`` is singular; otherwise the pivots
+    multiply to ``|det a|``, so ``a`` is unimodular exactly when every pivot
+    is 1, and then H is the identity and T is the inverse.
     """
     if a.rows != a.cols:
         raise DomainError("inverse of a non-square matrix")
-    if a.is_empty:
-        return a
-    u, d, v = smith_normal_form(a)
-    last = d.entries[-1][-1]
-    if last == 0:
+    n = a.rows
+    A = [list(row) for row in a.entries]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    if _hermite(A, T) < n:
         raise DomainError("matrix is singular")
-    if last != 1:
+    if any(A[i][i] != 1 for i in range(n)):
         raise DomainError("matrix is not unimodular")
-    return v @ u
+    return IntMatrix._trusted(tuple(map(tuple, T)), n)

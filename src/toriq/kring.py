@@ -23,12 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ExpressionError
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise DomainError("floating point exponent rejected; pass Fraction or int")
-    return Fraction(x)
+from .solenoid import _as_fraction
 
 
 @dataclass(frozen=True)

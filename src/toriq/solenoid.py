@@ -24,9 +24,13 @@ _POW_BITS_CAP = 1 << 20
 
 
 def _as_fraction(x) -> Fraction:
+    """``Fraction(x)``; a float or a non-rational x raises ``DomainError``."""
     if isinstance(x, float):
         raise DomainError("floating point input rejected; pass Fraction or int")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"exact rational expected, got {x!r:.40}") from None
 
 
 def _check_level(m) -> int:

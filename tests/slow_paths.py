@@ -15,7 +15,10 @@ enumeration put back, so the two must agree byte for byte.
 ``slow_lineality_basis`` recomputes a cone's lineality from the generators
 of its dual, as every call did before dual cones carried it.
 ``slow_same_orbit`` factors every modulus ratio by trial division and
-solves one integer system per prime.
+solves one integer system per prime.  ``slow_smith_normal_form`` and
+``slow_row_hermite_form`` are the normal forms from before they shared one
+gcd step: each clears columns with its own loop, and Smith's column
+operations run over every row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,16 @@ from toriq.cones import (
 )
 from toriq.errors import DomainError
 from toriq.homogeneous import HomogeneousPoint
-from toriq.intlinalg import IntMatrix, dot, primitive, smith_normal_form, solve_integer
+from toriq.intlinalg import (
+    IntMatrix,
+    _negate_row,
+    _row_sub,
+    _swap_rows,
+    dot,
+    primitive,
+    smith_normal_form,
+    solve_integer,
+)
 from toriq.quotient import charge_matrix
 
 
@@ -247,6 +259,156 @@ def slow_rank(a: IntMatrix) -> int:
         if r == m:
             break
     return r
+
+
+def slow_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular ``U``, diagonal ``D`` and unimodular ``V`` with
+    ``U @ a @ V == D``, the diagonal nonnegative with ``d_i | d_{i+1}``.
+
+    Classic elimination: repeatedly move a least-magnitude entry to the
+    pivot, clear its row and column, and absorb any entry the pivot fails
+    to divide.  Deterministic pivot choice keeps results reproducible.
+    """
+    if a.is_empty:
+        raise DomainError("smith_normal_form requires a nonempty matrix")
+    m, n = a.rows, a.cols
+    A = [list(row) for row in a.entries]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    # column operations act on V; run them on the rows of its transpose
+    Vt = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_swap(j, k):
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        _swap_rows(Vt, j, k)
+
+    def col_sub(j, t, q):
+        # col_j -= q * col_t
+        for row in A:
+            row[j] -= q * row[t]
+        _row_sub(Vt, j, t, q)
+
+    def min_entry(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v != 0 and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        best = min_entry(t)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            _swap_rows(A, t, pi)
+            _swap_rows(U, t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        while True:
+            # clear the pivot column
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        _row_sub(A, i, t, q)
+                        _row_sub(U, i, t, q)
+                    if A[i][t] != 0:
+                        dirty = True
+            if dirty:
+                i0 = min(
+                    (i for i in range(t, m) if A[i][t] != 0),
+                    key=lambda i: (abs(A[i][t]), i),
+                )
+                if i0 != t:
+                    _swap_rows(A, t, i0)
+                    _swap_rows(U, t, i0)
+                continue
+            # clear the pivot row
+            dirty = False
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        col_sub(j, t, q)
+                    if A[t][j] != 0:
+                        dirty = True
+            if dirty:
+                j0 = min(
+                    (j for j in range(t, n) if A[t][j] != 0),
+                    key=lambda j: (abs(A[t][j]), j),
+                )
+                if j0 != t:
+                    col_swap(t, j0)
+                continue
+            # pivot must divide the remaining block for the chain to hold
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % A[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _row_sub(A, t, offender, -1)  # row_t += row_offender
+            _row_sub(U, t, offender, -1)
+        if A[t][t] < 0:
+            _negate_row(A, t)
+            _negate_row(U, t)
+        t += 1
+
+    return (
+        IntMatrix._trusted(tuple(map(tuple, U)), m),
+        IntMatrix._trusted(tuple(map(tuple, A)), n),
+        IntMatrix._trusted(tuple(zip(*Vt)), n),
+    )
+
+
+def slow_row_hermite_form(a: IntMatrix) -> IntMatrix:
+    """Canonical row-style Hermite form (row span preserved).
+
+    Echelon with positive pivots; entries above each pivot reduced into
+    ``[0, pivot)``.  Zero rows are dropped.
+    """
+    if a.cols == 0:
+        return IntMatrix((), a.cols)
+    A = [list(row) for row in a.entries]
+    m, n = len(A), a.cols
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, m) if A[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
+            if i0 != r:
+                _swap_rows(A, r, i0)
+            done = True
+            for i in range(r + 1, m):
+                if A[i][c] != 0:
+                    q = A[i][c] // A[r][c]
+                    _row_sub(A, i, r, q)
+                    if A[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < m and A[r][c] != 0:
+            if A[r][c] < 0:
+                _negate_row(A, r)
+            for i in range(r):
+                q = A[i][c] // A[r][c]
+                if q:
+                    _row_sub(A, i, r, q)
+            r += 1
+            if r == m:
+                break
+    return IntMatrix._trusted(tuple(map(tuple, A[:r])), n)
 
 
 def slow_inverse_unimodular(a: IntMatrix) -> IntMatrix:

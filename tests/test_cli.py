@@ -159,6 +159,26 @@ def test_solenoid_errors(capsys):
     assert code == 1 and "perfect" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solenoid", "exp", "--a", "1/x", "--turns", "0"], "RESIDUE/LEVEL"),
+    (["solenoid", "exp", "--a", "1/4", "--level", "3", "--turns", "0"], "conflicts"),
+    (["solenoid", "exp", "--a", "x", "--level", "3", "--turns", "0"], "integer residue"),
+    (["solenoid", "exp", "--a", "1/0", "--turns", "0"], "level must be positive"),
+    (["solenoid", "exp", "--a", "1/4", "--turns", "abc"], "--turns"),
+    (["solenoid", "cover", "--n", "0", "--m", "1", "--rho", "1", "--turns", "0"], "positive"),
+    (["hilbert", str(fan_path("cp2")), "--cone", "1,x"], "comma-separated"),
+])
+def test_malformed_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
+
+
+def test_refine_without_level_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solenoid", "refine", "--to", "4", "--rho", "1", "--turns", "0"])
+    assert info.value.code == 2 and "--level" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no limit on integer-to-string conversion")
 def test_overlong_integer_output_is_resource_error(capsys):

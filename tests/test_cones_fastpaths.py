@@ -102,14 +102,18 @@ def _non_simplicial_pointed_cones(rng, count):
     return cones
 
 
-def _fan_duals():
-    """Duals of every cone (zero cone included) of the shipped fans, cp^1-4
-    and product fans.  Every one but the duals of maximal cones is
-    non-pointed."""
+def corpus_fans():
+    """The shipped fans, cp^1-4 and product fans."""
     fans = list(catalog.shipped_fans().values())
     fans += [catalog.projective_space(m) for m in range(1, 5)]
     fans += [_product_fan(dims) for dims in ((1, 1), (1, 2), (1, 1, 1), (2, 2), (1, 1, 2))]
-    return [dual_cone(fan_cone(fan, c)) for fan in fans for c in fan.cones()]
+    return fans
+
+
+def _fan_duals():
+    """Duals of every cone (zero cone included) of the corpus fans.  Every
+    one but the duals of maximal cones is non-pointed."""
+    return [dual_cone(fan_cone(fan, c)) for fan in corpus_fans() for c in fan.cones()]
 
 
 def _boundary_cones():

@@ -7,6 +7,7 @@ import pytest
 
 from toriq import catalog
 from toriq.errors import DomainError, LevelMismatchError
+from toriq.fans import build_fan
 from toriq.homogeneous import (
     HomogeneousPoint,
     TorusElement,
@@ -172,3 +173,17 @@ def test_same_orbit_weighted_chart():
     assert same_orbit(a, b)
     c = HomogeneousPoint(fan, 1, (polar(2), polar(2), polar(2)))
     assert not same_orbit(a, c)
+
+
+def test_same_orbit_without_charge_columns():
+    """Two independent rays spanning one cone: the quotient group is
+    trivial, so the charge matrix has no columns and points are compared
+    coordinate by coordinate; the all-zero point is its own orbit."""
+    fan = build_fan(2, [(1, 0), (0, 1)], [[0, 1]])
+    assert charge_matrix(fan).matrix.cols == 0
+    origin = HomogeneousPoint(fan, 1, (P.zero(), P.zero()))
+    assert same_orbit(origin, origin)
+    a = HomogeneousPoint(fan, 1, (polar(2), polar(3, F(1, 2))))
+    b = HomogeneousPoint(fan, 1, (polar(2), polar(3)))
+    assert same_orbit(a, a) and same_orbit(b, b)
+    assert not same_orbit(a, b)

@@ -1,6 +1,6 @@
 """Exact linear algebra: normal forms, kernels, primitivity, and the
-Bareiss rank and determinant and Smith-form inverse against the slow paths
-they replaced."""
+Smith and Hermite forms, the Bareiss rank and determinant and the Hermite
+inverse against the slow paths they replaced."""
 
 import random
 from fractions import Fraction
@@ -10,9 +10,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import leibniz_det
-from slow_paths import slow_inverse_unimodular, slow_lineality_basis, slow_rank
-from toriq import cones
-from toriq.cones import HilbertBasis, RationalCone, dual_cone, hilbert_basis, lineality_basis
+from slow_paths import (
+    slow_inverse_unimodular,
+    slow_lineality_basis,
+    slow_rank,
+    slow_row_hermite_form,
+    slow_smith_normal_form,
+)
+from test_cones_fastpaths import corpus_fans
+from toriq import cones, intlinalg
+from toriq.cones import (
+    HilbertBasis,
+    RationalCone,
+    affine_fiber_rank,
+    dual_cone,
+    fan_cone,
+    hilbert_basis,
+    lineality_basis,
+)
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
@@ -235,6 +250,16 @@ def test_internal_results_match_validated_rebuilds(a):
         assert lineality_basis(q) == slow_lineality_basis(q) == []
 
 
+def test_fan_cones_match_validated_rebuilds():
+    """``fan_cone`` builds trusted, carrying an empty lineality: every cone
+    of the corpus fans is pointed and its rays are primitive."""
+    for fan in corpus_fans():
+        for indices in fan.cones():
+            cone = fan_cone(fan, indices)
+            _assert_plain_cone(cone)
+            assert lineality_basis(cone) == slow_lineality_basis(cone) == []
+
+
 def test_solve_integer():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_integer(a, (4, 9)) == (2, 3)
@@ -269,6 +294,70 @@ def test_rank_and_det_of_products_and_empty_shapes():
         assert IntMatrix(((),) * rows, 0).rank() == 0
     assert IntMatrix((), 3).rank() == 0
     assert IntMatrix((), 0).det() == 1
+
+
+def _random_matrices(rng, count):
+    """Shapes up to 6 x 6 with entries up to +-100; every third matrix is a
+    product through a smaller inner dimension (rank-deficient), and some
+    rows and columns are zeroed."""
+    out = []
+    for index in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice([1, 3, 9, 100])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if index % 3 == 0:
+            k = rng.randint(0, min(m, n) - 1)
+            left = IntMatrix.from_rows([r[:k] for r in rows], k)
+            right = IntMatrix.from_rows(
+                [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)], n
+            )
+            rows = [list(r) for r in (left @ right).entries]
+        if index % 4 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if index % 5 == 0:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        out.append(IntMatrix.from_rows(rows, n))
+    return out
+
+
+def _fiber_rank_inputs(monkeypatch):
+    """Every Smith-form and unimodular-inverse input met while computing all
+    fiber ranks of the corpus fans from empty caches."""
+    smith_inputs, inverse_inputs = [], []
+
+    def recording(record, f):
+        return lambda a: record.append(a) or f(a)
+
+    for module in (intlinalg, cones):
+        monkeypatch.setattr(module, "smith_normal_form",
+                            recording(smith_inputs, module.smith_normal_form))
+    monkeypatch.setattr(cones, "inverse_unimodular",
+                        recording(inverse_inputs, cones.inverse_unimodular))
+    dual_cone.cache_clear()
+    hilbert_basis.cache_clear()
+    for fan in corpus_fans():
+        for indices in fan.cones():
+            affine_fiber_rank(fan, indices)
+    return smith_inputs, inverse_inputs
+
+
+def test_normal_forms_match_slow_paths(monkeypatch):
+    """Smith forms built on ``_clear_column`` against the three-loop
+    elimination they replaced, factor for factor, and Hermite forms against
+    the stand-alone Hermite loop."""
+    random_inputs = _random_matrices(random.Random(17), 3000)
+    smith_inputs, inverse_inputs = _fiber_rank_inputs(monkeypatch)
+    assert sum(a.rank() < min(a.rows, a.cols) for a in random_inputs) >= 1000
+    assert len(smith_inputs) >= 400 and len(inverse_inputs) >= 200
+    for a in random_inputs + smith_inputs:
+        assert smith_normal_form(a) == slow_smith_normal_form(a), a
+        assert row_hermite_form(a) == slow_row_hermite_form(a), a
+    for a in inverse_inputs:
+        assert inverse_unimodular(a) == slow_inverse_unimodular(a), a
+    for a in (IntMatrix((), 3), IntMatrix(((),) * 3, 0), IntMatrix((), 0)):
+        assert row_hermite_form(a) == slow_row_hermite_form(a)
 
 
 def _random_unimodular(rng, n):

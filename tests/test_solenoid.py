@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
+from toriq.kring import FormalSum, KRingElement
 from toriq.solenoid import (
     _POW_BITS_CAP,
     PolarComplex,
@@ -76,6 +77,21 @@ def test_polar_normalization_and_zero():
         PolarComplex(F(-1), F(0))
     with pytest.raises(DomainError):
         PolarComplex(0.5, F(0))
+
+
+@pytest.mark.parametrize("make", [
+    PolarComplex,
+    lambda x: PolarComplex(1, x),
+    nu,
+    FormalSum.monomial,
+    lambda x: KRingElement(0, x),
+])
+def test_non_rational_input_is_domain_error(make):
+    for bad in (None, "x", "1/0"):
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            make(bad)
+    for good in (3, F(3, 4), "3/4", " 2 ", "1.5"):
+        make(good)
 
 
 @settings(max_examples=150, deadline=None)
