@@ -25,6 +25,13 @@ bound (Bruns-Ichim, J. Algebra 324 (2010)), serves every such cone.  The
 non-pointed case projects to the quotient by the lineality lattice (the
 same projection that makes dual rays canonical) and recurses on the
 pointed quotient.
+
+Fiber ranks.  ``affine_fiber_rank`` counts the Hilbert basis of the dual of
+a fan cone from the cone's k rays in rank n, without building it.  A
+unimodular cone (k <= 1, |det| = 1, or last Smith invariant factor 1) has
+rank 2n - k; a singular 2-cone in rank 2 counts the walk of its dual in
+O(log det) steps, collapsing each run of ``b = 2`` steps into one division.
+Only a singular cone with k >= 3 or in rank >= 3 builds the dual's basis.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, islice, product
 from operator import le, mul
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .fans import Fan
 from .intlinalg import (
     IntMatrix,
@@ -313,17 +320,12 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     return accepted
 
 
-def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
-    """Hilbert basis of the cone spanned by independent primitive u, w in Z^2.
+_RANK2_BASIS_CAP = 2**20
 
-    The basis is the lattice boundary from u to w (Hirzebruch-Jung; Cox,
-    Little and Schenck, *Toric Varieties*, 10.2).  With ``d = |det(u, w)|``
-    and ``e`` the lattice point with ``det(u, e) = ±1`` (the sign of
-    ``det(u, w)``) and ``w = d*e - k*u``, ``0 <= k < d``, the walk starts at
-    ``u, e``.  While ``w = p*v_prev + q*v`` with ``p < 0`` it steps to
-    ``b*v - v_prev``, ``b = ceil(q / -p)``; ``|p|`` strictly falls and the
-    walk ends on ``w``.  The cost is one integer step per basis element.
-    """
+
+def _rank2_start(u: IntVector, w: IntVector) -> tuple[IntVector, int, int]:
+    """``(e, p, q)``: the second boundary point and the first remainder pair
+    of the Hirzebruch-Jung walk from u to w (see ``_rank2_hilbert_basis``)."""
     det = u[0] * w[1] - u[1] * w[0]
     sign = 1 if det > 0 else -1
     d = abs(det)
@@ -334,8 +336,53 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     # w - d*e is a multiple c*u of u; (x, y) reads off c
     c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
     t = -(-c // d)
-    e = (e[0] + t * u[0], e[1] + t * u[1])
-    p, q = c - d * t, d
+    return (e[0] + t * u[0], e[1] + t * u[1]), c - d * t, d
+
+
+def _rank2_count(p: int, q: int) -> int:
+    """Size of the rank-2 Hilbert basis whose walk starts at the remainder
+    pair ``(p, q)`` of ``_rank2_start``, in O(log q) steps.
+
+    A walk step with ``b = 2`` keeps ``q + p`` fixed (``p < 0``), and such
+    steps follow one another while ``q + p <= -p``, so one division counts
+    the whole run: Euclid on the Riemenschneider dual of the continued
+    fraction (Riemenschneider, Math. Ann. 209 (1974)).
+    """
+    count = 2
+    while p:
+        gap = q + p
+        if gap <= -p:
+            run = -p // gap
+            p += run * gap
+            q = gap - p
+            count += run
+        else:
+            b = -(q // p)
+            p, q = p * b + q, -p
+            count += 1
+    return count
+
+
+def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
+    """Hilbert basis of the cone spanned by independent primitive u, w in Z^2.
+
+    The basis is the lattice boundary from u to w (Hirzebruch-Jung; Cox,
+    Little and Schenck, *Toric Varieties*, 10.2).  With ``d = |det(u, w)|``
+    and ``e`` the lattice point with ``det(u, e) = ±1`` (the sign of
+    ``det(u, w)``) and ``w = d*e - k*u``, ``0 <= k < d``, the walk starts at
+    ``u, e``.  While ``w = p*v_prev + q*v`` with ``p < 0`` it steps to
+    ``b*v - v_prev``, ``b = ceil(q / -p)``; ``|p|`` strictly falls and the
+    walk ends on ``w``.  The cost is one integer step per basis element, so
+    a basis that ``_rank2_count`` puts above ``_RANK2_BASIS_CAP`` raises
+    ``ResourceLimitError`` before the walk.
+    """
+    e, p, q = _rank2_start(u, w)
+    size = _rank2_count(p, q)
+    if size > _RANK2_BASIS_CAP:
+        raise ResourceLimitError(
+            f"hilbert_basis: the rank-2 cone spanned by {u} and {w} has {size} "
+            f"basis elements, past the cap of {_RANK2_BASIS_CAP}"
+        )
     out = [u, e]
     prev, cur = u, e
     while p:
@@ -377,14 +424,18 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
-def fan_cone(fan: Fan, indices) -> RationalCone:
-    """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
+def _fan_cone_rays(fan: Fan, indices) -> list[IntVector]:
     idx = tuple(sorted(set(indices)))
     if not fan.is_cone(idx):
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
+    return [fan.rays[i] for i in idx]
+
+
+def fan_cone(fan: Fan, indices) -> RationalCone:
+    """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
     # the fan checked its rays primitive, and its cones are simplicial,
     # hence pointed
-    return RationalCone._trusted(fan.lattice_rank, [fan.rays[i] for i in idx], ())
+    return RationalCone._trusted(fan.lattice_rank, _fan_cone_rays(fan, indices), ())
 
 
 def affine_fiber_rank(fan: Fan, indices) -> int:
@@ -393,6 +444,30 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     This is the number of Hilbert basis elements of the dual semigroup,
     i.e. the exponent r such that the covering fiber over the associated
     affine chart is the r-th power of the profinite integers.
+
+    Fiber ranks.  The count comes from the cone's k rays without building
+    the basis.  For a unimodular cone (k <= 1, since fan rays are
+    primitive; |det| = 1 when k = n; last Smith invariant factor 1 when
+    k < n) the dual is a lineality lattice of rank n - k plus a unimodular
+    pointed quotient with k rays, so r = 2n - k.  A singular 2-cone in
+    rank 2 has as dual the cone of its two inward normals, whose basis
+    ``_rank2_count`` counts in O(log det) steps.  Any other cone (singular,
+    with k >= 3 or in rank >= 3) builds the Hilbert basis of its dual.
     """
-    sigma = fan_cone(fan, indices)
-    return hilbert_basis(dual_cone(sigma)).rank_r
+    rays = _fan_cone_rays(fan, indices)
+    n, k = fan.lattice_rank, len(rays)
+    if k <= 1:
+        return 2 * n - k
+    if k == n == 2:
+        (a, b), (c, d) = rays
+        if abs(a * d - b * c) == 1:
+            return 2
+        # normals to the two rays, spanning the dual cone or its negation,
+        # which has a basis of the same size
+        _, p, q = _rank2_start((-b, a), (d, -c))
+        return _rank2_count(p, q)
+    m = IntMatrix._trusted(tuple(rays), n)
+    unimodular = abs(m.det()) == 1 if k == n else smith_normal_form(m)[1].entries[k - 1][k - 1] == 1
+    if unimodular:
+        return 2 * n - k
+    return hilbert_basis(dual_cone(fan_cone(fan, indices))).rank_r

@@ -14,6 +14,8 @@ rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
 enumeration put back, so the two must agree byte for byte.
 ``slow_lineality_basis`` recomputes a cone's lineality from the generators
 of its dual, as every call did before dual cones carried it.
+``slow_affine_fiber_rank`` builds the Hilbert basis of the dual of a fan
+cone and takes its length, where ``affine_fiber_rank`` counts from the rays.
 ``slow_same_orbit`` factors every modulus ratio by trial division and
 solves one integer system per prime.  ``slow_smith_normal_form`` and
 ``slow_row_hermite_form`` are the normal forms from before they shared one
@@ -32,6 +34,8 @@ from toriq.cones import (
     _kernel_columns,
     _lineality_quotient,
     dual_cone,
+    fan_cone,
+    hilbert_basis,
 )
 from toriq.errors import DomainError
 from toriq.homogeneous import HomogeneousPoint
@@ -173,6 +177,11 @@ def slow_hilbert_basis(cone: RationalCone) -> tuple:
             quotient = RationalCone.from_generators(n - ell, proj_gens)
             out.extend(map(lift, slow_hilbert_basis(quotient)))
     return tuple(sorted(set(out), key=_grlex_key))
+
+
+def slow_affine_fiber_rank(fan, indices) -> int:
+    """Size of the Hilbert basis of the dual of a fan cone, built in full."""
+    return hilbert_basis(dual_cone(fan_cone(fan, indices))).rank_r
 
 
 def _saturation_basis(vectors, rank):

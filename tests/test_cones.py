@@ -178,6 +178,8 @@ def test_fan_cone_and_fiber_ranks():
     assert affine_fiber_rank(cp2, (0,)) == 3
     with pytest.raises(DomainError):
         fan_cone(catalog.product_of_lines(), (0, 1))  # not a cone
+    with pytest.raises(DomainError, match=r"\[1, 2\] is not a cone"):
+        affine_fiber_rank(catalog.product_of_lines(), (0, 1))
 
 
 def test_fiber_rank_wedge_fan():

@@ -1,13 +1,16 @@
 """Fast paths of ``toriq.cones`` against the exhaustive algorithms they
 replaced (``slow_paths.py``), plus output-sensitivity and Hirzebruch-Jung
-checks of the rank-2 boundary walk."""
+checks of the rank-2 boundary walk and the fiber-rank count."""
 
 import random
 from fractions import Fraction
-from math import comb, gcd
-from itertools import product
+from math import atan2, comb, gcd
+from itertools import combinations, product
+
+import pytest
 
 from slow_paths import (
+    slow_affine_fiber_rank,
     slow_dual_cone,
     slow_hilbert_basis,
     slow_lineality_basis,
@@ -27,6 +30,7 @@ from toriq.cones import (
     hilbert_basis,
     lineality_basis,
 )
+from toriq.errors import ResourceLimitError
 from toriq.fans import build_fan
 from toriq.intlinalg import IntMatrix, primitive
 
@@ -169,10 +173,11 @@ def test_lineality_basis_matches_slow_path():
 
 
 def test_rank2_fiber_ranks_take_no_dual_of_a_dual(monkeypatch):
-    """From empty caches, the fiber ranks of a weighted plane and of cp^2
-    never take the Smith form of a dual cone's generators: ``hilbert_basis``
-    reads the lineality the dual carries, and the rank-2 walk needs no
-    dual."""
+    """From empty caches, the Hilbert bases of the duals of the cones of a
+    weighted plane and of cp^2 never take the Smith form of a dual cone's
+    generators: ``hilbert_basis`` reads the lineality the dual carries, and
+    the rank-2 walk needs no dual.  (``affine_fiber_rank`` counts these
+    ranks without building either basis.)"""
     smith_rays, dual = cones_module._smith_rays, cones_module.dual_cone
     inputs, outputs, repeats = [], set(), []
 
@@ -193,7 +198,7 @@ def test_rank2_fiber_ranks_take_no_dual_of_a_dual(monkeypatch):
     monkeypatch.setattr(cones_module, "dual_cone", recording_dual)
     for fan in (catalog.weighted_plane(7), catalog.projective_plane()):
         for cone in fan.cones():
-            affine_fiber_rank(fan, cone)
+            hilbert_basis(cones_module.dual_cone(fan_cone(fan, cone)))
     assert len(inputs) >= 14 and len(outputs) >= 14
     assert repeats == []
 
@@ -257,7 +262,19 @@ def test_rank2_walk_is_output_sensitive():
     cone = RationalCone.from_generators(2, [(0, 1), (100000, -1)])
     assert hilbert_basis(cone).generators == ((0, 1), (1, 0), (100000, -1))
     for n in (3, 50, 20000):
-        assert affine_fiber_rank(catalog.weighted_plane(n), (0, 1)) == n + 1
+        fan = catalog.weighted_plane(n)
+        assert hilbert_basis(dual_cone(fan_cone(fan, (0, 1)))).rank_r == n + 1
+        assert affine_fiber_rank(fan, (0, 1)) == n + 1
+
+
+def test_rank2_basis_past_the_cap_is_refused():
+    """The cone (0, 1), (n, 1) has n + 1 basis elements: the walk refuses to
+    list them past ``_RANK2_BASIS_CAP`` and names the cone, size and cap."""
+    cap = cones_module._RANK2_BASIS_CAP
+    cone = RationalCone.from_generators(2, [(0, 1), (cap, 1)])
+    with pytest.raises(ResourceLimitError, match=rf"hilbert_basis: .*\(0, 1\) and \({cap}, 1\) "
+                       rf"has {cap + 1} basis elements, past the cap of {cap}"):
+        hilbert_basis(cone)
 
 
 def test_hilbert_basis_closed_form_sizes():
@@ -288,3 +305,87 @@ def test_rank2_basis_size_is_hirzebruch_jung_length():
                 continue
             cone = RationalCone.from_generators(2, [(0, 1), (d, -k)])
             assert hilbert_basis(cone).rank_r == 2 + len(_hirzebruch_jung(d, k)), (d, k)
+
+
+def _simplex_fan(tail):
+    """Complete fan with rays e_1, ..., e_n and -tail, and every n of them
+    spanning a maximal cone; tail (1, ..., 1) gives cp^n.  Its cones are
+    singular where the minors of the tail are not coprime."""
+    n = len(tail)
+    rays = [_unit(n, i) for i in range(n)] + [tuple(-x for x in tail)]
+    return build_fan(n, rays, combinations(range(n + 1), n), complete=True)
+
+
+def _random_polygon_fan(rng):
+    """Complete rank-2 fan on 4-9 random primitive rays, no two adjacent
+    ones half a turn or more apart."""
+    while True:
+        points = [(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(4, 9))]
+        rays = sorted({primitive(v) for v in points if any(v)}, key=lambda v: atan2(v[1], v[0]))
+        m = len(rays)
+        pairs = [(rays[i], rays[(i + 1) % m]) for i in range(m)]
+        if m >= 3 and all(u[0] * w[1] - u[1] * w[0] > 0 for u, w in pairs):
+            return build_fan(2, rays, [[i, (i + 1) % m] for i in range(m)], complete=True)
+
+
+def _disguise(rng, fan):
+    """The fan moved by a random unimodular map: column operations on its rays."""
+    n = fan.lattice_rank
+    rays = [list(v) for v in fan.rays]
+    for _ in range(3 * n):
+        i, j, q = rng.randrange(n), rng.randrange(n), rng.choice([-2, -1, 1, 2])
+        for v in rays:
+            if i == j:
+                v[i] = -v[i]
+            else:
+                v[i] += q * v[j]
+    return build_fan(n, rays, fan.maximal_cones, complete=fan.complete)
+
+
+def _fiber_rank_cones():
+    """(fan, cone) pairs: every cone of the fans below, and each coprime
+    0 <= q < d < 120 as the 2-cone of a two-ray fan, in four orientations
+    (its faces are cones of the other fans)."""
+    for fan in _fiber_rank_fans():
+        for cone in fan.cones():
+            yield fan, cone
+    for d in range(1, 120):
+        for q in range(d):
+            if gcd(d, q) == 1:
+                for rays in ([(0, 1), (d, -q)], [(d, -q), (0, 1)], [(1, 0), (-q, d)], [(-q, d), (1, 0)]):
+                    yield build_fan(2, rays, [[0, 1]]), (0, 1)
+
+
+def _fiber_rank_fans():
+    rng = random.Random(SEED)
+    fans = list(catalog.shipped_fans().values())
+    fans += [catalog.projective_space(m) for m in range(1, 6)]
+    fans += [catalog.weighted_plane(n) for n in range(1, 201)]
+    # singular 2-cones in rank 3 and 4 (e_1 and -tail), and singular 3-cones
+    simplices = [_simplex_fan(t) for t in ((1, 2, 4), (1, 6, 9), (2, 3, 5), (1, 2, 4, 6), (1, 1, 3, 9))]
+    fans += simplices
+    fans += [_disguise(rng, fan) for fan in simplices]
+    fans += [_disguise(rng, _random_polygon_fan(rng)) for _ in range(40)]
+    fans += [_disguise(rng, _simplex_fan(primitive([rng.randint(1, 7) for _ in range(rank)])))
+             for rank in (3, 3, 4, 4)]
+    fans += [_disguise(rng, catalog.hirzebruch(rng.randint(0, 30))) for _ in range(5)]
+    return fans
+
+
+def test_fiber_rank_count_matches_built_basis():
+    """``affine_fiber_rank`` against the length of the built Hilbert basis,
+    on every cone of the shipped fans, cp^1-5, weighted planes up to 200,
+    every 2-cone of determinant below 120 in four orientations, singular
+    cones of rank 3 and 4, and disguised random fans."""
+    shapes = set()
+    checked = 0
+    for fan, cone in _fiber_rank_cones():
+        n, r = fan.lattice_rank, affine_fiber_rank(fan, cone)
+        assert r == slow_affine_fiber_rank(fan, cone), (fan, cone)
+        shapes.add((n, len(cone), r > 2 * n - len(cone)))
+        checked += 1
+    assert checked >= 19000
+    # every path: unimodular cones of each size, singular 2-cones in rank 2,
+    # and the fallback's singular cones of size >= 2 in rank 3 and 4
+    assert {(n, k, False) for n in range(1, 6) for k in range(n + 1)} <= shapes
+    assert {(2, 2, True), (3, 2, True), (3, 3, True), (4, 2, True), (4, 3, True), (4, 4, True)} <= shapes

@@ -22,7 +22,6 @@ from toriq import cones, intlinalg
 from toriq.cones import (
     HilbertBasis,
     RationalCone,
-    affine_fiber_rank,
     dual_cone,
     fan_cone,
     hilbert_basis,
@@ -323,8 +322,9 @@ def _random_matrices(rng, count):
 
 
 def _fiber_rank_inputs(monkeypatch):
-    """Every Smith-form and unimodular-inverse input met while computing all
-    fiber ranks of the corpus fans from empty caches."""
+    """Every Smith-form and unimodular-inverse input met while computing the
+    Hilbert bases behind all fiber ranks of the corpus fans (those of the
+    duals of their cones) from empty caches."""
     smith_inputs, inverse_inputs = [], []
 
     def recording(record, f):
@@ -339,7 +339,7 @@ def _fiber_rank_inputs(monkeypatch):
     hilbert_basis.cache_clear()
     for fan in corpus_fans():
         for indices in fan.cones():
-            affine_fiber_rank(fan, indices)
+            hilbert_basis(dual_cone(fan_cone(fan, indices)))
     return smith_inputs, inverse_inputs
 
 
