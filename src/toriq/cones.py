@@ -28,10 +28,11 @@ pointed quotient.
 
 Fiber ranks.  ``affine_fiber_rank`` counts the Hilbert basis of the dual of
 a fan cone from the cone's k rays in rank n, without building it.  A
-unimodular cone (k <= 1, |det| = 1, or last Smith invariant factor 1) has
-rank 2n - k; a singular 2-cone in rank 2 counts the walk of its dual in
-O(log det) steps, collapsing each run of ``b = 2`` steps into one division.
-Only a singular cone with k >= 3 or in rank >= 3 builds the dual's basis.
+unimodular cone (k <= 1, |det| = 1, or index 1 of the rays' lattice in the
+saturation of their span) has rank 2n - k; a singular 2-cone in any rank
+counts the walk of its pointed dual quotient in O(log det) steps,
+collapsing each run of ``b = 2`` steps into one division.  Only a singular
+cone with k >= 3 builds the dual's basis.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
+from math import prod
 from operator import le, mul
 
 from .errors import DomainError, ResourceLimitError
@@ -420,7 +422,16 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
         proj_gens = [primitive(img) for img in map(project, cone.generators) if any(img)]
         if proj_gens:
             quotient = RationalCone._trusted(n - ell, proj_gens, ())
-            out.extend(map(lift, hilbert_basis(quotient).generators))
+            try:
+                quotient_basis = hilbert_basis(quotient).generators
+            except ResourceLimitError as exc:
+                # name the caller's cone, not only the quotient coordinates
+                raise ResourceLimitError(
+                    f"hilbert_basis: the cone spanned by {', '.join(map(str, cone.generators))} "
+                    f"has a pointed quotient by its lineality space where "
+                    f"{str(exc).removeprefix('hilbert_basis: ')}"
+                ) from None
+            out.extend(map(lift, quotient_basis))
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
@@ -446,13 +457,16 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     affine chart is the r-th power of the profinite integers.
 
     Fiber ranks.  The count comes from the cone's k rays without building
-    the basis.  For a unimodular cone (k <= 1, since fan rays are
-    primitive; |det| = 1 when k = n; last Smith invariant factor 1 when
-    k < n) the dual is a lineality lattice of rank n - k plus a unimodular
-    pointed quotient with k rays, so r = 2n - k.  A singular 2-cone in
-    rank 2 has as dual the cone of its two inward normals, whose basis
-    ``_rank2_count`` counts in O(log det) steps.  Any other cone (singular,
-    with k >= 3 or in rank >= 3) builds the Hilbert basis of its dual.
+    the basis.  The dual is a lineality lattice of rank n - k, which
+    contributes a basis and its negation, plus a pointed quotient dual to
+    the cone in the saturation of the rays' span.  A unimodular cone (k <= 1,
+    since fan rays are primitive; |det| = 1 when k = n; index 1 of the rays'
+    lattice in its saturation, the product of the pivots of their column
+    Hermite form, when k < n) has a unimodular quotient, so r = 2n - k.  A
+    singular 2-cone has r = 2(n - 2) plus the basis size of the rank-2 cone
+    of the normals to its rays, written in a basis of that saturation (the
+    rays themselves when n = 2), which ``_rank2_count`` counts in O(log det)
+    steps.  A singular cone with k >= 3 builds the Hilbert basis of its dual.
     """
     rays = _fan_cone_rays(fan, indices)
     n, k = fan.lattice_rank, len(rays)
@@ -460,14 +474,25 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
         return 2 * n - k
     if k == n == 2:
         (a, b), (c, d) = rays
+        # inline, since the same test through _rank2_start and _rank2_count
+        # took 7.7 us against 0.12 us (CPython 3, Intel Xeon)
         if abs(a * d - b * c) == 1:
             return 2
-        # normals to the two rays, spanning the dual cone or its negation,
-        # which has a basis of the same size
-        _, p, q = _rank2_start((-b, a), (d, -c))
-        return _rank2_count(p, q)
-    m = IntMatrix._trusted(tuple(rays), n)
-    unimodular = abs(m.det()) == 1 if k == n else smith_normal_form(m)[1].entries[k - 1][k - 1] == 1
-    if unimodular:
-        return 2 * n - k
-    return hilbert_basis(dual_cone(fan_cone(fan, indices))).rank_r
+    else:
+        if k == n:
+            index = abs(IntMatrix._trusted(tuple(rays), n).det())
+        else:
+            # column j of the top k x k block of h holds the coordinates of
+            # ray j in a basis of the saturation of the rays' span
+            h = [list(col) for col in zip(*rays)]
+            _hermite(h, [[] for _ in h])
+            index = prod(h[i][i] for i in range(k))
+        if index == 1:
+            return 2 * n - k
+        if k > 2:
+            return hilbert_basis(dual_cone(RationalCone._trusted(n, rays, ()))).rank_r
+        (a, c), (b, d) = h[0][:2], h[1][:2]
+    # the normals to the two rays span the pointed dual or its negation,
+    # which has a basis of the same size
+    _, p, q = _rank2_start((-b, a), (d, -c))
+    return 2 * (n - 2) + _rank2_count(p, q)

@@ -3,6 +3,7 @@ replaced (``slow_paths.py``), plus output-sensitivity and Hirzebruch-Jung
 checks of the rank-2 boundary walk and the fiber-rank count."""
 
 import random
+import re
 from fractions import Fraction
 from math import atan2, comb, gcd
 from itertools import combinations, product
@@ -277,6 +278,26 @@ def test_rank2_basis_past_the_cap_is_refused():
         hilbert_basis(cone)
 
 
+def test_rank3_fiber_rank_past_the_cap_is_counted():
+    """A 2-cone in rank 3 with a rank-2 quotient past the cap: the dual of
+    (1, 0), (d - 1, d) is spanned by (0, 1) and (d, 1 - d) and has basis
+    (0, 1), (j, 1 - j) for j = 1..d, so the fiber rank is 2 + (d + 1).
+    ``affine_fiber_rank`` counts it, and ``hilbert_basis`` of the dual
+    refuses to list it, naming the dual cone itself."""
+    cap = cones_module._RANK2_BASIS_CAP
+    d = 2 * cap
+    fan = build_fan(3, [(1, 0, 0), (d - 1, d, 0)], [[0, 1]])
+    assert affine_fiber_rank(fan, (0, 1)) == 2 + d + 1
+    dual = dual_cone(fan_cone(fan, (0, 1)))
+    named = ", ".join(map(str, dual.generators))
+    with pytest.raises(ResourceLimitError, match=rf"hilbert_basis: the cone spanned by {re.escape(named)} "
+                       rf"has a pointed quotient .* has {d + 1} basis elements, past the cap of {cap}"):
+        hilbert_basis(dual)
+    # a singular 2-cone of determinant d whose dual basis is small
+    fan = build_fan(3, [(1, 0, 0), (1, d, 0)], [[0, 1]])
+    assert affine_fiber_rank(fan, (0, 1)) == 2 + 3 == slow_affine_fiber_rank(fan, (0, 1))
+
+
 def test_hilbert_basis_closed_form_sizes():
     """Sizes past the reach of the slow path: the dual of the chart
     (e1, e2, (-1, -1, -n)) of P(1,1,1,n) has C(n+2, 2) basis elements, and
@@ -343,9 +364,11 @@ def _disguise(rng, fan):
 
 
 def _fiber_rank_cones():
-    """(fan, cone) pairs: every cone of the fans below, and each coprime
+    """(fan, cone) pairs: every cone of the fans below, each coprime
     0 <= q < d < 120 as the 2-cone of a two-ray fan, in four orientations
-    (its faces are cones of the other fans)."""
+    (its faces are cones of the other fans), and each coprime 0 < q < d < 40
+    lifted to a disguised 2-cone in rank 3 and 4 by random further
+    coordinates, which change the lattice of the rays' span."""
     for fan in _fiber_rank_fans():
         for cone in fan.cones():
             yield fan, cone
@@ -354,6 +377,14 @@ def _fiber_rank_cones():
             if gcd(d, q) == 1:
                 for rays in ([(0, 1), (d, -q)], [(d, -q), (0, 1)], [(1, 0), (-q, d)], [(-q, d), (1, 0)]):
                     yield build_fan(2, rays, [[0, 1]]), (0, 1)
+    rng = random.Random(SEED + 1)
+    for d in range(2, 40):
+        for q in range(1, d):
+            if gcd(d, q) == 1:
+                for n in (3, 4):
+                    extra = [rng.randint(-3, 3) for _ in range(2 * n - 4)]
+                    rays = [(0, 1, *extra[:n - 2]), (d, -q, *extra[n - 2:])]
+                    yield _disguise(rng, build_fan(n, rays, [[0, 1]])), (0, 1)
 
 
 def _fiber_rank_fans():
@@ -361,9 +392,12 @@ def _fiber_rank_fans():
     fans = list(catalog.shipped_fans().values())
     fans += [catalog.projective_space(m) for m in range(1, 6)]
     fans += [catalog.weighted_plane(n) for n in range(1, 201)]
-    # singular 2-cones in rank 3 and 4 (e_1 and -tail), and singular 3-cones
+    # singular 2-, 3- and 4-cones in rank 3 and 4 (e_1 and -tail)
     simplices = [_simplex_fan(t) for t in ((1, 2, 4), (1, 6, 9), (2, 3, 5), (1, 2, 4, 6), (1, 1, 3, 9))]
     fans += simplices
+    # a 3-cone in rank 4 whose Hermite pivots are 1, 2, 1: the index is their
+    # product, not the last one
+    fans.append(build_fan(4, [(1, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0)], [[0, 1, 2]]))
     fans += [_disguise(rng, fan) for fan in simplices]
     fans += [_disguise(rng, _random_polygon_fan(rng)) for _ in range(40)]
     fans += [_disguise(rng, _simplex_fan(primitive([rng.randint(1, 7) for _ in range(rank)])))
@@ -376,7 +410,8 @@ def test_fiber_rank_count_matches_built_basis():
     """``affine_fiber_rank`` against the length of the built Hilbert basis,
     on every cone of the shipped fans, cp^1-5, weighted planes up to 200,
     every 2-cone of determinant below 120 in four orientations, singular
-    cones of rank 3 and 4, and disguised random fans."""
+    2-cones lifted to rank 3 and 4, singular cones of rank 3 and 4, and
+    disguised random fans."""
     shapes = set()
     checked = 0
     for fan, cone in _fiber_rank_cones():
@@ -385,7 +420,7 @@ def test_fiber_rank_count_matches_built_basis():
         shapes.add((n, len(cone), r > 2 * n - len(cone)))
         checked += 1
     assert checked >= 19000
-    # every path: unimodular cones of each size, singular 2-cones in rank 2,
-    # and the fallback's singular cones of size >= 2 in rank 3 and 4
+    # every path: unimodular cones of each size, singular 2-cones in rank 2
+    # to 4, and the fallback's singular cones of size >= 3 in rank 3 and 4
     assert {(n, k, False) for n in range(1, 6) for k in range(n + 1)} <= shapes
     assert {(2, 2, True), (3, 2, True), (3, 3, True), (4, 2, True), (4, 3, True), (4, 4, True)} <= shapes
