@@ -327,13 +327,14 @@ _RANK2_BASIS_CAP = 2**20
 
 def _rank2_start(u: IntVector, w: IntVector) -> tuple[IntVector, int, int]:
     """``(e, p, q)``: the second boundary point and the first remainder pair
-    of the Hirzebruch-Jung walk from u to w (see ``_rank2_hilbert_basis``)."""
+    of the Hirzebruch-Jung walk from u to w (see ``_rank2_hilbert_basis``).
+    u must be primitive."""
     det = u[0] * w[1] - u[1] * w[0]
     sign = 1 if det > 0 else -1
     d = abs(det)
-    bezout = [[1, 0], [0, 1]]
-    _hermite([[u[0]], [u[1]]], bezout)
-    x, y = bezout[0]  # x*u0 + y*u1 == gcd(u) == 1
+    # x*u0 + y*u1 == gcd(u) == 1; u1 == 0 forces u0 == ±1, and pow mod 1 is 0
+    x = pow(u[0], -1, abs(u[1])) if u[1] else u[0]
+    y = (1 - x * u[0]) // u[1] if u[1] else 0
     e = (-sign * y, sign * x)
     # w - d*e is a multiple c*u of u; (x, y) reads off c
     c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
@@ -475,7 +476,7 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     if k == n == 2:
         (a, b), (c, d) = rays
         # inline, since the same test through _rank2_start and _rank2_count
-        # took 7.7 us against 0.12 us (CPython 3, Intel Xeon)
+        # took 0.7-1.1 us against 0.07-0.12 us (timeit, 200,000 calls, Intel Xeon)
         if abs(a * d - b * c) == 1:
             return 2
     else:

@@ -5,6 +5,13 @@ its faces are exactly the subsets.  Non-simplicial maximal cones are
 rejected at build time: the discriminant / charge-matrix machinery built on
 top is stated ray-wise and needs every cone determined by its rays.
 
+Cone membership is read off one ray-incidence index, built with one mask
+operation per (ray, maximal cone) incidence: bit k of ``star[i]`` is set
+when maximal cone k holds ray i.  The AND of the listed rays' masks is the
+set of maximal cones holding them all, which decides ``is_cone``, the
+containment of one maximal cone in another, the facet count of a complete
+fan and the unused-ray check.  Only ``cones()`` lists faces, once per fan.
+
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
 exactly two maximal cones); a full covering check of the ambient space is
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 from .errors import DomainError, FanValidationError
@@ -31,15 +38,13 @@ class Fan:
     maximal_cones: tuple[ConeRef, ...]
     complete: bool = False
     name: str | None = field(default=None, compare=False)
+    _cones = None  # not a field; see cones
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(v) for v in self.rays))
-        object.__setattr__(
-            self, "maximal_cones", tuple(tuple(c) for c in self.maximal_cones)
-        )
-        if isinstance(self.lattice_rank, bool) or not isinstance(self.lattice_rank, int):
-            raise FanValidationError("lattice_rank must be a positive integer")
-        if self.lattice_rank < 1:
+        object.__setattr__(self, "maximal_cones", tuple(tuple(c) for c in self.maximal_cones))
+        rank = self.lattice_rank
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise FanValidationError("lattice_rank must be a positive integer")
         if not self.rays:
             raise FanValidationError("rays: at least one ray is required")
@@ -58,6 +63,7 @@ class Fan:
             raise FanValidationError("rays: duplicate ray")
         if not self.maximal_cones:
             raise FanValidationError("maximal_cones: at least one cone is required")
+        star = [0] * len(self.rays)
         seen: set[ConeRef] = set()
         for k, cone in enumerate(self.maximal_cones):
             if not cone:
@@ -71,6 +77,7 @@ class Fan:
                     raise FanValidationError(
                         f"maximal_cones[{k + 1}]: ray index {i + 1} out of range"
                     )
+                star[i] |= 1 << k
             if cone in seen:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: duplicate cone")
             seen.add(cone)
@@ -80,42 +87,38 @@ class Fan:
                     f"maximal_cones[{k + 1}]: generators are linearly dependent "
                     "(only simplicial cones are supported)"
                 )
-        for a in self.maximal_cones:
-            for b in self.maximal_cones:
-                if a != b and set(a) <= set(b):
-                    raise FanValidationError(
-                        f"maximal_cones: cone {_one_based(a)} is contained in {_one_based(b)}"
-                    )
-        used = {i for cone in self.maximal_cones for i in cone}
-        for i in range(len(self.rays)):
-            if i not in used:
+        object.__setattr__(self, "_star", star)
+        for k, a in enumerate(self.maximal_cones):
+            others = self._holders(a) & ~(1 << k)
+            if others:
+                b = self.maximal_cones[(others & -others).bit_length() - 1]
+                raise FanValidationError(
+                    f"maximal_cones: cone {_one_based(a)} is contained in {_one_based(b)}"
+                )
+        for i, holders in enumerate(star):
+            if not holders:
                 raise FanValidationError(f"rays[{i + 1}]: ray is not used by any cone")
         if self.complete:
             self._check_completeness_necessary()
 
     def _check_completeness_necessary(self):
         n = self.lattice_rank
-        ray_matrix = IntMatrix.from_rows(self.rays, n)
-        if ray_matrix.rank() != n:
-            raise FanValidationError(
-                "complete: rays of a complete fan must span the lattice"
-            )
+        if self.ray_matrix().rank() != n:
+            raise FanValidationError("complete: rays of a complete fan must span the lattice")
         for k, cone in enumerate(self.maximal_cones):
             if len(cone) != n:
                 raise FanValidationError(
                     f"complete: maximal_cones[{k + 1}] is not full-dimensional"
                 )
-        facet_count: dict[ConeRef, int] = {}
         for cone in self.maximal_cones:
             for drop in cone:
                 facet = tuple(i for i in cone if i != drop)
-                facet_count[facet] = facet_count.get(facet, 0) + 1
-        for facet, count in facet_count.items():
-            if count != 2:
-                raise FanValidationError(
-                    f"complete: facet {_one_based(facet)} lies in {count} maximal cones, "
-                    "expected exactly 2"
-                )
+                count = self._holders(facet).bit_count()
+                if count != 2:
+                    raise FanValidationError(
+                        f"complete: facet {_one_based(facet)} lies in {count} maximal cones, "
+                        "expected exactly 2"
+                    )
 
     @property
     def n_rays(self) -> int:
@@ -125,31 +128,32 @@ class Fan:
         """Rows are the primitive ray generators."""
         return IntMatrix.from_rows(self.rays, self.lattice_rank)
 
+    def _holders(self, indices) -> int:
+        """Bit k is set when maximal cone k holds every listed ray."""
+        mask = (1 << len(self.maximal_cones)) - 1
+        for i in indices:
+            mask &= self._star[i]
+        return mask
+
     def is_cone(self, indices) -> bool:
         """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
         s = frozenset(indices)
         for i in s:
             if not (0 <= i < self.n_rays):
                 raise FanValidationError(f"ray index {i + 1} out of range")
-        return any(s <= set(c) for c in self.maximal_cones)
+        return self._holders(s) != 0
 
     def cones(self) -> tuple[ConeRef, ...]:
-        """All cones of the fan: the subset closure of the maximal cones."""
-        return _fan_cones(self)
+        """All cones of the fan: the subset closure of the maximal cones,
+        sorted by dimension, then lexicographically; listed once per fan."""
+        if self._cones is None:
+            faces = {f for c in self.maximal_cones for r in range(len(c) + 1) for f in combinations(c, r)}
+            object.__setattr__(self, "_cones", tuple(sorted(faces, key=lambda c: (len(c), c))))
+        return self._cones
 
     def cone_dim(self, indices) -> int:
         # simplicial: generators of every cone are independent
         return len(tuple(indices))
-
-
-@lru_cache(maxsize=None)
-def _fan_cones(fan: Fan) -> tuple[ConeRef, ...]:
-    found: set[ConeRef] = set()
-    for cone in fan.maximal_cones:
-        k = len(cone)
-        for mask in range(1 << k):
-            found.add(tuple(cone[i] for i in range(k) if mask >> i & 1))
-    return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:

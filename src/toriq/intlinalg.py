@@ -8,8 +8,7 @@ this module.
 
 Both normal forms clear columns with one gcd step, ``_clear_column``.
 ``_hermite`` repeats its row operations on a matrix T; from the identity,
-T ends as the unimodular inverse, or as a Bezout pair for a column of two
-coprime entries.
+T ends as the unimodular inverse.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from itertools import permutations, product as iproduct
 from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
-from .fans import Fan
+from .fans import Fan, _one_based
 from .intlinalg import IntMatrix, integer_kernel, smith_normal_form
 
 Permutation = tuple[int, ...]  # one-line form: i -> perm[i]
@@ -322,10 +322,6 @@ def aut_presentation(fan: Fan) -> AutPresentation:
         solenoidal_torus_rank=fan.n_rays - structure.torus_rank,
         torsion_factors=structure.torsion_factors,
     )
-
-
-def _one_based(seq) -> list[int]:
-    return [i + 1 for i in seq]
 
 
 def symmetry_report(fan: Fan) -> dict:

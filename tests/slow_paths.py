@@ -3,11 +3,15 @@
 differential oracles.
 
 Unlike ``oracles.py`` these reuse some of the library's exact primitives
-(kernels, Smith forms, the lineality quotient, ``Fan.is_cone``); what they
-keep is the original search: every corank-one generator subset for a dual,
-one kernel per facet for the rays of a split dual, every independent
-generator subset for a Hilbert basis, and every ray subset for the
-discriminant.  They also keep the original arithmetic: the
+(kernels, Smith forms, the lineality quotient); what they keep is the
+original search: every corank-one generator subset for a dual, one kernel
+per facet for the rays of a split dual, every independent generator subset
+for a Hilbert basis, and every ray subset for the discriminant.
+``slow_is_cone``, ``slow_fan_cones`` and ``slow_fan_error`` are the fan
+checks from before the ray-incidence index: a scan of the maximal cones per
+query, 2^k index masks per maximal cone, and the pairwise containment loop
+and facet-count dict of the constructor.  ``slow_rank2_start`` takes the
+rank-2 Bezout pair from a Hermite form.  They also keep the original arithmetic: the
 parallelepiped enumeration by ``Fraction`` solves, the cross-multiplying
 rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
 ``toriq.cones.hilbert_basis`` with both searches and the old parallelepiped
@@ -37,10 +41,11 @@ from toriq.cones import (
     fan_cone,
     hilbert_basis,
 )
-from toriq.errors import DomainError
+from toriq.errors import DomainError, FanValidationError
 from toriq.homogeneous import HomogeneousPoint
 from toriq.intlinalg import (
     IntMatrix,
+    _hermite,
     _negate_row,
     _row_sub,
     _swap_rows,
@@ -182,6 +187,91 @@ def slow_hilbert_basis(cone: RationalCone) -> tuple:
 def slow_affine_fiber_rank(fan, indices) -> int:
     """Size of the Hilbert basis of the dual of a fan cone, built in full."""
     return hilbert_basis(dual_cone(fan_cone(fan, indices))).rank_r
+
+
+def slow_rank2_start(u, w) -> tuple:
+    """``cones._rank2_start`` with the Bezout pair of u read off the row
+    Hermite form of the column u."""
+    det = u[0] * w[1] - u[1] * w[0]
+    sign = 1 if det > 0 else -1
+    d = abs(det)
+    bezout = [[1, 0], [0, 1]]
+    _hermite([[u[0]], [u[1]]], bezout)
+    x, y = bezout[0]
+    e = (-sign * y, sign * x)
+    c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
+    t = -(-c // d)
+    return (e[0] + t * u[0], e[1] + t * u[1]), c - d * t, d
+
+
+def slow_is_cone(fan, indices) -> bool:
+    """Is some maximal cone a superset of the listed rays?"""
+    s = frozenset(indices)
+    for i in s:
+        if not (0 <= i < fan.n_rays):
+            raise FanValidationError(f"ray index {i + 1} out of range")
+    return any(s <= set(c) for c in fan.maximal_cones)
+
+
+def slow_fan_cones(fan) -> tuple:
+    """Every face of every maximal cone, one per index mask, deduplicated and
+    sorted like ``Fan.cones``."""
+    found = set()
+    for cone in fan.maximal_cones:
+        k = len(cone)
+        for mask in range(1 << k):
+            found.add(tuple(cone[i] for i in range(k) if mask >> i & 1))
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def slow_fan_error(lattice_rank, rays, maximal_cones, complete=False):
+    """The first message the ``Fan`` constructor's maximal-cone checks raise,
+    or None; the rays must pass the ray checks.  Containment is tested over
+    every ordered pair of cones, and facets are counted in a dict."""
+    seen = set()
+    for k, cone in enumerate(maximal_cones):
+        if not cone:
+            return f"maximal_cones[{k + 1}]: empty cone"
+        if tuple(sorted(set(cone))) != tuple(cone):
+            return f"maximal_cones[{k + 1}]: indices must be sorted and distinct"
+        for i in cone:
+            if not (0 <= i < len(rays)):
+                return f"maximal_cones[{k + 1}]: ray index {i + 1} out of range"
+        if cone in seen:
+            return f"maximal_cones[{k + 1}]: duplicate cone"
+        seen.add(cone)
+        if slow_rank(IntMatrix.from_rows([rays[i] for i in cone], lattice_rank)) != len(cone):
+            return (
+                f"maximal_cones[{k + 1}]: generators are linearly dependent "
+                "(only simplicial cones are supported)"
+            )
+    for a in maximal_cones:
+        for b in maximal_cones:
+            if a != b and set(a) <= set(b):
+                return f"maximal_cones: cone {[i + 1 for i in a]} is contained in {[i + 1 for i in b]}"
+    used = {i for cone in maximal_cones for i in cone}
+    for i in range(len(rays)):
+        if i not in used:
+            return f"rays[{i + 1}]: ray is not used by any cone"
+    if not complete:
+        return None
+    if slow_rank(IntMatrix.from_rows(rays, lattice_rank)) != lattice_rank:
+        return "complete: rays of a complete fan must span the lattice"
+    for k, cone in enumerate(maximal_cones):
+        if len(cone) != lattice_rank:
+            return f"complete: maximal_cones[{k + 1}] is not full-dimensional"
+    facet_count = {}
+    for cone in maximal_cones:
+        for drop in cone:
+            facet = tuple(i for i in cone if i != drop)
+            facet_count[facet] = facet_count.get(facet, 0) + 1
+    for facet, count in facet_count.items():
+        if count != 2:
+            return (
+                f"complete: facet {[i + 1 for i in facet]} lies in {count} maximal cones, "
+                "expected exactly 2"
+            )
+    return None
 
 
 def _saturation_basis(vectors, rank):
@@ -459,7 +549,7 @@ def slow_discriminant_locus(fan) -> tuple:
         for subset in combinations(range(n), size):
             if any(set(t) <= set(subset) for t in minimal):
                 continue
-            if not fan.is_cone(subset):
+            if not slow_is_cone(fan, subset):
                 minimal.append(subset)
     return tuple(sorted(minimal, key=lambda t: (len(t), t)))
 

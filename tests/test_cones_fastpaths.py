@@ -16,6 +16,7 @@ from slow_paths import (
     slow_hilbert_basis,
     slow_lineality_basis,
     slow_parallelepiped_points,
+    slow_rank2_start,
     slow_split_rays,
 )
 from toriq import catalog, cones as cones_module
@@ -24,6 +25,7 @@ from toriq.cones import (
     _kernel_columns,
     _lineality_quotient,
     _parallelepiped_points,
+    _rank2_start,
     _smith_rays,
     affine_fiber_rank,
     dual_cone,
@@ -317,6 +319,23 @@ def _hirzebruch_jung(d, k):
         if x == b:
             return out
         x = 1 / (b - x)
+
+
+def test_rank2_start_matches_hermite_bezout_pair():
+    """The modular-inverse Bezout pair against the Hermite-form one, on every
+    primitive u and nonzero w with entries in [-6, 6] (u1 = 0 and |u1| = 1
+    among them) and on random 64-bit pairs."""
+    box = [v for v in product(range(-6, 7), repeat=2) if any(v)]
+    rng = random.Random(SEED)
+    big = [tuple(rng.randint(-2**64, 2**64) for _ in range(4)) for _ in range(2000)]
+    pairs = [(u, w) for u in box if gcd(*u) == 1 for w in box]
+    pairs += [(primitive(v[:2]), v[2:]) for v in big if any(v[:2])]
+    checked = 0
+    for u, w in pairs:
+        if u[0] * w[1] - u[1] * w[0]:
+            assert _rank2_start(u, w) == slow_rank2_start(u, w), (u, w)
+            checked += 1
+    assert checked > 10000
 
 
 def test_rank2_basis_size_is_hirzebruch_jung_length():

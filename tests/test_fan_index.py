@@ -1,0 +1,135 @@
+"""The fan's ray-incidence index against the scans it replaced
+(``slow_paths.py``): cone membership on every ray subset, the face list,
+and the first validation message of seeded broken fans; plus a bound on
+what building a fan and asking about one small cone may cost."""
+
+import random
+import time
+from itertools import chain, combinations, product
+
+import pytest
+
+from slow_paths import slow_fan_cones, slow_fan_error, slow_is_cone
+from toriq import catalog
+from toriq.cones import affine_fiber_rank
+from toriq.errors import FanValidationError
+from toriq.fans import Fan, build_fan
+from toriq.intlinalg import IntMatrix, primitive
+
+SEED = 20261018
+
+
+def _cp1_power(k):
+    """(cp^1)^k: rays ±e_i, one maximal cone per choice of signs."""
+    rays = [tuple(s * int(i == j) for j in range(k)) for i in range(k) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=k)]
+    return build_fan(k, rays, cones, complete=True, name=f"cp1^{k}")
+
+
+def _random_ray(rng, rank):
+    while True:
+        v = tuple(rng.randint(-4, 4) for _ in range(rank))
+        if any(v):
+            return primitive(v)
+
+
+def _random_fan(rng):
+    """A fan on at most 9 random primitive rays in rank 2-4 whose maximal
+    cones are random independent ray subsets of mixed sizes."""
+    while True:
+        rank = rng.randint(2, 4)
+        rays = sorted({_random_ray(rng, rank) for _ in range(rng.randint(3, 9))})
+        found = set()
+        for _ in range(rng.randint(1, 8)):
+            cone = tuple(sorted(rng.sample(range(len(rays)), rng.randint(1, min(rank, len(rays))))))
+            if IntMatrix.from_rows([rays[i] for i in cone], rank).rank() == len(cone):
+                found.add(cone)
+        maximal = [c for c in found if not any(set(c) < set(d) for d in found)]
+        if maximal:
+            used = sorted({i for c in maximal for i in c})
+            new = {old: j for j, old in enumerate(used)}
+            return build_fan(rank, [rays[i] for i in used], [[new[i] for i in c] for c in maximal])
+
+
+def _complete_fans():
+    fans = list(catalog.shipped_fans().values())
+    fans += [catalog.projective_space(m) for m in range(1, 5)]
+    fans += [_cp1_power(k) for k in range(1, 6)]
+    fans += [catalog.weighted_plane(n) for n in (1, 4, 7, 50)]
+    return fans
+
+
+def _corpus():
+    rng = random.Random(SEED)
+    return _complete_fans() + [_random_fan(rng) for _ in range(60)]
+
+
+def test_is_cone_and_cones_match_slow_paths():
+    fans = _corpus()
+    assert any(len({len(c) for c in f.maximal_cones}) > 1 for f in fans)
+    assert max(f.n_rays for f in fans) == 10
+    for fan in fans:
+        assert fan.cones() == slow_fan_cones(fan), fan
+        assert fan.cones() is fan.cones()
+        rays = range(fan.n_rays)
+        for subset in chain.from_iterable(combinations(rays, r) for r in range(fan.n_rays + 1)):
+            assert fan.is_cone(subset) == slow_is_cone(fan, subset), (fan, subset)
+            # unsorted, with a repeat
+            shuffled = subset[::-1] + subset[:1]
+            assert fan.is_cone(shuffled) == slow_is_cone(fan, shuffled), (fan, shuffled)
+
+
+def _broken_fans(rng, count):
+    """(lattice_rank, rays, maximal cones, complete) of fans each broken one
+    way, the maximal cones in random order: a cone dropped from a complete
+    fan, a face added as a maximal cone, a duplicate cone, or a third cone
+    on one facet of a complete fan through a new ray."""
+    complete = _complete_fans()
+    sources = complete + [_random_fan(rng) for _ in range(40)]
+    for _ in range(count):
+        kind = rng.choice(["drop", "face", "duplicate", "third"])
+        fan = rng.choice(complete if kind in ("drop", "third") else sources)
+        rays, cones = list(fan.rays), list(fan.maximal_cones)
+        if kind == "drop":
+            cones.pop(rng.randrange(len(cones)))
+        elif kind == "face":
+            cone = rng.choice([c for c in cones if len(c) > 1] or cones)
+            cones.append(tuple(sorted(rng.sample(cone, rng.randint(1, max(1, len(cone) - 1))))))
+        elif kind == "duplicate":
+            cones.append(rng.choice(cones))
+        elif fan.lattice_rank > 1:
+            cone = rng.choice(cones)
+            facet = tuple(i for i in cone if i != rng.choice(cone))
+            new = _random_ray(rng, fan.lattice_rank)
+            while new in rays:
+                new = _random_ray(rng, fan.lattice_rank)
+            rays.append(new)
+            cones.append(facet + (len(rays) - 1,))
+        rng.shuffle(cones)
+        yield fan.lattice_rank, rays, cones, fan.complete
+
+
+def test_first_validation_message_matches_slow_path():
+    rng = random.Random(SEED + 1)
+    messages = []
+    for rank, rays, cones, complete in _broken_fans(rng, 600):
+        expected = slow_fan_error(rank, rays, cones, complete)
+        if expected is None:
+            Fan(rank, rays, cones, complete)
+            continue
+        with pytest.raises(FanValidationError) as exc:
+            Fan(rank, rays, cones, complete)
+        assert str(exc.value) == expected, (rank, rays, cones, complete)
+        messages.append(expected)
+    for part in ("duplicate cone", "is contained in", "lies in 1 ", "lies in 3 ", "not used"):
+        assert any(part in m for m in messages), part
+
+
+def test_one_40_ray_cone_is_cheap():
+    """A face set built with the fan would hold 2^40 faces."""
+    start = time.perf_counter()
+    rays = [tuple(int(i == j) for j in range(40)) for i in range(40)]
+    fan = Fan(40, rays, [tuple(range(40))])
+    assert fan.is_cone((0, 1))
+    assert affine_fiber_rank(fan, (0, 1)) == 78
+    assert time.perf_counter() - start < 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from toriq import catalog
 from toriq.errors import FanValidationError
-from toriq.fans import build_fan, fan_from_dict, fan_to_dict, load_fan
+from toriq.fans import Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
 from toriq.intlinalg import IntMatrix
 
 
@@ -68,18 +68,57 @@ def test_completeness_necessary_conditions():
     build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]])
 
 
+CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, [(1,)], [()]), "maximal_cones[1]: empty cone"),
+        ((2, [(1, 0), (0, 1)], [(1, 0)]), "maximal_cones[1]: indices must be sorted and distinct"),
+        ((2, [(1, 0), (0, 1)], [(0, 0, 1)]), "maximal_cones[1]: indices must be sorted and distinct"),
+        ((1, [(1,), (-1,)], [(0,), (1,), (0,)]), "maximal_cones[3]: duplicate cone"),
+        # the lowest-index other cone holding it is named
+        ((2, CP2_RAYS, [(0,), (0, 1), (0, 2)]), "maximal_cones: cone [1] is contained in [1, 2]"),
+        ((2, CP2_RAYS, [(0, 1), (1, 2), (1,)]), "maximal_cones: cone [2] is contained in [1, 2]"),
+        ((2, CP2_RAYS, [(0, 1), (2,)], True), "complete: maximal_cones[2] is not full-dimensional"),
+        ((2, [(1, 0), (-1, 0)], [(0,), (1,)], True), "complete: rays of a complete fan must span the lattice"),
+        (
+            (2, CP2_RAYS, [(0, 1), (1, 2)], True),
+            "complete: facet [1] lies in 1 maximal cones, expected exactly 2",
+        ),
+        (
+            (2, CP2_RAYS + [(-1, 1)], [(0, 1), (1, 2), (0, 2), (1, 3)], True),
+            "complete: facet [2] lies in 3 maximal cones, expected exactly 2",
+        ),
+    ],
+)
+def test_constructor_messages(args, message):
+    # Fan(...) directly: build_fan would sort the cones and their indices
+    with pytest.raises(FanValidationError) as exc:
+        Fan(*args)
+    assert str(exc.value) == message
+
+
 def test_is_cone_product_fan():
     fan = catalog.product_of_lines()
     # rays 1,2 are opposite: no cone; 1,3 span a quadrant
     assert not fan.is_cone({0, 1})
     assert fan.is_cone(set())
     assert fan.is_cone({0, 2})
+    # unsorted and repeated indices
+    assert fan.is_cone((2, 0))
+    assert fan.is_cone((0, 0, 2))
+    assert not fan.is_cone((1, 0, 1))
 
 
 def test_is_cone_index_validation():
     fan = catalog.projective_line()
-    with pytest.raises(FanValidationError):
-        fan.is_cone({7})
+    for indices, message in [({7}, "ray index 8 out of range"), ((0, 2), "ray index 3 out of range"),
+                             ((-1,), "ray index 0 out of range")]:
+        with pytest.raises(FanValidationError) as exc:
+            fan.is_cone(indices)
+        assert str(exc.value) == message
 
 
 def test_fan_cones_cp1():
