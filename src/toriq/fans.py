@@ -12,6 +12,10 @@ set of maximal cones holding them all, which decides ``is_cone``, the
 containment of one maximal cone in another, the facet count of a complete
 fan and the unused-ray check.  Only ``cones()`` lists faces, once per fan.
 
+``ray_lattice()`` takes one Hermite pass over the rays on first use and
+keeps it, like the face list.  The constructor checks ranks by Bareiss
+elimination and never takes that pass.
+
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
 exactly two maximal cones); a full covering check of the ambient space is
@@ -26,7 +30,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import DomainError, FanValidationError
-from .intlinalg import IntMatrix, IntVector, primitive
+from .intlinalg import IntMatrix, IntVector, _bareiss, hermite_and_left_kernel, primitive
 
 ConeRef = tuple[int, ...]
 
@@ -39,6 +43,7 @@ class Fan:
     complete: bool = False
     name: str | None = field(default=None, compare=False)
     _cones = None  # not a field; see cones
+    _lattice = None  # not a field; see ray_lattice
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(v) for v in self.rays))
@@ -81,8 +86,7 @@ class Fan:
             if cone in seen:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: duplicate cone")
             seen.add(cone)
-            mat = IntMatrix.from_rows([self.rays[i] for i in cone], self.lattice_rank)
-            if mat.rank() != len(cone):
+            if _bareiss([self.rays[i] for i in cone], rank)[0] != len(cone):
                 raise FanValidationError(
                     f"maximal_cones[{k + 1}]: generators are linearly dependent "
                     "(only simplicial cones are supported)"
@@ -103,7 +107,7 @@ class Fan:
 
     def _check_completeness_necessary(self):
         n = self.lattice_rank
-        if self.ray_matrix().rank() != n:
+        if _bareiss(self.rays, n)[0] != n:
             raise FanValidationError("complete: rays of a complete fan must span the lattice")
         for k, cone in enumerate(self.maximal_cones):
             if len(cone) != n:
@@ -126,7 +130,14 @@ class Fan:
 
     def ray_matrix(self) -> IntMatrix:
         """Rows are the primitive ray generators."""
-        return IntMatrix.from_rows(self.rays, self.lattice_rank)
+        return IntMatrix._trusted(self.rays, self.lattice_rank)
+
+    def ray_lattice(self) -> tuple[IntMatrix, IntMatrix]:
+        """``hermite_and_left_kernel`` of the ray matrix: its Hermite form
+        and the canonical basis of the relations among the rays."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", hermite_and_left_kernel(self.ray_matrix()))
+        return self._lattice
 
     def _holders(self, indices) -> int:
         """Bit k is set when maximal cone k holds every listed ray."""

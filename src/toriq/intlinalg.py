@@ -8,7 +8,9 @@ this module.
 
 Both normal forms clear columns with one gcd step, ``_clear_column``.
 ``_hermite`` repeats its row operations on a matrix T; from the identity,
-T ends as the unimodular inverse.
+T ends as the transform ``T @ a == H``, which gives the unimodular inverse
+and, in ``hermite_and_left_kernel``, the rank, the row lattice and the
+left kernel from one pass.
 """
 
 from __future__ import annotations
@@ -342,21 +344,41 @@ def column_hermite_form(a: IntMatrix) -> IntMatrix:
     return row_hermite_form(a.transpose()).transpose()
 
 
+def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite form H of ``a`` and the canonical basis K of its left
+    kernel ``{x : x @ a = 0}``, as matrix rows, from one Hermite pass.
+
+    T is unimodular, so the rows of T opposite H's zero rows are a basis of
+    the (saturated) left kernel; their own Hermite form makes it canonical
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.3).
+    H has one row per unit of rank, as in ``row_hermite_form``.
+    """
+    m = a.rows
+    A = [list(row) for row in a.entries]
+    T = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = _hermite(A, T)
+    K = T[r:]
+    _hermite(K, [[] for _ in K])
+    return (
+        IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols),
+        IntMatrix._trusted(tuple(map(tuple, K)), m),
+    )
+
+
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Saturated integer basis of ``{c : a @ c = 0}``, as matrix columns.
 
-    The basis comes from the unimodular right factor of the Smith form, so
-    the column span equals its saturation; columns are then put in Hermite
-    form so repeated runs are bit-identical.
+    The left kernel of the transpose, in canonical Hermite form, so
+    repeated runs are bit-identical.
     """
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
-    _, d, v = smith_normal_form(a)
-    return _smith_kernel(d, v)
+    return hermite_and_left_kernel(a.transpose())[1].transpose()
 
 
 def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
-    """``integer_kernel`` read off a Smith form ``U @ a @ V == D``.
+    """``integer_kernel`` read off a Smith form ``U @ a @ V == D`` the
+    caller already holds.
 
     The columns of V past the nonzero diagonal entries are a saturated
     kernel basis; their column Hermite form makes it canonical.
@@ -366,28 +388,6 @@ def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
     return column_hermite_form(
         IntMatrix._trusted(tuple(row[rank:] for row in v.entries), n - rank)
     )
-
-
-def solve_integer(a: IntMatrix, b) -> IntVector | None:
-    """One integer solution of ``a @ x = b``, or ``None`` if none exists."""
-    if a.is_empty:
-        raise DomainError("solve_integer requires a nonempty matrix")
-    if len(b) != a.rows:
-        raise DomainError("right-hand side length mismatch")
-    u, d, v = smith_normal_form(a)
-    c = u.mat_vec(tuple(b))
-    m, n = a.rows, a.cols
-    y = [0] * n
-    for i in range(m):
-        di = d.entries[i][i] if i < min(m, n) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return v.mat_vec(tuple(y))
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

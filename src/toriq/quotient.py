@@ -2,12 +2,15 @@
 discriminant locus, fan symmetry, and the automorphism presentation of the
 profinite completion.
 
-The charge matrix Q is the canonical integer kernel basis of the transpose
-ray matrix, so its columns span the relations sum_i Q[i][j] * v_i = 0 among
-the primitive ray generators.  The quotient group G (kernel of the
-evaluation map from the big torus to the lattice torus) is read off the
-Smith form of the ray matrix: free rank ``n_rays - lattice_rank`` plus one
-finite cyclic factor per invariant factor exceeding 1.
+The charge matrix and the quotient group come from one Hermite reduction
+T @ M = H of the ray matrix M per fan (``Fan.ray_lattice``; Cox, J.
+Algebraic Geom. 4 (1995)); the rays span when H is square.  The charge
+matrix Q is the canonical basis of the rows of T opposite H's zero rows,
+transposed, so its columns span the relations sum_i Q[i][j] * v_i = 0
+among the primitive ray generators.  The quotient group G (kernel of the
+evaluation map from the big torus to the lattice torus) has free rank
+``n_rays - lattice_rank`` plus one finite cyclic factor per invariant
+factor of H (equal to those of M) exceeding 1.
 
 The fan symmetry is computed as the ray permutations fixing every row of Q
 and preserving the discriminant antichain.  Row equality reproduces the
@@ -26,7 +29,7 @@ from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
 from .fans import Fan, _one_based
-from .intlinalg import IntMatrix, integer_kernel, smith_normal_form
+from .intlinalg import IntMatrix, smith_normal_form
 
 Permutation = tuple[int, ...]  # one-line form: i -> perm[i]
 
@@ -102,31 +105,29 @@ class AutPresentation:
         return f"{self.finite_part.structure_name} x| (C*_Q)^{self.solenoidal_torus_rank}"
 
 
-def _ray_matrix_checked(fan: Fan) -> IntMatrix:
-    mat = fan.ray_matrix()
-    if mat.rank() != fan.lattice_rank:
+def _spanning_lattice(fan: Fan) -> tuple[IntMatrix, IntMatrix]:
+    """``fan.ray_lattice()``, once its Hermite form shows the rays span."""
+    h, k = fan.ray_lattice()
+    if h.rows != fan.lattice_rank:
         raise TorusFactorError(
             "fan has a torus factor (rays do not span the lattice); "
             "the homogeneous quotient presentation does not apply"
         )
-    return mat
+    return h, k
 
 
 @lru_cache(maxsize=None)
 def charge_matrix(fan: Fan) -> ChargeMatrix:
     """Canonical relation matrix among the primitive ray generators."""
-    mat = _ray_matrix_checked(fan)
-    kernel = integer_kernel(mat.transpose())
-    return ChargeMatrix(kernel)
+    return ChargeMatrix(_spanning_lattice(fan)[1].transpose())
 
 
 @lru_cache(maxsize=None)
 def group_structure(fan: Fan) -> QuotientGroupStructure:
     """Free rank and invariant factors of the quotient group."""
-    mat = _ray_matrix_checked(fan)
-    _, d, _ = smith_normal_form(mat)
-    k = min(d.rows, d.cols)
-    torsion = tuple(d.entries[i][i] for i in range(k) if d.entries[i][i] > 1)
+    h, _ = _spanning_lattice(fan)
+    _, d, _ = smith_normal_form(h)
+    torsion = tuple(d.entries[i][i] for i in range(h.rows) if d.entries[i][i] > 1)
     return QuotientGroupStructure(fan.n_rays - fan.lattice_rank, torsion)
 
 

@@ -24,7 +24,13 @@ cone and takes its length, where ``affine_fiber_rank`` counts from the rays.
 solves one integer system per prime.  ``slow_smith_normal_form`` and
 ``slow_row_hermite_form`` are the normal forms from before they shared one
 gcd step: each clears columns with its own loop, and Smith's column
-operations run over every row.
+operations run over every row.  ``slow_integer_kernel``,
+``slow_charge_matrix`` and ``slow_group_structure`` are the lattice data
+from before one Hermite pass gave them all: the kernel from a Smith form
+and a column Hermite form, the charge matrix as the kernel of the
+transposed ray matrix, and the group from a second Smith form of the ray
+matrix itself.  ``solve_integer`` solves an integer system through a Smith
+form; the library no longer needs one.
 """
 
 from __future__ import annotations
@@ -41,20 +47,20 @@ from toriq.cones import (
     fan_cone,
     hilbert_basis,
 )
-from toriq.errors import DomainError, FanValidationError
+from toriq.errors import DomainError, FanValidationError, TorusFactorError
 from toriq.homogeneous import HomogeneousPoint
 from toriq.intlinalg import (
     IntMatrix,
     _hermite,
     _negate_row,
     _row_sub,
+    _smith_kernel,
     _swap_rows,
     dot,
     primitive,
     smith_normal_form,
-    solve_integer,
 )
-from toriq.quotient import charge_matrix
+from toriq.quotient import ChargeMatrix, QuotientGroupStructure, charge_matrix
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -540,6 +546,38 @@ def slow_inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(inv), n)
 
 
+def slow_integer_kernel(a: IntMatrix) -> IntMatrix:
+    """Saturated kernel columns from the right factor of a Smith form, in
+    column Hermite form."""
+    if a.is_empty:
+        raise DomainError("integer_kernel requires a nonempty matrix")
+    _, d, v = smith_normal_form(a)
+    return _smith_kernel(d, v)
+
+
+def _slow_ray_matrix_checked(fan) -> IntMatrix:
+    mat = IntMatrix.from_rows(fan.rays, fan.lattice_rank)
+    if mat.rank() != fan.lattice_rank:
+        raise TorusFactorError(
+            "fan has a torus factor (rays do not span the lattice); "
+            "the homogeneous quotient presentation does not apply"
+        )
+    return mat
+
+
+def slow_charge_matrix(fan) -> ChargeMatrix:
+    """The integer kernel of the transposed ray matrix, by Smith form."""
+    return ChargeMatrix(slow_integer_kernel(_slow_ray_matrix_checked(fan).transpose()))
+
+
+def slow_group_structure(fan) -> QuotientGroupStructure:
+    """Invariant factors from the Smith form of the n x r ray matrix."""
+    _, d, _ = smith_normal_form(_slow_ray_matrix_checked(fan))
+    k = min(d.rows, d.cols)
+    torsion = tuple(d.entries[i][i] for i in range(k) if d.entries[i][i] > 1)
+    return QuotientGroupStructure(fan.n_rays - fan.lattice_rank, torsion)
+
+
 def slow_discriminant_locus(fan) -> tuple:
     """Minimal ray subsets generating no cone, by an ascending-cardinality
     scan over all 2^n ray subsets, sorted like ``discriminant_locus``."""
@@ -573,6 +611,28 @@ def _valuations(x: Fraction) -> dict[int, int]:
     for p, e in _prime_factors(x.denominator).items():
         vals[p] = vals.get(p, 0) - e
     return {p: e for p, e in vals.items() if e}
+
+
+def solve_integer(a: IntMatrix, b) -> tuple | None:
+    """One integer solution of ``a @ x = b``, or ``None`` if none exists."""
+    if a.is_empty:
+        raise DomainError("solve_integer requires a nonempty matrix")
+    if len(b) != a.rows:
+        raise DomainError("right-hand side length mismatch")
+    u, d, v = smith_normal_form(a)
+    c = u.mat_vec(tuple(b))
+    m, n = a.rows, a.cols
+    y = [0] * n
+    for i in range(m):
+        di = d.entries[i][i] if i < min(m, n) else 0
+        if di == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % di != 0:
+                return None
+            y[i] = c[i] // di
+    return v.mat_vec(tuple(y))
 
 
 def slow_same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:

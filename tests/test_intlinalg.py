@@ -16,6 +16,7 @@ from slow_paths import (
     slow_rank,
     slow_row_hermite_form,
     slow_smith_normal_form,
+    solve_integer,
 )
 from test_cones_fastpaths import corpus_fans
 from toriq import cones, intlinalg
@@ -36,7 +37,6 @@ from toriq.intlinalg import (
     primitive,
     row_hermite_form,
     smith_normal_form,
-    solve_integer,
 )
 
 matrices = st.integers(1, 6).flatmap(

@@ -1,0 +1,181 @@
+"""One Hermite pass per ray lattice against the Smith-form routes it
+replaced (``slow_paths.py``): integer kernels of random matrices, charge
+matrices, torsion factors and the torus-factor error on a wide fan corpus;
+plus counts of the passes that ``quotient_report``, ``load_fan`` and
+``delzant_report`` run."""
+
+import json
+import random
+from itertools import chain
+
+import pytest
+
+from slow_paths import slow_charge_matrix, slow_group_structure, slow_integer_kernel
+from test_discriminant_fastpath import cp3_blowup, polygon_fan, product_fan
+from test_fan_index import SEED, _cp1_power, _random_fan
+from toriq import catalog, fans, intlinalg, quotient
+from toriq.errors import TorusFactorError
+from toriq.fans import build_fan, fan_to_dict, load_fan
+from toriq.intlinalg import (
+    IntMatrix,
+    hermite_and_left_kernel,
+    integer_kernel,
+    row_hermite_form,
+)
+from toriq.moment import delzant_report, face_lattice
+from toriq.quotient import charge_matrix, group_structure, quotient_report
+
+QUOTIENT_CACHES = (
+    quotient.charge_matrix,
+    quotient.group_structure,
+    quotient.discriminant_locus,
+    quotient.fan_symmetry,
+    quotient.aut_presentation,
+)
+
+
+def _random_matrix(rng, index):
+    """An m x n matrix, 1 <= m <= 6 and 1 <= n <= 9, with entries up to
+    2^70 in size; some are products through a smaller inner dimension
+    (rank-deficient), and some have a zeroed row or column."""
+    m, n = rng.randint(1, 6), rng.randint(1, 9)
+    bound = rng.choice([1, 3, 100, 2**20, 2**70])
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    if index % 3 == 0:
+        k = rng.randint(0, min(m, n) - 1)
+        left = IntMatrix.from_rows([r[:k] for r in rows], k)
+        right = IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)], n
+        )
+        rows = [list(r) for r in (left @ right).entries]
+    if index % 4 == 0:
+        rows[rng.randrange(m)] = [0] * n
+    if index % 5 == 0:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return IntMatrix.from_rows(rows, n)
+
+
+def test_integer_kernel_matches_smith_route_on_random_matrices():
+    rng = random.Random(SEED)
+    inputs = [_random_matrix(rng, i) for i in range(600)]
+    assert sum(a.rank() < min(a.rows, a.cols) for a in inputs) >= 200
+    assert max(abs(x) for a in inputs for row in a.entries for x in row) > 2**69
+    for a in inputs:
+        assert integer_kernel(a) == slow_integer_kernel(a), a
+        h, k = hermite_and_left_kernel(a)
+        assert h == row_hermite_form(a), a
+        assert k.transpose() == slow_integer_kernel(a.transpose()), a
+
+
+def test_hermite_and_left_kernel_on_empty_shapes():
+    h, k = hermite_and_left_kernel(IntMatrix(((),) * 3, 0))
+    assert (h.rows, h.cols) == (0, 0)
+    assert k == IntMatrix.identity(3)
+    h, k = hermite_and_left_kernel(IntMatrix((), 4))
+    assert (h.rows, h.cols, k.rows, k.cols) == (0, 4, 0, 0)
+
+
+def _lattice_corpus():
+    rng = random.Random(SEED)
+    out = list(catalog.shipped_fans().values())
+    out += [catalog.projective_space(m) for m in range(1, 6)]
+    out += [_cp1_power(k) for k in range(1, 6)]
+    out += [product_fan(d) for d in ((1, 2), (2, 2), (1, 1, 2), (1, 3))]
+    out += [catalog.weighted_plane(n) for n in (1, 2, 4, 7, 50, 700, 2600)]
+    out += [catalog.hirzebruch(n) for n in (1, 3, 10)]
+    out += [polygon_fan(rng, n) for n in chain(range(3, 15), range(3, 15))]
+    out += [cp3_blowup(rng, n) for n in range(0, 12)]
+    out += [_random_fan(rng) for _ in range(60)]
+    # torus factors: every ray in the first rank - 1 coordinates
+    out += [build_fan(rank, [tuple(int(i == j) for j in range(rank)) for i in range(rank - 1)],
+                      [list(range(rank - 1))]) for rank in range(2, 6)]
+    out.append(_non_spanning_fan())
+    return out
+
+
+def _non_spanning_fan():
+    return build_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [[0, 1], [1, 2], [0, 2]])
+
+
+def _lattice_data(charge, group, fan):
+    try:
+        return charge(fan).matrix, group(fan)
+    except TorusFactorError as exc:
+        return str(exc)
+
+
+def test_charge_matrix_and_group_match_smith_routes():
+    corpus = _lattice_corpus()
+    for f in QUOTIENT_CACHES:
+        f.cache_clear()
+    results = [_lattice_data(charge_matrix, group_structure, fan) for fan in corpus]
+    expected = [_lattice_data(slow_charge_matrix, slow_group_structure, fan) for fan in corpus]
+    for fan, got, want in zip(corpus, results, expected):
+        assert got == want, fan
+    assert sum(isinstance(r, str) for r in results) >= 10
+    assert any(not isinstance(r, str) and r[1].has_torsion for r in results)
+
+
+def test_non_spanning_fan_raises_the_same_message_from_both_functions():
+    fan = _non_spanning_fan()
+    with pytest.raises(TorusFactorError) as slow:
+        slow_charge_matrix(fan)
+    for f in (charge_matrix, group_structure, slow_group_structure):
+        with pytest.raises(TorusFactorError) as exc:
+            f(fan)
+        assert str(exc.value) == str(slow.value)
+    assert "rays do not span the lattice" in str(slow.value)
+
+
+def _count_passes(monkeypatch):
+    """Count lattice passes wherever the library takes one and record the
+    shape of every Smith-form input."""
+    passes, smith_shapes = [], []
+
+    def counted(f):
+        return lambda a: passes.append((a.rows, a.cols)) or f(a)
+
+    def recorded(f):
+        return lambda a: smith_shapes.append((a.rows, a.cols)) or f(a)
+
+    monkeypatch.setattr(fans, "hermite_and_left_kernel", counted(fans.hermite_and_left_kernel))
+    monkeypatch.setattr(intlinalg, "hermite_and_left_kernel",
+                        counted(intlinalg.hermite_and_left_kernel))
+    for module in (intlinalg, quotient):
+        monkeypatch.setattr(module, "smith_normal_form", recorded(module.smith_normal_form))
+    for f in QUOTIENT_CACHES:
+        f.cache_clear()
+    return passes, smith_shapes
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.projective_space(3),
+    lambda: catalog.weighted_plane(7),
+    lambda: cp3_blowup(random.Random(SEED), 6),
+])
+def test_quotient_report_takes_one_lattice_pass(monkeypatch, make):
+    fan = make()
+    passes, smith_shapes = _count_passes(monkeypatch)
+    quotient_report(fan)
+    assert passes == [(fan.n_rays, fan.lattice_rank)]
+    assert (fan.n_rays, fan.lattice_rank) not in smith_shapes
+    assert smith_shapes == [(fan.lattice_rank, fan.lattice_rank)]
+    quotient_report(fan)
+    for f in QUOTIENT_CACHES:
+        f.cache_clear()
+    quotient_report(fan)
+    assert len(passes) == 1
+
+
+def test_loading_a_fan_for_delzant_takes_no_lattice_pass(monkeypatch, tmp_path):
+    fan = cp3_blowup(random.Random(SEED), 4)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan_to_dict(fan)))
+    passes, _ = _count_passes(monkeypatch)
+    for loaded in (build_fan(3, fan.rays, fan.maximal_cones, complete=True), load_fan(path)):
+        face_lattice.cache_clear()
+        delzant_report(loaded)
+        assert loaded._lattice is None
+    assert passes == []
