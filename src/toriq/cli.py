@@ -18,7 +18,7 @@ from .cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
 from .errors import DomainError, ExpressionError, InputError, ResourceLimitError
 from .fans import Fan, load_fan
 from .kring import in_level_image, parse_expression, reduce
-from .moment import delzant_report, delzant_svg
+from .moment import delzant_report, delzant_svg, face_lattice
 from .quotient import quotient_report
 from .solenoid import PolarComplex, ProfiniteInt, cover_map, refine, sol_exp, SolenoidPoint
 
@@ -80,8 +80,8 @@ def cmd_analyze(args) -> int:
         for cone in fan.cones()
     ]
     if fan.complete:
-        moment = delzant_report(fan)
-        report["face_lattice"] = {"f_vector": moment["f_vector"], "cusps": moment["cusps"]}
+        lattice = face_lattice(fan)
+        report["face_lattice"] = {"f_vector": list(lattice.f_vector), "cusps": len(lattice.cusps)}
     else:
         report["face_lattice"] = None
     _print(args, report)

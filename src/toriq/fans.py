@@ -10,7 +10,10 @@ operation per (ray, maximal cone) incidence: bit k of ``star[i]`` is set
 when maximal cone k holds ray i.  The AND of the listed rays' masks is the
 set of maximal cones holding them all, which decides ``is_cone``, the
 containment of one maximal cone in another, the facet count of a complete
-fan and the unused-ray check.  Only ``cones()`` lists faces, once per fan.
+fan, the unused-ray check, whether a point's zero pattern lies in the
+discriminant (``homogeneous.in_discriminant``) and whether a ray
+permutation is a fan automorphism (``quotient.fan_symmetry``).  Only
+``cones()`` lists faces, once per fan.
 
 ``ray_lattice()`` takes one Hermite pass over the rays on first use and
 keeps it, like the face list.  The constructor checks ranks by Bareiss

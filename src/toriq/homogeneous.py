@@ -16,19 +16,22 @@ from math import gcd, lcm
 from .errors import DomainError, LevelMismatchError
 from .fans import Fan
 from .intlinalg import IntMatrix, smith_normal_form
-from .quotient import charge_matrix, discriminant_locus
+from .quotient import charge_matrix
 from .solenoid import PolarComplex, _check_level, _integer_root
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
-    """Does the zero-coordinate pattern contain a minimal non-cone subset?"""
+    """Does the zero-coordinate pattern contain a minimal non-cone subset?
+
+    Cones are closed under subsets, so it does exactly when the pattern is
+    no cone itself.
+    """
     coords = tuple(coords)
     if len(coords) != fan.n_rays:
         raise DomainError(
             f"expected {fan.n_rays} coordinates, got {len(coords)}"
         )
-    zero_set = frozenset(i for i, c in enumerate(coords) if c.is_zero)
-    return discriminant_locus(fan).covers(zero_set)
+    return not fan.is_cone(i for i, c in enumerate(coords) if c.is_zero)
 
 
 @dataclass(frozen=True)

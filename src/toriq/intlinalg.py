@@ -1,5 +1,5 @@
-"""Exact integer matrix algebra: Smith normal form, Hermite forms, kernels,
-unimodular inverses.
+"""Exact integer matrix algebra: Smith normal form, the Hermite form,
+kernels, unimodular inverses.
 
 Everything runs on Python's arbitrary-precision integers.  No floating
 point is used anywhere: normal-form intermediates can exceed any fixed
@@ -10,7 +10,9 @@ Both normal forms clear columns with one gcd step, ``_clear_column``.
 ``_hermite`` repeats its row operations on a matrix T; from the identity,
 T ends as the transform ``T @ a == H``, which gives the unimodular inverse
 and, in ``hermite_and_left_kernel``, the rank, the row lattice and the
-left kernel from one pass.
+left kernel from one pass.  That is the one public Hermite entry point;
+``_smith_kernel`` runs ``_hermite`` itself on the kernel columns of a Smith
+form its caller already holds.
 """
 
 from __future__ import annotations
@@ -299,9 +301,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _hermite(A, T) -> int:
-    """Bring A to row Hermite form in place (see ``row_hermite_form``; rows
-    past the rank end zero), repeating every row operation on T, which may
-    have no columns.  Returns the rank."""
+    """Bring A to canonical row Hermite form in place, repeating every row
+    operation on T, which may have no columns.  Returns the rank.
+
+    Echelon with positive pivots; entries above each pivot reduced into
+    ``[0, pivot)``; rows past the rank end zero.  Pivots are chosen from A
+    alone, so T never changes the form.
+    """
     m, n = len(A), len(A[0]) if A else 0
     r = 0
     for c in range(n):
@@ -328,22 +334,6 @@ def _hermite(A, T) -> int:
     return r
 
 
-def row_hermite_form(a: IntMatrix) -> IntMatrix:
-    """Canonical row-style Hermite form (row span preserved).
-
-    Echelon with positive pivots; entries above each pivot reduced into
-    ``[0, pivot)``.  Zero rows are dropped.
-    """
-    A = [list(row) for row in a.entries]
-    r = _hermite(A, [[] for _ in A])
-    return IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols)
-
-
-def column_hermite_form(a: IntMatrix) -> IntMatrix:
-    """Canonical form of the column lattice: Hermite on the transpose."""
-    return row_hermite_form(a.transpose()).transpose()
-
-
 def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite form H of ``a`` and the canonical basis K of its left
     kernel ``{x : x @ a = 0}``, as matrix rows, from one Hermite pass.
@@ -351,7 +341,7 @@ def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     T is unimodular, so the rows of T opposite H's zero rows are a basis of
     the (saturated) left kernel; their own Hermite form makes it canonical
     (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.3).
-    H has one row per unit of rank, as in ``row_hermite_form``.
+    H has one row per unit of rank: its zero rows are dropped.
     """
     m = a.rows
     A = [list(row) for row in a.entries]
@@ -381,13 +371,13 @@ def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
     caller already holds.
 
     The columns of V past the nonzero diagonal entries are a saturated
-    kernel basis; their column Hermite form makes it canonical.
+    kernel basis; the Hermite form of their transpose makes it canonical.
     """
     n = v.cols
     rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
-    return column_hermite_form(
-        IntMatrix._trusted(tuple(row[rank:] for row in v.entries), n - rank)
-    )
+    K = [list(col) for col in zip(*v.entries)][rank:]
+    _hermite(K, [[] for _ in K])
+    return IntMatrix._trusted(tuple(zip(*K)) if K else ((),) * n, n - rank)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -178,16 +178,18 @@ def oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
 
 
 _TERM_RE = re.compile(
-    r"""^\s*
-        (?:(?P<coeff>\d+)\s*\*?\s*)?          # optional integer coefficient
-        (?:
-            (?P<var>x)
-            (?:\^(?:
-                (?P<plain>-?\d+)
-                |\(\s*(?P<num>-?\d+)\s*(?:/\s*(?P<den>\d+)\s*)?\)
-            ))?
-        )?
-    \s*$""",
+    r"""\s*(?P<signs>(?:[+-]\s*)*)          # a run of signs, multiplied out
+        (?P<term>
+            (?:(?P<coeff>\d+)\s*\*?\s*)?    # optional integer coefficient
+            (?:
+                (?P<var>x)
+                (?:\^(?:
+                    (?P<plain>\d+)          # unsigned: x^-2 is no term
+                    |\(\s*(?P<num>-?\d+)\s*(?:/\s*(?P<den>\d+)\s*)?\)
+                ))?
+            )?
+            \s*(?P<rest>[^+-]*)             # what no term allows, up to a sign
+        )""",
     re.VERBOSE,
 )
 
@@ -197,44 +199,29 @@ def parse_expression(text: str) -> FormalSum:
 
     Grammar: signed terms joined by + or -; a term is an optional integer
     coefficient (with optional ``*``), then optionally ``x`` with an
-    optional exponent, written as an integer or as ``(p/q)``.
+    optional exponent, written as an integer or as ``(p/q)``.  A run of
+    signs before a term multiplies out; signs after the last term are
+    ignored.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    chunks: list[tuple[int, str]] = []
     depth = 0
-    sign = 1
-    current: list[str] = []
-    started = False
     for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ExpressionError("unbalanced parentheses")
-        if ch in "+-" and depth == 0:
-            if started and "".join(current).strip():
-                chunks.append((sign, "".join(current)))
-                current = []
-                sign = 1 if ch == "+" else -1
-            elif not "".join(current).strip():
-                sign *= 1 if ch == "+" else -1
-            started = True
-            continue
-        current.append(ch)
-        started = True
-    if depth != 0:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    if depth:
         raise ExpressionError("unbalanced parentheses")
-    if "".join(current).strip():
-        chunks.append((sign, "".join(current)))
-    if not chunks:
-        raise ExpressionError("no terms found")
     terms: list[tuple[Fraction, int]] = []
-    for sgn, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ExpressionError(f"cannot parse term {chunk.strip()!r}")
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        pos = m.end()
+        term = m.group("term").strip()
+        if m.group("rest"):
+            raise ExpressionError(f"cannot parse term {term!r}")
+        if not term:  # only signs were left
+            continue
         # x^(num/den), x^plain, bare x (exponent 1) or a constant (exponent 0)
         bare = "1" if m.group("var") else "0"
         literals = (m.group("coeff") or "1", m.group("plain") or m.group("num") or bare,
@@ -243,10 +230,13 @@ def parse_expression(text: str) -> FormalSum:
             coeff, num, den = map(int, literals)
         except ValueError:  # a literal past sys.get_int_max_str_digits()
             raise ExpressionError(
-                f"term {chunk.strip()[:40]!r}... holds an integer literal past the limit of "
+                f"term {term[:40]!r}... holds an integer literal past the limit of "
                 f"{sys.get_int_max_str_digits()} digits on string-to-integer conversion"
             ) from None
         if den == 0:
-            raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
-        terms.append((Fraction(num, den), sgn * coeff))
+            raise ExpressionError(f"zero denominator in term {term!r}")
+        sign = -1 if m.group("signs").count("-") % 2 else 1
+        terms.append((Fraction(num, den), sign * coeff))
+    if not terms:
+        raise ExpressionError("no terms found")
     return FormalSum.from_terms(terms)

@@ -13,11 +13,15 @@ evaluation map from the big torus to the lattice torus) has free rank
 factor of H (equal to those of M) exceeding 1.
 
 The fan symmetry is computed as the ray permutations fixing every row of Q
-and preserving the discriminant antichain.  Row equality reproduces the
-known symmetry groups of the classical examples; the discriminant filter is
-a no-op on those but guards degenerate inputs.  Whether such permutations
-always preserve the cone structure is checked per input and reported as a
-flag rather than assumed.
+and mapping every maximal cone into a cone, a question the fan's incidence
+index answers per cone.  Such a bijection maps the finite set of cones into
+itself injectively, so it permutes the cones, the maximal cones and the
+discriminant antichain; conversely, permuting the antichain fixes the cones,
+the ray sets holding no antichain member.  Row equality reproduces the
+known symmetry groups of the classical examples; the cone filter is a no-op
+on those but guards degenerate inputs.  So every such permutation preserves
+the maximal cones; the reported flag is computed by the same index test on
+the generators.
 """
 
 from __future__ import annotations
@@ -76,10 +80,6 @@ class DiscriminantAntichain:
     """Minimal ray-index sets generating no cone (0-based, sorted)."""
 
     minimal_subsets: tuple[tuple[int, ...], ...]
-
-    def covers(self, zero_set) -> bool:
-        s = frozenset(zero_set)
-        return any(set(t) <= s for t in self.minimal_subsets)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
     rank) hash lookups in the cone set.
     """
     cones = fan.cones()
-    faces = set(cones)
+    faces = set(cones)  # hash lookups beat per-subset index masks on this scan
     minimal: list[tuple[int, ...]] = []
     for face in cones:
         for j in range(face[-1] + 1 if face else 0, fan.n_rays):
@@ -210,37 +210,30 @@ def _structure_name(group_order: int, orbit_sizes: list[int], is_full_product: b
     return " x ".join(names)
 
 
-def _maps_antichain_to_itself(perm: Permutation, antichain) -> bool:
-    mapped = {tuple(sorted(perm[i] for i in t)) for t in antichain}
-    return mapped == set(antichain)
-
-
 def _preserves_cones(perm: Permutation, fan: Fan) -> bool:
-    mapped = {tuple(sorted(perm[i] for i in c)) for c in fan.maximal_cones}
-    return mapped == set(fan.maximal_cones)
+    """Does the ray bijection map every maximal cone into a cone?"""
+    return all(fan._holders([perm[i] for i in c]) for c in fan.maximal_cones)
 
 
 @lru_cache(maxsize=None)
 def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
     """Ray permutations fixing the charge matrix row-wise and preserving
-    the discriminant antichain.
+    the cones.
 
-    When every antichain member is a union of row classes the filter is
-    vacuous and the group is the full product of symmetric groups on the
-    classes; otherwise the subgroup is enumerated (desk-scale inputs only).
+    When every antichain member is a union of row classes, every such
+    permutation fixes the antichain, so the cone filter is vacuous and the
+    group is the full product of symmetric groups on the classes; otherwise
+    the subgroup is enumerated (desk-scale inputs only).
     """
     n = fan.n_rays
     q = charge_matrix(fan).matrix
     torsion = group_structure(fan).has_torsion
     classes = _row_classes(q)
-    antichain = discriminant_locus(fan).minimal_subsets
 
-    class_of = {}
-    for cls in classes:
-        for i in cls:
-            class_of[i] = cls
+    class_of = {i: cls for cls in classes for i in cls}
+    # t is a union of row classes iff every class meeting t lies inside t
     filter_vacuous = all(
-        set(t) == set().union(*(class_of[i] for i in t)) for t in antichain
+        j in t for t in discriminant_locus(fan).minimal_subsets for i in t for j in class_of[i]
     )
     total = _product_of_factorials(len(c) for c in classes)
 
@@ -268,7 +261,7 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
 
         for choice in iproduct(*pools):
             perm = assemble(choice)
-            if _maps_antichain_to_itself(perm, antichain):
+            if _preserves_cones(perm, fan):
                 members.append(perm)
         group = set(members)
         order = len(group)

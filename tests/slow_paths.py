@@ -30,13 +30,21 @@ from before one Hermite pass gave them all: the kernel from a Smith form
 and a column Hermite form, the charge matrix as the kernel of the
 transposed ray matrix, and the group from a second Smith form of the ray
 matrix itself.  ``solve_integer`` solves an integer system through a Smith
-form; the library no longer needs one.
+form; the library no longer needs one.  ``slow_in_discriminant`` and
+``slow_fan_symmetry`` answer point validity and fan automorphisms from the
+discriminant antichain, as before both read the fan's incidence index: a
+subset test per primitive collection, and the row-class permutations that
+map the antichain onto itself.  ``slow_parse_expression`` is the K-ring
+parser from before one term pattern scanned the text: a sign-splitting
+state machine, then one anchored match per chunk.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from toriq.cones import (
     RationalCone,
@@ -47,7 +55,13 @@ from toriq.cones import (
     fan_cone,
     hilbert_basis,
 )
-from toriq.errors import DomainError, FanValidationError, TorusFactorError
+from toriq.errors import (
+    DomainError,
+    ExpressionError,
+    FanValidationError,
+    ResourceLimitError,
+    TorusFactorError,
+)
 from toriq.homogeneous import HomogeneousPoint
 from toriq.intlinalg import (
     IntMatrix,
@@ -60,7 +74,22 @@ from toriq.intlinalg import (
     primitive,
     smith_normal_form,
 )
-from toriq.quotient import ChargeMatrix, QuotientGroupStructure, charge_matrix
+from toriq.kring import FormalSum
+from toriq.quotient import (
+    _ENUMERATION_CAP,
+    ChargeMatrix,
+    FanSymmetryGroup,
+    QuotientGroupStructure,
+    _adjacent_transpositions,
+    _minimal_generators,
+    _orbits,
+    _product_of_factorials,
+    _row_classes,
+    _structure_name,
+    charge_matrix,
+    discriminant_locus,
+    group_structure,
+)
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -667,3 +696,134 @@ def slow_same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
         if di == 0 and c[i].denominator != 1:
             return False
     return True
+
+
+def slow_in_discriminant(fan, coords) -> bool:
+    """Does the zero pattern cover a primitive collection, by a subset test
+    against every member of the discriminant antichain?"""
+    zero_set = {i for i, c in enumerate(coords) if c.is_zero}
+    return any(set(t) <= zero_set for t in discriminant_locus(fan).minimal_subsets)
+
+
+def _maps_antichain_to_itself(perm, antichain) -> bool:
+    mapped = {tuple(sorted(perm[i] for i in t)) for t in antichain}
+    return mapped == set(antichain)
+
+
+def _maps_maximal_cones_to_themselves(perm, fan) -> bool:
+    mapped = {tuple(sorted(perm[i] for i in c)) for c in fan.maximal_cones}
+    return mapped == set(fan.maximal_cones)
+
+
+def slow_fan_symmetry(fan) -> FanSymmetryGroup:
+    """``fan_symmetry`` filtering the row-class permutations by the image of
+    the discriminant antichain, deciding the vacuous case by set unions and
+    the flag by the image of the maximal-cone set."""
+    n = fan.n_rays
+    classes = _row_classes(charge_matrix(fan).matrix)
+    antichain = discriminant_locus(fan).minimal_subsets
+    class_of = {i: cls for cls in classes for i in cls}
+    filter_vacuous = all(set(t) == set().union(*(class_of[i] for i in t)) for t in antichain)
+    total = _product_of_factorials(len(c) for c in classes)
+    if filter_vacuous:
+        order = total
+        generators = tuple(_adjacent_transpositions(classes, n))
+        name = _structure_name(order, [len(c) for c in classes], True)
+    elif total > _ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"fan_symmetry: {total} candidate permutations for {n} rays "
+            f"(row class sizes {[len(c) for c in classes]}) exceed the cap "
+            f"of {_ENUMERATION_CAP}"
+        )
+    else:
+        group = set()
+        for choice in product(*(permutations(cls) for cls in classes)):
+            perm = [0] * n
+            for cls, images in zip(classes, choice):
+                for src, dst in zip(cls, images):
+                    perm[src] = dst
+            if _maps_antichain_to_itself(perm, antichain):
+                group.add(tuple(perm))
+        order = len(group)
+        generators = tuple(_minimal_generators(group, n))
+        orbit_sizes = [len(o) for o in _orbits(group, n)]
+        name = _structure_name(order, orbit_sizes, order == _product_of_factorials(orbit_sizes))
+    return FanSymmetryGroup(
+        row_classes=classes,
+        generators=generators,
+        order=order,
+        structure_name=name,
+        preserves_maximal_cones=all(_maps_maximal_cones_to_themselves(g, fan) for g in generators),
+        torsion_warning=group_structure(fan).has_torsion,
+    )
+
+
+_SLOW_TERM_RE = re.compile(
+    r"""^\s*
+        (?:(?P<coeff>\d+)\s*\*?\s*)?          # optional integer coefficient
+        (?:
+            (?P<var>x)
+            (?:\^(?:
+                (?P<plain>-?\d+)
+                |\(\s*(?P<num>-?\d+)\s*(?:/\s*(?P<den>\d+)\s*)?\)
+            ))?
+        )?
+    \s*$""",
+    re.VERBOSE,
+)
+
+
+def slow_parse_expression(text: str) -> FormalSum:
+    """``parse_expression`` that first splits the text at signs outside
+    parentheses with a character state machine, then matches each chunk
+    against an anchored term pattern."""
+    if not isinstance(text, str) or not text.strip():
+        raise ExpressionError("empty expression")
+    chunks: list[tuple[int, str]] = []
+    depth = 0
+    sign = 1
+    current: list[str] = []
+    started = False
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ExpressionError("unbalanced parentheses")
+        if ch in "+-" and depth == 0:
+            if started and "".join(current).strip():
+                chunks.append((sign, "".join(current)))
+                current = []
+                sign = 1 if ch == "+" else -1
+            elif not "".join(current).strip():
+                sign *= 1 if ch == "+" else -1
+            started = True
+            continue
+        current.append(ch)
+        started = True
+    if depth != 0:
+        raise ExpressionError("unbalanced parentheses")
+    if "".join(current).strip():
+        chunks.append((sign, "".join(current)))
+    if not chunks:
+        raise ExpressionError("no terms found")
+    terms: list[tuple[Fraction, int]] = []
+    for sgn, chunk in chunks:
+        m = _SLOW_TERM_RE.match(chunk)
+        if not m or (m.group("coeff") is None and m.group("var") is None):
+            raise ExpressionError(f"cannot parse term {chunk.strip()!r}")
+        bare = "1" if m.group("var") else "0"
+        literals = (m.group("coeff") or "1", m.group("plain") or m.group("num") or bare,
+                    m.group("den") or "1")
+        try:
+            coeff, num, den = map(int, literals)
+        except ValueError:
+            raise ExpressionError(
+                f"term {chunk.strip()[:40]!r}... holds an integer literal past the limit of "
+                f"{sys.get_int_max_str_digits()} digits on string-to-integer conversion"
+            ) from None
+        if den == 0:
+            raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
+        terms.append((Fraction(num, den), sgn * coeff))
+    return FormalSum.from_terms(terms)

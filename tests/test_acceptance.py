@@ -14,6 +14,7 @@ from itertools import chain, combinations
 
 from oracles import generated_points, irreducible_in_semigroup
 from slow_paths import solve_integer
+from test_intlinalg import column_hermite_form
 from toriq import catalog
 from toriq.cones import (
     RationalCone,
@@ -24,7 +25,7 @@ from toriq.cones import (
 )
 from toriq.fans import build_fan
 from toriq.homogeneous import HomogeneousPoint, TorusElement, check_equivariance, in_discriminant
-from toriq.intlinalg import IntMatrix, column_hermite_form, dot, integer_kernel, smith_normal_form
+from toriq.intlinalg import IntMatrix, dot, integer_kernel, smith_normal_form
 from toriq.kring import FormalSum, KRingElement, in_level_image, oracle_reduce, reduce
 from toriq.moment import cusp_count, face_lattice
 from toriq.quotient import charge_matrix, discriminant_locus, fan_symmetry, quotient_report

@@ -1,20 +1,31 @@
 """The fan's ray-incidence index against the scans it replaced
 (``slow_paths.py``): cone membership on every ray subset, the face list,
-and the first validation message of seeded broken fans; plus a bound on
-what building a fan and asking about one small cone may cost."""
+the first validation message of seeded broken fans, point validity on
+every zero pattern, and fan automorphisms; plus a bound on what building a
+fan and asking about one small cone may cost."""
 
 import random
 import time
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
-from slow_paths import slow_fan_cones, slow_fan_error, slow_is_cone
+from slow_paths import (
+    _maps_antichain_to_itself,
+    slow_fan_cones,
+    slow_fan_error,
+    slow_fan_symmetry,
+    slow_in_discriminant,
+    slow_is_cone,
+)
 from toriq import catalog
 from toriq.cones import affine_fiber_rank
-from toriq.errors import FanValidationError
+from toriq.errors import FanValidationError, ToriqError
 from toriq.fans import Fan, build_fan
+from toriq.homogeneous import in_discriminant
 from toriq.intlinalg import IntMatrix, primitive
+from toriq.quotient import _preserves_cones, discriminant_locus, fan_symmetry
+from toriq.solenoid import PolarComplex
 
 SEED = 20261018
 
@@ -133,3 +144,50 @@ def test_one_40_ray_cone_is_cheap():
     assert fan.is_cone((0, 1))
     assert affine_fiber_rank(fan, (0, 1)) == 78
     assert time.perf_counter() - start < 1.0
+
+
+def test_in_discriminant_matches_antichain_scan_on_every_zero_pattern():
+    one, zero = PolarComplex.one(), PolarComplex.zero()
+    for fan in _corpus():
+        for zeros in product((False, True), repeat=fan.n_rays):
+            coords = tuple(zero if z else one for z in zeros)
+            assert in_discriminant(fan, coords) == slow_in_discriminant(fan, coords), (fan, zeros)
+
+
+def _outcome(f, fan):
+    try:
+        return f(fan)
+    except ToriqError as exc:
+        return type(exc), str(exc)
+
+
+def test_fan_symmetry_matches_antichain_filter():
+    rng = random.Random(SEED + 2)
+    enumerated = 0
+    for fan in _corpus() + [_random_fan(rng) for _ in range(200)]:
+        fan_symmetry.cache_clear()
+        got = _outcome(fan_symmetry, fan)
+        assert got == _outcome(slow_fan_symmetry, fan), fan
+        if not isinstance(got, tuple):
+            assert got.preserves_maximal_cones, fan
+            classes = [set(c) for c in got.row_classes]
+            enumerated += any(
+                set(t) != set().union(*(c for c in classes if c & set(t)))
+                for t in discriminant_locus(fan).minimal_subsets
+            )
+    assert enumerated >= 10
+    fan_symmetry.cache_clear()
+
+
+def test_preserves_cones_matches_antichain_image_for_every_permutation():
+    rng = random.Random(SEED + 3)
+    fans = [f for f in _corpus() + [_random_fan(rng) for _ in range(40)] if f.n_rays <= 7]
+    assert len(fans) >= 40 and max(f.n_rays for f in fans) == 7
+    moved = 0
+    for fan in fans:
+        antichain = discriminant_locus(fan).minimal_subsets
+        for perm in permutations(range(fan.n_rays)):
+            keeps = _preserves_cones(perm, fan)
+            assert keeps == _maps_antichain_to_itself(perm, antichain), (fan, perm)
+            moved += not keeps
+    assert moved

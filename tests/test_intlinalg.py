@@ -31,13 +31,18 @@ from toriq.cones import (
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
-    column_hermite_form,
+    hermite_and_left_kernel,
     integer_kernel,
     inverse_unimodular,
     primitive,
-    row_hermite_form,
     smith_normal_form,
 )
+
+
+def column_hermite_form(a: IntMatrix) -> IntMatrix:
+    """Canonical form of the column lattice: the Hermite form of the transpose."""
+    return hermite_and_left_kernel(a.transpose())[0].transpose()
+
 
 matrices = st.integers(1, 6).flatmap(
     lambda m: st.integers(1, 6).flatmap(
@@ -236,7 +241,7 @@ def _quotient_cones(cone):
 @given(matrices)
 def test_internal_results_match_validated_rebuilds(a):
     u, d, v = smith_normal_form(a)
-    for m in (u, d, v, row_hermite_form(a), column_hermite_form(a),
+    for m in (u, d, v, hermite_and_left_kernel(a)[0], column_hermite_form(a),
               integer_kernel(a), a.transpose(), u @ a @ v):
         _assert_plain(m)
     gens = [row for row in a.entries if any(row)]
@@ -353,11 +358,11 @@ def test_normal_forms_match_slow_paths(monkeypatch):
     assert len(smith_inputs) >= 400 and len(inverse_inputs) >= 200
     for a in random_inputs + smith_inputs:
         assert smith_normal_form(a) == slow_smith_normal_form(a), a
-        assert row_hermite_form(a) == slow_row_hermite_form(a), a
+        assert hermite_and_left_kernel(a)[0] == slow_row_hermite_form(a), a
     for a in inverse_inputs:
         assert inverse_unimodular(a) == slow_inverse_unimodular(a), a
     for a in (IntMatrix((), 3), IntMatrix(((),) * 3, 0), IntMatrix((), 0)):
-        assert row_hermite_form(a) == slow_row_hermite_form(a)
+        assert hermite_and_left_kernel(a)[0] == slow_row_hermite_form(a)
 
 
 def _random_unimodular(rng, n):

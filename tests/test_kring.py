@@ -1,11 +1,14 @@
-"""K-ring normal forms, the rewriting oracle, levels, and the parser."""
+"""K-ring normal forms, the rewriting oracle, levels, and the parser, the
+last also against the sign-splitting parser it replaced (``slow_paths.py``)."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slow_paths import slow_parse_expression
 from toriq.errors import DomainError, ExpressionError
 from toriq.kring import (
     FormalSum,
@@ -127,6 +130,77 @@ def test_parser(text, expected):
 def test_parser_rejects(text):
     with pytest.raises(ExpressionError):
         parse_expression(text)
+
+
+_ERROR_KINDS = (
+    "empty expression",
+    "unbalanced parentheses",
+    "no terms found",
+    "cannot parse term",
+    "zero denominator",
+    "holds an integer literal past the limit",
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ExpressionError as exc:
+        kinds = [k for k in _ERROR_KINDS if k in str(exc)]
+        assert len(kinds) == 1, str(exc)
+        return kinds[0]
+
+
+def _random_text(rng):
+    return "".join(rng.choice("x^()/*+-0123456789 \t") for _ in range(rng.randint(0, 14)))
+
+
+def _near_valid_text(rng):
+    """Signed terms built from the grammar, each piece sometimes broken."""
+    def literal():
+        r = rng.random()
+        if r < 0.01 and hasattr(sys, "get_int_max_str_digits"):
+            return "7" * (sys.get_int_max_str_digits() + 1)
+        return "0" if r < 0.1 else str(rng.randint(1, 60))
+
+    def ws():
+        return rng.choice(["", "", " ", "\t", "  "])
+
+    def broken(valid, *faults):
+        return valid if rng.random() < 0.9 else rng.choice(faults)
+
+    def term():
+        star = broken(rng.choice(["", "*"]), "**", "/")
+        coeff = rng.choice(["", literal() + ws() + star + ws()])
+        num = rng.choice(["", "-"]) + literal()
+        exponent = rng.choice([
+            "", "^" + literal(), "^(" + ws() + num + ws() + ")",
+            "^(" + num + ws() + "/" + ws() + broken(literal(), "-1", "- 2") + ")",
+        ])
+        exponent = broken(exponent, "^-" + literal(), "^(" + num + "/" + literal(),
+                          "^" + num + "/" + literal() + ")", "^", "^(- 1)")
+        var = rng.choice(["x", "x", broken("x", "y", "xx")]) + exponent
+        return broken(rng.choice([coeff + var, coeff or "1", var]), coeff + var + "x",
+                      coeff + var + ")", coeff + var + "(", coeff + var + "2", "")
+
+    out = ws() + "".join(rng.choice(["", "-", "+", "- -"]) for _ in range(rng.randint(0, 2)))
+    for k in range(rng.randint(1, 4)):
+        if k:
+            out += ws() + rng.choice(["+", "-", "+-", "--", " + - "]) + ws()
+        out += term()
+    return out + rng.choice(["", "", " ", "+", " - "])
+
+
+def test_parser_matches_sign_splitting_parser():
+    rng = random.Random(20261018)
+    texts = [_random_text(rng) for _ in range(6000)] + [_near_valid_text(rng) for _ in range(6000)]
+    seen = set()
+    for text in texts:
+        got = _parse_outcome(parse_expression, text)
+        assert got == _parse_outcome(slow_parse_expression, text), repr(text)
+        seen.add(got if isinstance(got, str) else "parsed")
+    kinds = set(_ERROR_KINDS) if hasattr(sys, "get_int_max_str_digits") else set(_ERROR_KINDS[:-1])
+    assert seen == kinds | {"parsed"}
 
 
 def test_formal_sum_merges_terms():

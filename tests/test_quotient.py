@@ -5,10 +5,11 @@ from itertools import chain, combinations
 
 import pytest
 
+from test_intlinalg import column_hermite_form
 from toriq import catalog
 from toriq.errors import IncompleteFanError, TorusFactorError
 from toriq.fans import build_fan
-from toriq.intlinalg import IntMatrix, column_hermite_form
+from toriq.intlinalg import IntMatrix
 from toriq.quotient import (
     aut_presentation,
     charge_matrix,
