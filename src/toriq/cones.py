@@ -52,7 +52,7 @@ from .intlinalg import (
     _hermite,
     _smith_kernel,
     dot,
-    integer_kernel,
+    hermite_and_left_kernel,
     inverse_unimodular,
     primitive,
     smith_normal_form,
@@ -126,11 +126,10 @@ class HilbertBasis:
 
 
 def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
-    """Saturated integer kernel basis of the row system; handles no rows."""
-    if not rows:
-        return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    k = integer_kernel(IntMatrix._trusted(tuple(rows), rank))
-    return [k.column(j) for j in range(k.cols)]
+    """Canonical saturated kernel basis of the row system: the left kernel
+    of the transpose, which is Z^rank when there are no rows."""
+    columns = tuple(tuple(row[j] for row in rows) for j in range(rank))
+    return list(hermite_and_left_kernel(IntMatrix._trusted(columns, len(rows)))[1].entries)
 
 
 @lru_cache(maxsize=None)
@@ -437,10 +436,10 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
 
 
 def _fan_cone_rays(fan: Fan, indices) -> list[IntVector]:
-    idx = tuple(sorted(set(indices)))
-    if not fan.is_cone(idx):
-        raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
-    return [fan.rays[i] for i in idx]
+    idx = tuple(indices)
+    if not fan.is_cone(idx):  # rejects a non-integer index before the sort
+        raise DomainError(f"{[i + 1 for i in sorted(set(idx))]} is not a cone of the fan")
+    return [fan.rays[i] for i in sorted(set(idx))]
 
 
 def fan_cone(fan: Fan, indices) -> RationalCone:
@@ -486,7 +485,7 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
             # column j of the top k x k block of h holds the coordinates of
             # ray j in a basis of the saturation of the rays' span
             h = [list(col) for col in zip(*rays)]
-            _hermite(h, [[] for _ in h])
+            _hermite(h)
             index = prod(h[i][i] for i in range(k))
         if index == 1:
             return 2 * n - k

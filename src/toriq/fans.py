@@ -76,7 +76,7 @@ class Fan:
         for k, cone in enumerate(self.maximal_cones):
             if not cone:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: empty cone")
-            if tuple(sorted(set(cone))) != tuple(cone):
+            if tuple(sorted(set(_int_indices(k, cone)))) != cone:
                 raise FanValidationError(
                     f"maximal_cones[{k + 1}]: indices must be sorted and distinct"
                 )
@@ -151,8 +151,10 @@ class Fan:
 
     def is_cone(self, indices) -> bool:
         """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
-        s = frozenset(indices)
+        s = tuple(indices)
         for i in s:
+            if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
+                raise FanValidationError(f"ray index {i!r} is not an integer")
             if not (0 <= i < self.n_rays):
                 raise FanValidationError(f"ray index {i + 1} out of range")
         return self._holders(s) != 0
@@ -173,8 +175,19 @@ class Fan:
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:
     """Validate and normalize fan data (cones sorted, duplicates rejected)."""
     rays = tuple(tuple(v) for v in rays)
-    cones = tuple(sorted(tuple(sorted(set(c))) for c in maximal_cones))
-    return Fan(lattice_rank, rays, cones, bool(complete), name)
+    cones = (tuple(sorted(set(_int_indices(k, c)))) for k, c in enumerate(maximal_cones))
+    return Fan(lattice_rank, rays, tuple(sorted(cones)), bool(complete), name)
+
+
+def _int_indices(k: int, cone) -> tuple:
+    """Maximal cone k's indices, checked to be integers before a sort
+    compares them (``True`` would pass for ray 1).  An exact ``int`` passes
+    on the first, cheapest test."""
+    cone = tuple(cone)
+    for i in cone:
+        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
+            raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be integers")
+    return cone
 
 
 def _one_based(cone) -> list[int]:
@@ -215,9 +228,7 @@ def fan_from_dict(data) -> Fan:
         raise FanValidationError("maximal_cones: expected a list of index lists")
     cones = []
     for k, c in enumerate(cones_raw):
-        for i in c:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be integers")
+        for i in _int_indices(k, c):
             if i < 1:
                 raise FanValidationError(
                     f"maximal_cones[{k + 1}]: ray indices are 1-based, got {i}"

@@ -86,12 +86,11 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
         raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
     new_coords = []
     for i, c in enumerate(z.coords):
-        factor = PolarComplex.one()
         for j, p in enumerate(t.params):
             e = q.entries[i][j]
             if e:
-                factor = factor * p.pow_int(e)
-        new_coords.append(factor * c)
+                c = c * p.pow_int(e)
+        new_coords.append(c)
     return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
 
 
@@ -168,7 +167,7 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     s = q.cols
     if s == 0:
         return all(z.coords[i] == z2.coords[i] for i in rows)
-    sub = IntMatrix.from_rows([q.row(i) for i in rows], s)
+    sub = IntMatrix._trusted(tuple(q.entries[i] for i in rows), s)
     u, d, _ = smith_normal_form(sub)
     diag = [d.entries[i][i] if i < min(len(rows), s) else 0 for i in range(len(rows))]
 

@@ -6,13 +6,13 @@ point is used anywhere: normal-form intermediates can exceed any fixed
 width, and a silent overflow would corrupt every invariant built on top of
 this module.
 
-Both normal forms clear columns with one gcd step, ``_clear_column``.
-``_hermite`` repeats its row operations on a matrix T; from the identity,
-T ends as the transform ``T @ a == H``, which gives the unimodular inverse
-and, in ``hermite_and_left_kernel``, the rank, the row lattice and the
-left kernel from one pass.  That is the one public Hermite entry point;
-``_smith_kernel`` runs ``_hermite`` itself on the kernel columns of a Smith
-form its caller already holds.
+Both normal forms clear columns with one gcd step, ``_clear_column``, and
+carry a row transform as identity columns: reducing the rows of ``[a | I]``
+leaves ``[T @ a | T]`` (Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse and, in
+``hermite_and_left_kernel`` (the one public Hermite entry point), the row
+lattice and the canonical left kernel.  ``_smith_kernel`` runs ``_hermite``
+on the kernel columns of a Smith form its caller already holds.
 """
 
 from __future__ import annotations
@@ -201,12 +201,17 @@ def _negate_row(a, i):
     a[i] = [-x for x in a[i]]
 
 
-def _clear_column(A, T, t, c):
-    """Reduce column c below the nonzero pivot ``A[t][c]`` to remainders,
-    by row operations on A and T alike.  Swap the least nonzero remainder
-    (lowest row on ties) into row t and return its old row, or return
-    ``None`` when the column is clear.  Repeated, this is Euclid's
-    algorithm on the column."""
+def _augmented(rows) -> list[list[int]]:
+    """The rows of ``[a | I]``, whose identity columns carry the row transform."""
+    m = len(rows)
+    return [[*row, *(0,) * i, 1, *(0,) * (m - 1 - i)] for i, row in enumerate(rows)]
+
+
+def _clear_column(A, t, c):
+    """Reduce column c below the nonzero pivot ``A[t][c]`` to remainders by
+    row operations.  Swap the least nonzero remainder (lowest row on ties)
+    into row t and return its old row, or return ``None`` when the column
+    is clear.  Repeated, this is Euclid's algorithm on the column."""
     p = A[t][c]
     least = None
     for i in range(t + 1, len(A)):
@@ -215,13 +220,11 @@ def _clear_column(A, T, t, c):
             q = x // p
             if q:
                 _row_sub(A, i, t, q)
-                _row_sub(T, i, t, q)
             x = A[i][c]
             if x and (least is None or abs(x) < abs(A[least][c])):
                 least = i
     if least is not None:
         _swap_rows(A, t, least)
-        _swap_rows(T, t, least)
     return least
 
 
@@ -231,14 +234,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Classic elimination: repeatedly move a least-magnitude entry to the
     pivot, clear its column (``_clear_column``) and its row, and absorb any
-    entry the pivot fails to divide.  Deterministic pivot choice keeps
-    results reproducible.
+    entry the pivot fails to divide.  U rides in the identity columns of
+    ``[a | I]``.  Deterministic pivot choice keeps results reproducible.
     """
     if a.is_empty:
         raise DomainError("smith_normal_form requires a nonempty matrix")
     m, n = a.rows, a.cols
-    A = [list(row) for row in a.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    A = _augmented(a.entries)
     # column operations act on V; run them on the rows of its transpose
     Vt = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -259,11 +261,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         _, pi, pj = best
         if pi != t:
             _swap_rows(A, t, pi)
-            _swap_rows(U, t, pi)
         if pj != t:
             col_swap(t, pj)
         while True:
-            while _clear_column(A, U, t, t) is not None:
+            while _clear_column(A, t, t) is not None:
                 pass
             # clear the pivot row: column t is now zero off the pivot, so
             # col_j -= q * col_t changes A only at (t, j)
@@ -280,34 +281,29 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if least is not None:
                 col_swap(t, least)
                 continue
-            # pivot must divide the remaining block for the chain to hold;
-            # a unit pivot divides everything
+            # pivot must divide the rest of a's block (not U) for the chain
+            # to hold; a unit pivot divides everything
             offender = None if p in (1, -1) else next(
-                (i for i in range(t + 1, m) for x in A[i][t + 1:] if x % p), None
+                (i for i in range(t + 1, m) for x in A[i][t + 1:n] if x % p), None
             )
             if offender is None:
                 break
             _row_sub(A, t, offender, -1)  # row_t += row_offender
-            _row_sub(U, t, offender, -1)
         if A[t][t] < 0:
             _negate_row(A, t)
-            _negate_row(U, t)
 
     return (
-        IntMatrix._trusted(tuple(map(tuple, U)), m),
-        IntMatrix._trusted(tuple(map(tuple, A)), n),
+        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A]), m),
+        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A]), n),
         IntMatrix._trusted(tuple(zip(*Vt)), n),
     )
 
 
-def _hermite(A, T) -> int:
-    """Bring A to canonical row Hermite form in place, repeating every row
-    operation on T, which may have no columns.  Returns the rank.
-
-    Echelon with positive pivots; entries above each pivot reduced into
-    ``[0, pivot)``; rows past the rank end zero.  Pivots are chosen from A
-    alone, so T never changes the form.
-    """
+def _hermite(A) -> None:
+    """Bring A to canonical row Hermite form in place: echelon with positive
+    pivots, entries above each pivot reduced into ``[0, pivot)``, rows past
+    the rank zero.  On ``[a | I]`` the rows past a's rank go on to bring
+    their transform columns to Hermite form too."""
     m, n = len(A), len(A[0]) if A else 0
     r = 0
     for c in range(n):
@@ -319,39 +315,33 @@ def _hermite(A, T) -> int:
         i0 = min(nonzero, key=lambda i: (abs(A[i][c]), i))
         if i0 != r:
             _swap_rows(A, r, i0)
-            _swap_rows(T, r, i0)
-        while _clear_column(A, T, r, c) is not None:
+        while _clear_column(A, r, c) is not None:
             pass
         if A[r][c] < 0:
             _negate_row(A, r)
-            _negate_row(T, r)
         for i in range(r):
             q = A[i][c] // A[r][c]
             if q:
                 _row_sub(A, i, r, q)
-                _row_sub(T, i, r, q)
         r += 1
-    return r
 
 
 def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite form H of ``a`` and the canonical basis K of its left
     kernel ``{x : x @ a = 0}``, as matrix rows, from one Hermite pass.
 
-    T is unimodular, so the rows of T opposite H's zero rows are a basis of
-    the (saturated) left kernel; their own Hermite form makes it canonical
-    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.3).
-    H has one row per unit of rank: its zero rows are dropped.
+    The pass over ``[a | I]`` leaves ``[T @ a | T]`` with T unimodular, so
+    the rows of T opposite the zero rows of T @ a are a basis of the
+    (saturated) left kernel, which the same pass makes canonical.  H keeps
+    only the nonzero rows, one per unit of rank.
     """
-    m = a.rows
-    A = [list(row) for row in a.entries]
-    T = [[int(i == j) for j in range(m)] for i in range(m)]
-    r = _hermite(A, T)
-    K = T[r:]
-    _hermite(K, [[] for _ in K])
+    n = a.cols
+    A = _augmented(a.entries)
+    _hermite(A)
+    r = len([row for row in A if any(row[:n])])
     return (
-        IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols),
-        IntMatrix._trusted(tuple(map(tuple, K)), m),
+        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A[:r]]), n),
+        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A[r:]]), a.rows),
     )
 
 
@@ -376,25 +366,25 @@ def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
     n = v.cols
     rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
     K = [list(col) for col in zip(*v.entries)][rank:]
-    _hermite(K, [[] for _ in K])
+    _hermite(K)
     return IntMatrix._trusted(tuple(zip(*K)) if K else ((),) * n, n - rank)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant ±1.
 
-    One Hermite reduction ``T @ a == H`` carries T from the identity.  The
-    rank falls short exactly when ``a`` is singular; otherwise the pivots
-    multiply to ``|det a|``, so ``a`` is unimodular exactly when every pivot
-    is 1, and then H is the identity and T is the inverse.
+    One Hermite pass over ``[a | I]`` leaves ``[H | T]`` with ``T @ a == H``.
+    H has a zero on its diagonal exactly when ``a`` is singular; otherwise
+    its pivots multiply to ``|det a|``, so ``a`` is unimodular exactly when
+    every pivot is 1, and then T is the inverse.
     """
     if a.rows != a.cols:
         raise DomainError("inverse of a non-square matrix")
     n = a.rows
-    A = [list(row) for row in a.entries]
-    T = [[int(i == j) for j in range(n)] for i in range(n)]
-    if _hermite(A, T) < n:
+    A = _augmented(a.entries)
+    _hermite(A)
+    if any(A[i][i] == 0 for i in range(n)):
         raise DomainError("matrix is singular")
     if any(A[i][i] != 1 for i in range(n)):
         raise DomainError("matrix is not unimodular")
-    return IntMatrix._trusted(tuple(map(tuple, T)), n)
+    return IntMatrix._trusted(tuple([tuple(row[n:]) for row in A]), n)

@@ -61,15 +61,13 @@ def face_lattice(fan: Fan) -> FaceLattice:
     dimension ``lattice_rank - d`` with fiber rank equal to its dimension."""
     _require_complete(fan, "face lattice")
     n = fan.lattice_rank
-    nodes = []
+    # cones come by dimension, then lexicographically: each bucket is sorted
+    buckets = [[] for _ in range(n + 1)]
     for cone in fan.cones():
         m = n - fan.cone_dim(cone)
-        nodes.append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
-    nodes.sort(key=lambda node: (node.face_dim, node.cone))
-    f_vector = [0] * (n + 1)
-    for node in nodes:
-        f_vector[node.face_dim] += 1
-    return FaceLattice(n, tuple(nodes), tuple(f_vector))
+        buckets[m].append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
+    nodes = tuple(node for bucket in buckets for node in bucket)
+    return FaceLattice(n, nodes, tuple(map(len, buckets)))
 
 
 def cusp_count(fan: Fan) -> int:

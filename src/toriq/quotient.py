@@ -138,8 +138,9 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
     Every proper subset of a primitive collection is a cone, so it has at
     most max-cone-size + 1 rays.  Each one S arises exactly once as
     F + (j,) with F = S minus max(S) a cone and j > max(F); it is kept when
-    S is no cone but every S minus one ray is.  Cost: O(#cones * n_rays *
-    rank) hash lookups in the cone set.
+    S is no cone but every S minus one ray is.  Faces come by size, then
+    lexicographically, so the scan lists S in that order.  Cost: O(#cones *
+    n_rays * rank) hash lookups in the cone set.
     """
     cones = fan.cones()
     faces = set(cones)  # hash lookups beat per-subset index masks on this scan
@@ -149,7 +150,7 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
             s = face + (j,)
             if s not in faces and all(s[:k] + s[k + 1:] in faces for k in range(len(face))):
                 minimal.append(s)
-    return DiscriminantAntichain(tuple(sorted(minimal, key=lambda t: (len(t), t))))
+    return DiscriminantAntichain(tuple(minimal))
 
 
 def _row_classes(q: IntMatrix) -> tuple[tuple[int, ...], ...]:

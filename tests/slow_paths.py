@@ -11,9 +11,10 @@ for a Hilbert basis, and every ray subset for the discriminant.
 checks from before the ray-incidence index: a scan of the maximal cones per
 query, 2^k index masks per maximal cone, and the pairwise containment loop
 and facet-count dict of the constructor.  ``slow_rank2_start`` takes the
-rank-2 Bezout pair from a Hermite form.  They also keep the original arithmetic: the
-parallelepiped enumeration by ``Fraction`` solves, the cross-multiplying
-rank and the ``Fraction`` Gauss-Jordan inverse.  ``slow_hilbert_basis`` is
+rank-2 Bezout pair from a gcd elimination of u.  They also keep the
+original arithmetic: the parallelepiped enumeration by ``Fraction``
+solves, the cross-multiplying rank and the ``Fraction`` Gauss-Jordan
+inverse.  ``slow_hilbert_basis`` is
 ``toriq.cones.hilbert_basis`` with both searches and the old parallelepiped
 enumeration put back, so the two must agree byte for byte.
 ``slow_lineality_basis`` recomputes a cone's lineality from the generators
@@ -24,7 +25,11 @@ cone and takes its length, where ``affine_fiber_rank`` counts from the rays.
 solves one integer system per prime.  ``slow_smith_normal_form`` and
 ``slow_row_hermite_form`` are the normal forms from before they shared one
 gcd step: each clears columns with its own loop, and Smith's column
-operations run over every row.  ``slow_integer_kernel``,
+operations run over every row.  ``slow_clear_column``, ``slow_hermite`` and
+``slow_hermite_and_left_kernel`` are that gcd step and Hermite pass from
+before transforms rode in identity columns: they repeat every row
+operation on a separate transform T, and the left kernel takes a second
+Hermite pass.  ``slow_integer_kernel``,
 ``slow_charge_matrix`` and ``slow_group_structure`` are the lattice data
 from before one Hermite pass gave them all: the kernel from a Smith form
 and a column Hermite form, the charge matrix as the kernel of the
@@ -36,7 +41,9 @@ discriminant antichain, as before both read the fan's incidence index: a
 subset test per primitive collection, and the row-class permutations that
 map the antichain onto itself.  ``slow_parse_expression`` is the K-ring
 parser from before one term pattern scanned the text: a sign-splitting
-state machine, then one anchored match per chunk.
+state machine, then one anchored match per chunk.  ``slow_face_lattice``
+sorts the face nodes that ``moment.face_lattice`` now takes in face-list
+order.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from toriq.errors import (
 from toriq.homogeneous import HomogeneousPoint
 from toriq.intlinalg import (
     IntMatrix,
-    _hermite,
+    _clear_column,
     _negate_row,
     _row_sub,
     _smith_kernel,
@@ -75,6 +82,7 @@ from toriq.intlinalg import (
     smith_normal_form,
 )
 from toriq.kring import FormalSum
+from toriq.moment import FaceLattice, FaceNode
 from toriq.quotient import (
     _ENUMERATION_CAP,
     ChargeMatrix,
@@ -225,14 +233,20 @@ def slow_affine_fiber_rank(fan, indices) -> int:
 
 
 def slow_rank2_start(u, w) -> tuple:
-    """``cones._rank2_start`` with the Bezout pair of u read off the row
-    Hermite form of the column u."""
+    """``cones._rank2_start`` with the Bezout pair of u read off a gcd
+    elimination of the column u, its transform carried in identity columns."""
     det = u[0] * w[1] - u[1] * w[0]
     sign = 1 if det > 0 else -1
     d = abs(det)
-    bezout = [[1, 0], [0, 1]]
-    _hermite([[u[0]], [u[1]]], bezout)
-    x, y = bezout[0]
+    rows = [[u[0], 1, 0], [u[1], 0, 1]]
+    # least nonzero entry first, row 0 on ties, as the Hermite pivot choice
+    if not u[0] or (u[1] and abs(u[1]) < abs(u[0])):
+        rows.reverse()
+    while _clear_column(rows, 0, 0) is not None:
+        pass
+    g, x, y = rows[0]
+    if g < 0:
+        x, y = -x, -y
     e = (-sign * y, sign * x)
     c = (w[0] - d * e[0]) * x + (w[1] - d * e[1]) * y
     t = -(-c // d)
@@ -545,6 +559,71 @@ def slow_row_hermite_form(a: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(tuple(map(tuple, A[:r])), n)
 
 
+def slow_clear_column(A, T, t, c):
+    """``intlinalg._clear_column`` from before transforms rode in identity
+    columns: every row operation on A is repeated on T."""
+    p = A[t][c]
+    least = None
+    for i in range(t + 1, len(A)):
+        x = A[i][c]
+        if x:
+            q = x // p
+            if q:
+                _row_sub(A, i, t, q)
+                _row_sub(T, i, t, q)
+            x = A[i][c]
+            if x and (least is None or abs(x) < abs(A[least][c])):
+                least = i
+    if least is not None:
+        _swap_rows(A, t, least)
+        _swap_rows(T, t, least)
+    return least
+
+
+def slow_hermite(A, T) -> int:
+    """``intlinalg._hermite`` with a separate transform T (which may have no
+    columns), returning the rank."""
+    m, n = len(A), len(A[0]) if A else 0
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nonzero = [i for i in range(r, m) if A[i][c]]
+        if not nonzero:
+            continue
+        i0 = min(nonzero, key=lambda i: (abs(A[i][c]), i))
+        if i0 != r:
+            _swap_rows(A, r, i0)
+            _swap_rows(T, r, i0)
+        while slow_clear_column(A, T, r, c) is not None:
+            pass
+        if A[r][c] < 0:
+            _negate_row(A, r)
+            _negate_row(T, r)
+        for i in range(r):
+            q = A[i][c] // A[r][c]
+            if q:
+                _row_sub(A, i, r, q)
+                _row_sub(T, i, r, q)
+        r += 1
+    return r
+
+
+def slow_hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """``intlinalg.hermite_and_left_kernel`` in two passes: T carried beside
+    A, then a second Hermite pass over the kernel rows of T."""
+    m = a.rows
+    A = [list(row) for row in a.entries]
+    T = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = slow_hermite(A, T)
+    K = T[r:]
+    slow_hermite(K, [[] for _ in K])
+    return (
+        IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols),
+        IntMatrix._trusted(tuple(map(tuple, K)), m),
+    )
+
+
 def slow_inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant ±1, by
     ``Fraction`` Gauss-Jordan elimination."""
@@ -619,6 +698,21 @@ def slow_discriminant_locus(fan) -> tuple:
             if not slow_is_cone(fan, subset):
                 minimal.append(subset)
     return tuple(sorted(minimal, key=lambda t: (len(t), t)))
+
+
+def slow_face_lattice(fan) -> FaceLattice:
+    """``moment.face_lattice`` from before it bucketed the face list: the
+    nodes sorted by (face dimension, cone), then counted for the f-vector."""
+    n = fan.lattice_rank
+    nodes = []
+    for cone in fan.cones():
+        m = n - fan.cone_dim(cone)
+        nodes.append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
+    nodes.sort(key=lambda node: (node.face_dim, node.cone))
+    f_vector = [0] * (n + 1)
+    for node in nodes:
+        f_vector[node.face_dim] += 1
+    return FaceLattice(n, tuple(nodes), tuple(f_vector))
 
 
 def _prime_factors(n: int) -> dict[int, int]:

@@ -10,11 +10,13 @@ from itertools import combinations, product
 
 import pytest
 
-from slow_paths import slow_discriminant_locus
+from slow_paths import slow_discriminant_locus, slow_face_lattice
+from test_fan_index import _corpus, _random_fan
 from toriq import catalog, quotient
 from toriq.cli import main
 from toriq.errors import DomainError, ResourceLimitError
 from toriq.fans import build_fan, fan_to_dict
+from toriq.moment import face_lattice
 from toriq.quotient import discriminant_locus, fan_symmetry
 
 SEED = 20261019
@@ -182,3 +184,24 @@ def test_symmetry_cap_raises_named_error(monkeypatch, tmp_path, capsys):
         assert "fan_symmetry" in capsys.readouterr().err
     finally:
         fan_symmetry.cache_clear()
+
+
+def test_face_lattice_and_discriminant_keep_face_list_order():
+    """``face_lattice`` buckets the face list by face dimension and
+    ``discriminant_locus`` keeps its scan order, with no sort: both equal
+    the sorted outputs, on the fan-index corpus, 200 random fans and 600
+    fans like the wide-fans benchmark's (11-, 12- and 14-ray polygons and
+    seven-step cp3 blow-ups)."""
+    rng = random.Random(SEED)
+    fans = _corpus() + [_random_fan(rng) for _ in range(200)]
+    for _ in range(150):
+        fans += [polygon_fan(rng, n) for n in (11, 12, 14)] + [cp3_blowup(rng, 7)]
+    complete = [fan for fan in fans if fan.complete]
+    assert len(fans) == 882 and len(complete) >= 600
+    face_lattice.cache_clear()
+    for fan in complete:
+        assert face_lattice(fan) == slow_face_lattice(fan), fan
+    discriminant_locus.cache_clear()
+    for fan in fans:
+        minimal = discriminant_locus(fan).minimal_subsets
+        assert minimal == tuple(sorted(minimal, key=lambda t: (len(t), t))), fan

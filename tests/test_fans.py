@@ -6,6 +6,7 @@ from itertools import chain, combinations
 import pytest
 
 from toriq import catalog
+from toriq.cones import affine_fiber_rank, fan_cone
 from toriq.errors import FanValidationError
 from toriq.fans import Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
 from toriq.intlinalg import IntMatrix
@@ -119,6 +120,30 @@ def test_is_cone_index_validation():
         with pytest.raises(FanValidationError) as exc:
             fan.is_cone(indices)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [1.0, "a", True, False, None])
+def test_ray_indices_must_be_integers(bad):
+    """Caught before any sort compares them, and a bool is no ray index."""
+    message = "maximal_cones[2]: indices must be integers"
+    for cones in ([[0, 1], [bad, 2]], [[0, 1], [2, bad]], [[0, 1], [bad, bad]]):
+        with pytest.raises(FanValidationError) as exc:
+            build_fan(2, CP2_RAYS, cones)
+        assert str(exc.value) == message
+        with pytest.raises(FanValidationError) as exc:
+            Fan(2, CP2_RAYS, cones)
+        assert str(exc.value) == message
+    data = {"lattice_rank": 2, "rays": [list(v) for v in CP2_RAYS],
+            "maximal_cones": [[1, 2], [2, bad]]}
+    with pytest.raises(FanValidationError) as exc:
+        fan_from_dict(data)
+    assert str(exc.value) == message
+    fan = catalog.projective_plane()
+    for indices in ([bad], [0, bad], [bad, 0], {bad}):
+        for query in (fan.is_cone, lambda i: fan_cone(fan, i), lambda i: affine_fiber_rank(fan, i)):
+            with pytest.raises(FanValidationError) as exc:
+                query(indices)
+            assert str(exc.value) == f"ray index {bad!r} is not an integer"
 
 
 def test_fan_cones_cp1():

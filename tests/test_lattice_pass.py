@@ -12,7 +12,10 @@ import pytest
 
 from slow_paths import (
     slow_charge_matrix,
+    slow_clear_column,
     slow_group_structure,
+    slow_hermite,
+    slow_hermite_and_left_kernel,
     slow_integer_kernel,
     slow_row_hermite_form,
 )
@@ -21,7 +24,14 @@ from test_fan_index import SEED, _cp1_power, _random_fan
 from toriq import catalog, fans, intlinalg, quotient
 from toriq.errors import TorusFactorError
 from toriq.fans import build_fan, fan_to_dict, load_fan
-from toriq.intlinalg import IntMatrix, hermite_and_left_kernel, integer_kernel
+from toriq.intlinalg import (
+    IntMatrix,
+    _augmented,
+    _clear_column,
+    _hermite,
+    hermite_and_left_kernel,
+    integer_kernel,
+)
 from toriq.moment import delzant_report, face_lattice
 from toriq.quotient import charge_matrix, group_structure, quotient_report
 
@@ -93,6 +103,39 @@ def _lattice_corpus():
                       [list(range(rank - 1))]) for rank in range(2, 6)]
     out.append(_non_spanning_fan())
     return out
+
+
+def test_one_pass_matches_carried_transform_oracles():
+    """One Hermite pass over ``[a | I]`` against the routines that carried a
+    separate transform T and took a second pass for the kernel: the same H
+    and K, bit for bit, on the random matrices, the ray matrices of the fan
+    corpus and rank x 0 and 0 x n shapes.  The gcd step on ``[a | I]`` leaves
+    A and T side by side, and ``_hermite`` on a alone leaves the same form."""
+    rng = random.Random(SEED)
+    inputs = [_random_matrix(rng, i) for i in range(600)]
+    inputs += [fan.ray_matrix() for fan in _lattice_corpus()]
+    inputs += [IntMatrix(((),) * k, 0) for k in range(6)] + [IntMatrix((), n) for n in range(4)]
+    steps = 0
+    for a in inputs:
+        assert hermite_and_left_kernel(a) == slow_hermite_and_left_kernel(a), a
+        rows, expected = [list(r) for r in a.entries], [list(r) for r in a.entries]
+        _hermite(rows)
+        slow_hermite(expected, [[] for _ in expected])
+        assert rows == expected, a
+        c = next((j for j in range(a.cols) if a.rows and a.entries[0][j]), None)
+        if c is None:
+            continue
+        aug = _augmented(a.entries)
+        A = [list(r) for r in a.entries]
+        T = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+        while True:
+            least = _clear_column(aug, 0, c)
+            assert least == slow_clear_column(A, T, 0, c), a
+            assert aug == [x + y for x, y in zip(A, T)], a
+            steps += 1
+            if least is None:
+                break
+    assert steps >= 3000
 
 
 def _non_spanning_fan():
