@@ -8,10 +8,10 @@ Duals.  The extreme rays of ``{m : <m, v> >= 0 for all v}`` are kernels of
 corank-one generator subsets.  When the generators split into plus/minus
 pairs and a set independent modulo the pairs' span (every fan cone, every
 dual of one, every quotient cone below), each independent generator owns
-one ray, and one Smith form of the generators gives every ray together
-with the lineality space.  Any other cone falls back to scanning all
-corank-one subsets.  The dual carries its lineality basis (the primal's
-orthogonal complement), so ``lineality_basis`` need not recompute it.
+one ray, and one Smith form of the generators gives every ray.  Any other
+cone falls back to scanning all corank-one subsets.  The dual carries its
+lineality basis, the generators' canonical kernel from one Hermite pass,
+so ``lineality_basis`` need not recompute it.
 
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
 along its boundary (Hirzebruch-Jung continued fraction), in steps
@@ -50,7 +50,6 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     _hermite,
-    _smith_kernel,
     dot,
     hermite_and_left_kernel,
     inverse_unimodular,
@@ -128,8 +127,7 @@ class HilbertBasis:
 def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
     """Canonical saturated kernel basis of the row system: the left kernel
     of the transpose, which is Z^rank when there are no rows."""
-    columns = tuple(tuple(row[j] for row in rows) for j in range(rank))
-    return list(hermite_and_left_kernel(IntMatrix._trusted(columns, len(rows)))[1].entries)
+    return list(hermite_and_left_kernel(IntMatrix._trusted(tuple(rows), rank).transpose())[1].entries)
 
 
 @lru_cache(maxsize=None)
@@ -141,12 +139,11 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
     representatives are reduced modulo the lineality lattice so the output
     is canonical.
 
-    One Smith form of the generators (``_smith_rays``) gives the lineality
-    basis, which the output carries (the Hermite form ``lineality_basis``
-    would compute), and, when the generators split into plus/minus pairs
-    and a set independent modulo their span, every ray.  Other cones take
-    their rays from ``_scanned_rays`` (every corank-one generator subset).
-    Both feed the same reduction, which is linear, so the output does not
+    ``_smith_rays`` gives the lineality basis (the generators' canonical
+    kernel), which the output carries, and, when the generators split into
+    plus/minus pairs and a set independent modulo their span, every ray.
+    Other cones take their rays from ``_scanned_rays`` (every corank-one
+    generator subset).  Both feed the same reduction, which is linear, so the output does not
     depend on the path.
     """
     n = sigma.ambient_rank
@@ -166,20 +163,21 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
 
 
 def _smith_rays(gens, rank):
-    """``(lineality, rays)`` from one Smith form of the generators.
+    """The dual's ``(lineality, rays)``: the generators' kernel and its rays.
 
     P collects the generators whose negation is also a generator and R the
     rest.  ``U @ M @ V == D`` factors M = rows(R) then one row of each pair
-    in P, with ``rho`` nonzero ``d_j``.  The lineality basis is the kernel
-    read off V.  The rows ``j >= rho`` of U span the relations among the
-    rows of M, so R is independent modulo span(P) exactly when they vanish
-    on R.  Then, with ``top = d_(rho-1)``, the ray of ``r_i`` is
-    ``V[:, :rho] @ (U[j][i] * top / d_j)``: M maps it to ``top * e_i``, so it
-    is positive on ``r_i`` and zero on every other generator.  ``rays`` is
-    ``None`` when the generators do not split so.
+    in P, with ``rho = rank - len(lineality)`` nonzero ``d_j``.  The rows
+    ``j >= rho`` of U span the relations among the rows of M, so R is
+    independent modulo span(P) exactly when they vanish on R.  Then, with
+    ``top = d_(rho-1)``, the ray of ``r_i`` is ``V[:, :rho] @ (U[j][i] * top
+    / d_j)``: M maps it to ``top * e_i``, so it is positive on ``r_i`` and
+    zero on every other generator.  ``rays`` is ``None`` when the
+    generators do not split so.
     """
+    lineality = _kernel_columns(gens, rank)
     if not gens:
-        return _kernel_columns([], rank), []
+        return lineality, []
     gen_set = set(gens)
     rest, pairs = [], []
     for g in gens:
@@ -189,7 +187,6 @@ def _smith_rays(gens, rank):
         elif g > neg:
             pairs.append(g)
     u, d, v = smith_normal_form(IntMatrix._trusted(tuple(rest + pairs), rank))
-    lineality = list(_smith_kernel(d, v).columns())
     diag = [d.entries[j][j] for j in range(rank - len(lineality))]
     rho, k = len(diag), len(rest)
     if any(u.entries[j][i] for j in range(rho, u.rows) for i in range(k)):

@@ -11,8 +11,8 @@ carry a row transform as identity columns: reducing the rows of ``[a | I]``
 leaves ``[T @ a | T]`` (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse and, in
 ``hermite_and_left_kernel`` (the one public Hermite entry point), the row
-lattice and the canonical left kernel.  ``_smith_kernel`` runs ``_hermite``
-on the kernel columns of a Smith form its caller already holds.
+lattice and the canonical left kernel, the package's one canonical-kernel
+route (the Hermite form of a saturated lattice is unique).
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def primitive(v) -> IntVector:
     vec = tuple(_check_int(x) for x in v)
     if not any(vec):
         raise DomainError("the zero vector has no primitive representative")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     return tuple(x // g for x in vec)
 
 
@@ -116,10 +114,11 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> tuple[IntVector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        # a matrix with no rows still has cols empty columns
+        return tuple(zip(*self.entries)) or ((),) * self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(self.columns()), self.rows)
+        return IntMatrix._trusted(self.columns(), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -354,20 +353,6 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
     return hermite_and_left_kernel(a.transpose())[1].transpose()
-
-
-def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
-    """``integer_kernel`` read off a Smith form ``U @ a @ V == D`` the
-    caller already holds.
-
-    The columns of V past the nonzero diagonal entries are a saturated
-    kernel basis; the Hermite form of their transpose makes it canonical.
-    """
-    n = v.cols
-    rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
-    K = [list(col) for col in zip(*v.entries)][rank:]
-    _hermite(K)
-    return IntMatrix._trusted(tuple(zip(*K)) if K else ((),) * n, n - rank)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import DomainError, ExpressionError
 from .solenoid import _as_fraction
@@ -113,10 +113,7 @@ def in_level_image(e: KRingElement, n: int) -> bool:
 
 
 def _common_grid(s: FormalSum) -> Fraction:
-    denom = 1
-    for q, _ in s.terms:
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    return Fraction(1, denom)
+    return Fraction(1, lcm(*(q.denominator for q, _ in s.terms)))
 
 
 def oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:

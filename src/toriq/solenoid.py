@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
 
@@ -269,8 +269,6 @@ def refine(z: SolenoidPoint, new_level: int, branch: int) -> SolenoidPoint:
 
 def common_level(*levels: int) -> int:
     """Least common multiple of truncation levels."""
-    out = 1
     for lv in levels:
         _check_level(lv)
-        out = out * lv // gcd(out, lv)
-    return out
+    return lcm(*levels)

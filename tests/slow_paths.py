@@ -73,9 +73,9 @@ from toriq.homogeneous import HomogeneousPoint
 from toriq.intlinalg import (
     IntMatrix,
     _clear_column,
+    _hermite,
     _negate_row,
     _row_sub,
-    _smith_kernel,
     _swap_rows,
     dot,
     primitive,
@@ -652,6 +652,19 @@ def slow_inverse_unimodular(a: IntMatrix) -> IntMatrix:
             out.append(int(x))
         inv.append(tuple(out))
     return IntMatrix(tuple(inv), n)
+
+
+def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
+    """The kernel of ``a`` read off a Smith form ``U @ a @ V == D``.
+
+    The columns of V past the nonzero diagonal entries are a saturated
+    kernel basis; the Hermite form of their transpose makes it canonical.
+    """
+    n = v.cols
+    rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
+    K = [list(col) for col in zip(*v.entries)][rank:]
+    _hermite(K)
+    return IntMatrix._trusted(tuple(zip(*K)) if K else ((),) * n, n - rank)
 
 
 def slow_integer_kernel(a: IntMatrix) -> IntMatrix:
