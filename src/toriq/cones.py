@@ -45,7 +45,7 @@ from math import prod
 from operator import le, mul
 
 from .errors import DomainError, ResourceLimitError
-from .fans import Fan
+from .fans import _CACHE_SIZE, Fan
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -130,7 +130,7 @@ def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
     return list(hermite_and_left_kernel(IntMatrix._trusted(tuple(rows), rank).transpose())[1].entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def dual_cone(sigma: RationalCone) -> RationalCone:
     """Generators of ``{m : <m, v> >= 0 for every generator v of sigma}``.
 
@@ -250,29 +250,32 @@ def cone_contains(cone: RationalCone, point) -> bool:
     return all(dot(d, p) >= 0 for d in dual_cone(cone).generators)
 
 
-def _parallelepiped_points(subset: list[IntVector], rank: int) -> list[IntVector]:
-    """Lattice points of ``{sum t_i g_i : 0 <= t_i < 1}`` for independent g_i.
+_POINT_CAP = 2**20  # most rank-2 basis elements or parallelepiped candidates per basis
 
-    They are the cosets of the generators' lattice in the saturation of its
-    span, and a Smith form ``U @ G^T @ V = D`` of the generator columns
-    indexes them: ``G^T @ t`` is integral exactly when ``V^-1 @ t`` has i-th
-    coordinate in ``Z / d_i``.  Each residue vector ``0 <= r_i < d_i`` gives
-    ``t = V @ (r_i / d_i)``; over the common denominator ``d_k`` (every
-    ``d_i`` divides it) ``t mod 1`` is ``(V @ (r_i * d_k / d_i) mod d_k) / d_k``
-    and the point ``G^T @ (t mod 1)`` is an exact integer quotient.
+
+def _parallelepiped(subset: list[IntVector], rank: int):
+    """``(size, points)`` for the lattice points of ``{sum t_i g_i : 0 <= t_i
+    < 1}``, ``points`` lazy so that every size can be read before any point.
+
+    The points are the cosets of the generators' lattice in the saturation
+    of its span, and a Smith form ``U @ G^T @ V = D`` of the generator
+    columns indexes them: ``G^T @ t`` is integral exactly when ``V^-1 @ t``
+    has i-th coordinate in ``Z / d_i``, so there are ``prod(d_i)`` of them;
+    a zero ``d_i`` marks dependent g_i, with size 0 and no points.  Each
+    residue vector ``0 <= r_i < d_i`` gives ``t = V @ (r_i / d_i)``; over
+    the common denominator ``d_k`` (every ``d_i`` divides it) ``t mod 1`` is
+    ``(V @ (r_i * d_k / d_i) mod d_k) / d_k`` and the point
+    ``G^T @ (t mod 1)`` is an exact integer quotient.
     """
     k = len(subset)
     _, d, v = smith_normal_form(IntMatrix._trusted(tuple(zip(*subset)), k))
     diag = [d.entries[i][i] for i in range(k)]
     top = diag[-1]
-    points = []
-    for residues in product(*(range(di) for di in diag)):
-        w = [r * (top // di) for r, di in zip(residues, diag)]
-        t = [dot(row, w) % top for row in v.entries]
-        points.append(tuple(
-            sum(g[i] * tj for g, tj in zip(subset, t)) // top for i in range(rank)
-        ))
-    return points
+    ts = ([dot(row, [r * (top // di) for r, di in zip(res, diag)]) % top for row in v.entries]
+          for res in product(*map(range, diag)))
+    return prod(diag), (
+        tuple(sum(g[i] * tj for g, tj in zip(subset, t)) // top for i in range(rank)) for t in ts
+    )
 
 
 def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
@@ -286,7 +289,8 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     generators).  Every independent subset lies in a maximal one, and its
     parallelepiped is a ``t_i = 0`` face of the maximal one's, so no point
     of a smaller subset is missed.  Simplicial cones have exactly one such
-    subset.
+    subset.  All ``rho``-subsets are sized before any is enumerated, and
+    more than ``_POINT_CAP`` candidates raise ``ResourceLimitError``.
 
     Candidates are filtered in increasing grade ``s(x) = sum(p(x))``, where
     the pairing vector ``p(x)`` lists x's pairings with the dual generators.
@@ -301,11 +305,17 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     rho = IntMatrix._trusted(gens, rank).rank()
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
+    parallelepipeds = [_parallelepiped(list(s), rank) for s in combinations(gens, rho)]
+    size = sum(n for n, _ in parallelepipeds)
+    if size > _POINT_CAP:
+        raise ResourceLimitError(
+            f"hilbert_basis: the cone spanned by {', '.join(map(str, gens))} has {size} "
+            f"candidates in the parallelepipeds of its {rho}-generator subsets, past the cap of {_POINT_CAP}"
+        )
     dual_gens = dual_cone(cone).generators
     candidates: set[IntVector] = set(gens)
-    for subset in combinations(gens, rho):
-        if rho == len(gens) or IntMatrix._trusted(subset, rank).rank() == rho:
-            candidates.update(_parallelepiped_points(list(subset), rank))
+    for _, points in parallelepipeds:
+        candidates.update(points)
     candidates.discard((0,) * rank)
     pairings = [tuple(sum(map(mul, d, x)) for d in dual_gens) for x in candidates]
     grades, accepted_pairings, accepted = [], [], []
@@ -316,9 +326,6 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
             accepted_pairings.append(p)
             accepted.append(x)
     return accepted
-
-
-_RANK2_BASIS_CAP = 2**20
 
 
 def _rank2_start(u: IntVector, w: IntVector) -> tuple[IntVector, int, int]:
@@ -372,15 +379,15 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     ``u, e``.  While ``w = p*v_prev + q*v`` with ``p < 0`` it steps to
     ``b*v - v_prev``, ``b = ceil(q / -p)``; ``|p|`` strictly falls and the
     walk ends on ``w``.  The cost is one integer step per basis element, so
-    a basis that ``_rank2_count`` puts above ``_RANK2_BASIS_CAP`` raises
+    a basis that ``_rank2_count`` puts above ``_POINT_CAP`` raises
     ``ResourceLimitError`` before the walk.
     """
     e, p, q = _rank2_start(u, w)
     size = _rank2_count(p, q)
-    if size > _RANK2_BASIS_CAP:
+    if size > _POINT_CAP:
         raise ResourceLimitError(
             f"hilbert_basis: the rank-2 cone spanned by {u} and {w} has {size} "
-            f"basis elements, past the cap of {_RANK2_BASIS_CAP}"
+            f"basis elements, past the cap of {_POINT_CAP}"
         )
     out = [u, e]
     prev, cur = u, e
@@ -392,7 +399,7 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Minimal generating set of the semigroup of lattice points of a cone.
 

@@ -13,7 +13,7 @@ containment of one maximal cone in another, the facet count of a complete
 fan, the unused-ray check, whether a point's zero pattern lies in the
 discriminant (``homogeneous.in_discriminant``) and whether a ray
 permutation is a fan automorphism (``quotient.fan_symmetry``).  Only
-``cones()`` lists faces, once per fan.
+``cones()`` lists faces, once per fan and at most 2^20 of them.
 
 ``ray_lattice()`` takes one Hermite pass over the rays on first use and
 keeps it, like the face list.  The constructor checks ranks by Bareiss
@@ -32,10 +32,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from .errors import DomainError, FanValidationError
+from .errors import DomainError, FanValidationError, ResourceLimitError
 from .intlinalg import IntMatrix, IntVector, _bareiss, hermite_and_left_kernel, primitive
 
 ConeRef = tuple[int, ...]
+
+_FACE_CAP = 2**20  # most cones Fan.cones lists: all of cp1^9 or P^19, not a 21-ray cone's
+_CACHE_SIZE = 128  # entries of each lru_cache keyed on a fan or a cone
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,19 @@ class Fan:
 
     def cones(self) -> tuple[ConeRef, ...]:
         """All cones of the fan: the subset closure of the maximal cones,
-        sorted by dimension, then lexicographically; listed once per fan."""
+        sorted by dimension, then lexicographically; listed once per fan.
+        Past ``_FACE_CAP`` faces, counted before and after each maximal
+        cone's are listed, it raises ``ResourceLimitError``."""
         if self._cones is None:
-            faces = {f for c in self.maximal_cones for r in range(len(c) + 1) for f in combinations(c, r)}
+            faces: set[ConeRef] = set()
+            for k, c in enumerate(self.maximal_cones):
+                if 2 ** len(c) <= _FACE_CAP:
+                    faces.update(f for r in range(len(c) + 1) for f in combinations(c, r))
+                if 2 ** len(c) > _FACE_CAP or len(faces) > _FACE_CAP:
+                    raise ResourceLimitError(
+                        f"cones: listing the faces of maximal cone {k + 1} of {len(self.maximal_cones)} "
+                        f"({len(c)} rays, {2 ** len(c)} faces) passes the cap of {_FACE_CAP} cones"
+                    )
             object.__setattr__(self, "_cones", tuple(sorted(faces, key=lambda c: (len(c), c))))
         return self._cones
 

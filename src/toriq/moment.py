@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, IncompleteFanError
-from .fans import ConeRef, Fan
+from .fans import _CACHE_SIZE, ConeRef, Fan
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _require_complete(fan: Fan, what: str):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def face_lattice(fan: Fan) -> FaceLattice:
     """Invert the cone poset: each cone of dimension d becomes a face of
     dimension ``lattice_rank - d`` with fiber rank equal to its dimension."""

@@ -32,7 +32,7 @@ from itertools import permutations, product as iproduct
 from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
-from .fans import Fan, _one_based
+from .fans import _CACHE_SIZE, Fan, _one_based
 from .intlinalg import IntMatrix, smith_normal_form
 
 Permutation = tuple[int, ...]  # one-line form: i -> perm[i]
@@ -116,13 +116,13 @@ def _spanning_lattice(fan: Fan) -> tuple[IntMatrix, IntMatrix]:
     return h, k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def charge_matrix(fan: Fan) -> ChargeMatrix:
     """Canonical relation matrix among the primitive ray generators."""
     return ChargeMatrix(_spanning_lattice(fan)[1].transpose())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def group_structure(fan: Fan) -> QuotientGroupStructure:
     """Free rank and invariant factors of the quotient group."""
     h, _ = _spanning_lattice(fan)
@@ -131,7 +131,7 @@ def group_structure(fan: Fan) -> QuotientGroupStructure:
     return QuotientGroupStructure(fan.n_rays - fan.lattice_rank, torsion)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
     """Primitive collections: the minimal ray subsets generating no cone.
 
@@ -216,7 +216,7 @@ def _preserves_cones(perm: Permutation, fan: Fan) -> bool:
     return all(fan._holders([perm[i] for i in c]) for c in fan.maximal_cones)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
     """Ray permutations fixing the charge matrix row-wise and preserving
     the cones.
@@ -299,7 +299,7 @@ def _product_of_factorials(sizes) -> int:
     return prod(map(factorial, sizes))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def aut_presentation(fan: Fan) -> AutPresentation:
     """Finite fan symmetry extended by the residual solenoidal torus.
 

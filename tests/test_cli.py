@@ -163,6 +163,20 @@ def test_huge_fiber_rank_is_counted_not_built(capsys, tmp_path):
     assert str(2 ** 20) in err
 
 
+def test_one_21_ray_cone_is_refused_at_the_face_cap(capsys, tmp_path):
+    """``analyze`` on one 21-ray cone would list 2^21 faces: it exits 1 at
+    once, naming the stage, the cone's size and the cap."""
+    path = tmp_path / "cone21.json"
+    rays = [[int(i == j) for j in range(21)] for i in range(21)]
+    path.write_text(json.dumps({"lattice_rank": 21, "rays": rays, "maximal_cones": [list(range(1, 22))]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == (f"error: cones: listing the faces of maximal cone 1 of 1 (21 rays, {2 ** 21} faces) "
+                   f"passes the cap of {2 ** 20} cones\n")
+
+
 def test_solenoid_subcommands(capsys):
     code, out, _ = run(capsys, "solenoid", "exp", "--a", "1/4", "--turns", "1/4")
     assert code == 0 and out == "level=4 rho=1 turns=5/16\n"

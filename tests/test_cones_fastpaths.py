@@ -4,6 +4,7 @@ checks of the rank-2 boundary walk and the fiber-rank count."""
 
 import random
 import re
+import time
 from fractions import Fraction
 from math import atan2, comb, gcd
 from itertools import combinations, product
@@ -24,7 +25,7 @@ from toriq import catalog, cones as cones_module
 from toriq.cones import (
     RationalCone,
     _lineality_quotient,
-    _parallelepiped_points,
+    _parallelepiped,
     _rank2_start,
     _smith_rays,
     affine_fiber_rank,
@@ -245,7 +246,8 @@ def test_parallelepiped_points_match_slow_path():
     """Smith-form enumeration against the ``Fraction``-solve enumeration, on
     independent subsets of rank 1-4, lower-dimensional ones included.  A
     Gram determinant of at most 30^2 bounds the number of points by 30.
-    Points are compared as sorted lists, so a repeated coset shows."""
+    Points are compared as sorted lists, so a repeated coset shows, and
+    the size read off the Smith diagonal must count them."""
     rng = random.Random(SEED)
     shapes = set()
     checked = 0
@@ -257,7 +259,9 @@ def test_parallelepiped_points_match_slow_path():
         g = IntMatrix.from_rows(gens, rank)
         if g.rank() != k or (g @ g.transpose()).det() > 30 ** 2:
             continue
-        points = _parallelepiped_points(gens, rank)
+        size, points = _parallelepiped(gens, rank)
+        points = list(points)
+        assert size == len(points), gens
         assert sorted(points) == sorted(slow_parallelepiped_points(gens, rank)), gens
         shapes.add((rank, k))
         checked += 1
@@ -275,12 +279,45 @@ def test_rank2_walk_is_output_sensitive():
 
 def test_rank2_basis_past_the_cap_is_refused():
     """The cone (0, 1), (n, 1) has n + 1 basis elements: the walk refuses to
-    list them past ``_RANK2_BASIS_CAP`` and names the cone, size and cap."""
-    cap = cones_module._RANK2_BASIS_CAP
+    list them past ``_POINT_CAP`` and names the cone, size and cap."""
+    cap = cones_module._POINT_CAP
     cone = RationalCone.from_generators(2, [(0, 1), (cap, 1)])
     with pytest.raises(ResourceLimitError, match=rf"hilbert_basis: .*\(0, 1\) and \({cap}, 1\) "
                        rf"has {cap + 1} basis elements, past the cap of {cap}"):
         hilbert_basis(cone)
+
+
+def test_parallelepiped_candidates_past_the_cap_are_refused(monkeypatch):
+    """``_pointed_hilbert_basis`` sizes every parallelepiped from its Smith
+    diagonal before it lists any point and refuses more than
+    ``_POINT_CAP`` candidates: the dual of a random rank-4 cone, whose 70
+    generator 4-subsets hold 2,291,100 points, and the singular chart dual
+    of P(1, 1, 1, 1500), with 1500^2.  At the cap it lists them all."""
+    cap = cones_module._POINT_CAP
+    start = time.perf_counter()
+    dual = dual_cone(RationalCone.from_generators(4, [
+        (0, 1, 0, -2), (-2, -1, 0, -3), (1, -3, -2, 0), (1, -2, 1, -2),
+        (3, 2, 0, 1), (-2, -1, 3, -1), (-3, -3, 2, -1),
+    ]))
+    assert len(dual.generators) == 8
+    with pytest.raises(ResourceLimitError, match=rf"^hilbert_basis: the cone spanned by .* "
+                       rf"has 2291100 candidates in .* 4-generator subsets, past the cap of {cap}$"):
+        hilbert_basis(dual)
+    chart = RationalCone.from_generators(3, [(-1, -1, -1500), (1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ResourceLimitError, match=rf"has {1500 ** 2} candidates"):
+        hilbert_basis(dual_cone(chart))
+    assert time.perf_counter() - start < 1.0
+    # a dependent subset has size 0 and lists nothing
+    size, points = _parallelepiped([(1, 0, 0), (2, 0, 0)], 3)
+    assert size == 0 and list(points) == []
+    # the chart dual of P(1, 1, 1, 4) has 16 candidates: refused only past them
+    four = dual_cone(RationalCone.from_generators(3, [(-1, -1, -4), (1, 0, 0), (0, 1, 0)]))
+    hilbert_basis.cache_clear()
+    monkeypatch.setattr(cones_module, "_POINT_CAP", 15)
+    with pytest.raises(ResourceLimitError, match="has 16 candidates"):
+        hilbert_basis(four)
+    monkeypatch.setattr(cones_module, "_POINT_CAP", 16)
+    assert hilbert_basis(four).generators == tuple(slow_hilbert_basis(four))
 
 
 def test_rank3_fiber_rank_past_the_cap_is_counted():
@@ -289,7 +326,7 @@ def test_rank3_fiber_rank_past_the_cap_is_counted():
     (0, 1), (j, 1 - j) for j = 1..d, so the fiber rank is 2 + (d + 1).
     ``affine_fiber_rank`` counts it, and ``hilbert_basis`` of the dual
     refuses to list it, naming the dual cone itself."""
-    cap = cones_module._RANK2_BASIS_CAP
+    cap = cones_module._POINT_CAP
     d = 2 * cap
     fan = build_fan(3, [(1, 0, 0), (d - 1, d, 0)], [[0, 1]])
     assert affine_fiber_rank(fan, (0, 1)) == 2 + d + 1

@@ -18,13 +18,22 @@ from slow_paths import (
     slow_in_discriminant,
     slow_is_cone,
 )
-from toriq import catalog
-from toriq.cones import affine_fiber_rank
-from toriq.errors import FanValidationError, ToriqError
-from toriq.fans import Fan, build_fan
+from toriq import catalog, fans as fans_module
+from toriq.cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
+from toriq.errors import FanValidationError, ResourceLimitError, ToriqError
+from toriq.fans import _CACHE_SIZE, Fan, build_fan
 from toriq.homogeneous import in_discriminant
 from toriq.intlinalg import IntMatrix, primitive
-from toriq.quotient import _preserves_cones, discriminant_locus, fan_symmetry
+from toriq.moment import face_lattice
+from toriq.quotient import (
+    _preserves_cones,
+    aut_presentation,
+    charge_matrix,
+    discriminant_locus,
+    fan_symmetry,
+    group_structure,
+    quotient_report,
+)
 from toriq.solenoid import PolarComplex
 
 SEED = 20261018
@@ -144,6 +153,45 @@ def test_one_40_ray_cone_is_cheap():
     assert fan.is_cone((0, 1))
     assert affine_fiber_rank(fan, (0, 1)) == 78
     assert time.perf_counter() - start < 1.0
+
+
+def test_face_list_past_the_cap_is_refused(monkeypatch):
+    """``cones()`` refuses a maximal cone with more than ``_FACE_CAP``
+    faces before listing any of them, and the maximal cone whose faces take
+    the count past the cap; at the cap it lists every face."""
+    start = time.perf_counter()
+    fan = Fan(40, [tuple(int(i == j) for j in range(40)) for i in range(40)], [tuple(range(40))])
+    with pytest.raises(ResourceLimitError, match=r"^cones: .* maximal cone 1 of 1 \(40 rays, "
+                       rf"{2 ** 40} faces\) passes the cap of {2 ** 20} cones$"):
+        fan.cones()
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(fans_module, "_FACE_CAP", 64)
+    units = lambda k: [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    assert len(Fan(6, units(6), [tuple(range(6))]).cones()) == 64
+    with pytest.raises(ResourceLimitError, match=r"maximal cone 1 of 1 \(7 rays, 128 faces\)"):
+        Fan(7, units(7), [tuple(range(7))]).cones()
+    # 64 + 63 distinct faces: the second cone takes the count past the cap
+    with pytest.raises(ResourceLimitError, match=r"maximal cone 2 of 2 \(6 rays, 64 faces\)"):
+        Fan(12, units(12), [tuple(range(6)), tuple(range(6, 12))]).cones()
+    assert len(_cp1_power(3).cones()) == 27
+
+
+def test_caches_stay_bounded_over_many_fans():
+    """Every lru_cache keyed on a fan or a cone keeps at most
+    ``_CACHE_SIZE`` entries after 300 distinct fans."""
+    cached = (charge_matrix, group_structure, discriminant_locus, fan_symmetry,
+              aut_presentation, face_lattice, dual_cone, hilbert_basis)
+    for f in cached:
+        f.cache_clear()
+    for n in range(1, 301):
+        fan = catalog.weighted_plane(n)
+        quotient_report(fan)
+        face_lattice(fan)
+        hilbert_basis(dual_cone(fan_cone(fan, (0, 1))))
+    assert _CACHE_SIZE == 128
+    for f in cached:
+        info = f.cache_info()
+        assert info.misses >= 300 and info.currsize <= _CACHE_SIZE, (f.__name__, info)
 
 
 def test_in_discriminant_matches_antichain_scan_on_every_zero_pattern():
