@@ -143,8 +143,8 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
     kernel), which the output carries, and, when the generators split into
     plus/minus pairs and a set independent modulo their span, every ray.
     Other cones take their rays from ``_scanned_rays`` (every corank-one
-    generator subset).  Both feed the same reduction, which is linear, so the output does not
-    depend on the path.
+    generator subset).  Both feed the same reduction, which is linear, so
+    the output does not depend on the path.
     """
     n = sigma.ambient_rank
     gens = sigma.generators
@@ -163,7 +163,7 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
 
 
 def _smith_rays(gens, rank):
-    """The dual's ``(lineality, rays)``: the generators' kernel and its rays.
+    """The dual's ``(lineality, rays)``: the generators' kernel and the rays.
 
     P collects the generators whose negation is also a generator and R the
     rest.  ``U @ M @ V == D`` factors M = rows(R) then one row of each pair
@@ -271,11 +271,12 @@ def _parallelepiped(subset: list[IntVector], rank: int):
     _, d, v = smith_normal_form(IntMatrix._trusted(tuple(zip(*subset)), k))
     diag = [d.entries[i][i] for i in range(k)]
     top = diag[-1]
-    ts = ([dot(row, [r * (top // di) for r, di in zip(res, diag)]) % top for row in v.entries]
-          for res in product(*map(range, diag)))
-    return prod(diag), (
-        tuple(sum(g[i] * tj for g, tj in zip(subset, t)) // top for i in range(rank)) for t in ts
-    )
+    def points():
+        for residues in product(*(range(di) for di in diag)):
+            w = [r * (top // di) for r, di in zip(residues, diag)]
+            t = [dot(row, w) % top for row in v.entries]
+            yield tuple(sum(g[i] * tj for g, tj in zip(subset, t)) // top for i in range(rank))
+    return prod(diag), points()
 
 
 def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:

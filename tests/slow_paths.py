@@ -32,7 +32,8 @@ operation on a separate transform T, and the left kernel takes a second
 Hermite pass.  ``slow_integer_kernel``,
 ``slow_charge_matrix`` and ``slow_group_structure`` are the lattice data
 from before one Hermite pass gave them all: the kernel from a Smith form
-and a column Hermite form, the charge matrix as the kernel of the
+and a column Hermite form (``_smith_kernel``, which also gave dual cones
+their lineality), the charge matrix as the kernel of the
 transposed ray matrix, and the group from a second Smith form of the ray
 matrix itself.  ``solve_integer`` solves an integer system through a Smith
 form; the library no longer needs one.  ``slow_in_discriminant`` and
