@@ -16,8 +16,11 @@ permutation is a fan automorphism (``quotient.fan_symmetry``).  Only
 ``cones()`` lists faces, once per fan and at most 2^20 of them.
 
 ``ray_lattice()`` takes one Hermite pass over the rays on first use and
-keeps it, like the face list.  The constructor checks ranks by Bareiss
-elimination and never takes that pass.
+keeps it, like the face list.  The constructor never takes that pass: it
+checks ranks by Bareiss elimination, whose last pivot is a k-minor of a
+maximal cone's k rays.  A pivot of +-1 sets bit k of ``_unimodular``: the
+cone and its faces are unimodular.  That decides every full-dimensional
+cone (the pivot is +-det), not every smaller one.
 
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
@@ -74,7 +77,7 @@ class Fan:
             raise FanValidationError("rays: duplicate ray")
         if not self.maximal_cones:
             raise FanValidationError("maximal_cones: at least one cone is required")
-        star = [0] * len(self.rays)
+        star, unimodular = [0] * len(self.rays), 0
         seen: set[ConeRef] = set()
         for k, cone in enumerate(self.maximal_cones):
             if not cone:
@@ -92,12 +95,15 @@ class Fan:
             if cone in seen:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: duplicate cone")
             seen.add(cone)
-            if _bareiss([self.rays[i] for i in cone], rank)[0] != len(cone):
+            independent, pivot = _bareiss([self.rays[i] for i in cone], rank)
+            if independent != len(cone):
                 raise FanValidationError(
                     f"maximal_cones[{k + 1}]: generators are linearly dependent "
                     "(only simplicial cones are supported)"
                 )
+            unimodular |= (abs(pivot) == 1) << k
         object.__setattr__(self, "_star", star)
+        object.__setattr__(self, "_unimodular", unimodular)
         for k, a in enumerate(self.maximal_cones):
             others = self._holders(a) & ~(1 << k)
             if others:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
 
@@ -154,15 +154,19 @@ class PolarComplex:
 def _integer_root(n: int, q: int) -> int | None:
     """Integer q-th root of n, or ``None`` when n is not a perfect power.
 
-    For ``n >= 2`` a root x >= 2 has ``x ** q >= 2 ** q``, so there is
-    none unless ``q`` is below ``n.bit_length()``, and then
-    ``x < 2 ** (bit_length // q + 1)`` bounds the search: no power above
-    ``2 ** (bit_length + q)`` is formed.
+    A square root is ``math.isqrt``'s, in time near-linear in the bits.
+    For ``q >= 3`` and ``n >= 2`` a root x >= 2 has ``x ** q >= 2 ** q``,
+    so there is none unless ``q`` is below ``n.bit_length()``, and then
+    bisection under ``x < 2 ** (bit_length // q + 1)`` finds it: no power
+    above ``2 ** (bit_length + q)`` is formed.
     """
     if n < 0:
         raise DomainError("negative radicand")
     if n in (0, 1):
         return n
+    if q == 2:
+        root = isqrt(n)
+        return root if root * root == n else None
     bits = n.bit_length()
     lo, hi = 1, (1 << (bits // q + 1) if q < bits else 1)
     while lo < hi:

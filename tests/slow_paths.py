@@ -44,7 +44,9 @@ map the antichain onto itself.  ``slow_parse_expression`` is the K-ring
 parser from before one term pattern scanned the text: a sign-splitting
 state machine, then one anchored match per chunk.  ``slow_face_lattice``
 sorts the face nodes that ``moment.face_lattice`` now takes in face-list
-order.
+order.  ``slow_integer_root`` finds every root, square roots too, by
+bisection over the root's bits, as ``solenoid._integer_root`` did before
+squares went to ``math.isqrt``.
 """
 
 from __future__ import annotations
@@ -935,3 +937,19 @@ def slow_parse_expression(text: str) -> FormalSum:
             raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
         terms.append((Fraction(num, den), sgn * coeff))
     return FormalSum.from_terms(terms)
+
+
+def slow_integer_root(n: int, q: int) -> int | None:
+    """Integer q-th root of n >= 0, or ``None``, by bisection under
+    ``x < 2 ** (bit_length // q + 1)`` for every q."""
+    if n in (0, 1):
+        return n
+    bits = n.bit_length()
+    lo, hi = 1, (1 << (bits // q + 1) if q < bits else 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** q < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo ** q == n else None

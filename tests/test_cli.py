@@ -5,14 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from toriq.catalog import fan_path, weighted_plane
+from toriq.catalog import fan_path, projective_space, weighted_plane
 from toriq.cli import main
 from toriq.cones import affine_fiber_rank
-from toriq.fans import fan_to_dict
+from toriq.fans import build_fan, fan_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,6 +48,29 @@ def test_delzant_matches_golden(capsys, name):
     code, out, err = run(capsys, "delzant", str(fan_path(name)))
     assert code == 0 and err == ""
     assert out == (GOLDEN / f"{name}_delzant.json").read_text()
+
+
+# no shipped fan has rank above 2; these pin analyze in rank 3 and 4, where
+# faces of maximal cones are neither rays nor maximal.  P(1,1,1,2) has one
+# singular maximal cone among three smooth ones.  Goldens live in a
+# subdirectory because every top-level *_analyze.json names a shipped fan.
+HIGHER_RANK_FANS = {
+    "cp3": lambda: projective_space(3),
+    "cp4": lambda: projective_space(4),
+    "cp111_2": lambda: build_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)], combinations(range(4), 3),
+        complete=True, name="cp111_2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHER_RANK_FANS))
+def test_analyze_matches_golden_in_rank_3_and_4(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(fan_to_dict(HIGHER_RANK_FANS[name]())))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "rank3" / f"{name}_analyze.json").read_text()
 
 
 def test_analyze_is_byte_deterministic(capsys):

@@ -422,6 +422,85 @@ def _disguise(rng, fan):
     return build_fan(n, rays, fan.maximal_cones, complete=fan.complete)
 
 
+def _blown_up_cp3(rng, steps):
+    """cp^3 after ``steps`` star subdivisions, each of a random 2- or 3-cone
+    at the sum of its rays: smooth and complete."""
+    rays = [_unit(3, i) for i in range(3)] + [(-1, -1, -1)]
+    cones = {frozenset(c) for c in combinations(range(4), 3)}
+    for _ in range(steps):
+        faces = sorted({f for c in cones for r in (2, 3) for f in combinations(sorted(c), r)})
+        star = frozenset(rng.choice(faces))
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in star)))))
+        for cone in [c for c in cones if star <= c]:
+            cones.remove(cone)
+            cones.update(cone - {i} | {len(rays) - 1} for i in star)
+    return build_fan(3, rays, cones, complete=True)
+
+
+def _mask_fans(rng):
+    """(fan, its expected ``_unimodular`` mask).  P(1,1,1,2), whose maximal
+    cone on e_1, e_2 and -(1, 1, 2) alone is singular; a disguised smooth
+    blow-up of cp^3; and three incomplete rank-4 fans with a 3-ray and a
+    2-ray maximal cone: last Bareiss pivot +-1; pivot 2 but index 1, a
+    unimodular pair the mask leaves to the Hermite index; and index 2."""
+    blown_up = _disguise(rng, _blown_up_cp3(rng, 8))
+    return [
+        (_simplex_fan((1, 1, 2)), 0b1101),
+        (blown_up, (1 << len(blown_up.maximal_cones)) - 1),
+        (build_fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0)],
+                   [[0, 1, 2], [3, 4]]), 0b11),
+        (build_fan(4, [(2, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, -1, 0, 0), (0, 0, -2, 1)],
+                   [[0, 1, 2], [3, 4]]), 0),
+        (build_fan(4, [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1), (0, 0, -1, -1)],
+                   [[0, 1, 2], [3, 4]]), 0),
+    ]
+
+
+def test_unimodular_mask_is_sound_and_decides_full_dimensional_cones():
+    """``Fan._unimodular`` on the fans of ``_mask_fans``, and on every fan of
+    the fiber-rank check: a marked maximal cone has index 1 (the gcd of its
+    rays' maximal minors), and a full-dimensional one is marked exactly
+    when |det| = 1."""
+    for fan, mask in _mask_fans(random.Random(SEED + 2)):
+        assert fan._unimodular == mask, fan
+    for fan in _fiber_rank_fans():
+        n = fan.lattice_rank
+        for k, cone in enumerate(fan.maximal_cones):
+            rays = [fan.rays[i] for i in cone]
+            index = gcd(*(IntMatrix.from_rows([[v[j] for j in cols] for v in rays]).det()
+                          for cols in combinations(range(n), len(cone))))
+            marked = fan._unimodular >> k & 1
+            assert not marked or index == 1, (fan, cone)
+            if len(cone) == n:
+                assert marked == (index == 1), (fan, cone)
+
+
+def test_smooth_fans_take_no_lattice_work(monkeypatch):
+    """Every face of a smooth fan has fiber rank 2n - k with no Hermite
+    form, determinant or Hilbert basis: cp^1-5, the shipped smooth fans, a
+    disguised blow-up of cp^3 and a disguised 12-ray unimodular cone."""
+    rng = random.Random(SEED + 3)
+    fans = [catalog.projective_space(m) for m in range(1, 6)]
+    fans += [catalog.load_named(name) for name in
+             ("cp1", "cp2", "cp1xcp1", "hirzebruch_1", "hirzebruch_2", "hirzebruch_3")]
+    fans.append(_disguise(rng, _blown_up_cp3(rng, 8)))
+    fans.append(_disguise(rng, build_fan(12, [_unit(12, i) for i in range(12)], [range(12)])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice work on a face of a smooth fan")
+
+    monkeypatch.setattr(cones_module, "_hermite", refuse)
+    monkeypatch.setattr(cones_module, "hilbert_basis", refuse)
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+    faces = 0
+    for fan in fans:
+        n = fan.lattice_rank
+        for cone in fan.cones():
+            assert affine_fiber_rank(fan, cone) == 2 * n - len(cone), (fan, cone)
+            faces += 1
+    assert faces > 4096
+
+
 def _fiber_rank_cones():
     """(fan, cone) pairs: every cone of the fans below, each coprime
     0 <= q < d < 120 as the 2-cone of a two-ray fan, in four orientations
@@ -462,6 +541,7 @@ def _fiber_rank_fans():
     fans += [_disguise(rng, _simplex_fan(primitive([rng.randint(1, 7) for _ in range(rank)])))
              for rank in (3, 3, 4, 4)]
     fans += [_disguise(rng, catalog.hirzebruch(rng.randint(0, 30))) for _ in range(5)]
+    fans += [fan for fan, _ in _mask_fans(rng)]
     return fans
 
 

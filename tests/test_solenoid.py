@@ -1,11 +1,13 @@
 """Profinite integers, polar arithmetic, solenoid points and their maps."""
 
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slow_paths import slow_integer_root
 from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
 from toriq.kring import FormalSum, KRingElement
 from toriq.solenoid import (
@@ -14,6 +16,7 @@ from toriq.solenoid import (
     ProfiniteInt,
     SolenoidPoint,
     _exact_root,
+    _integer_root,
     common_level,
     cover_map,
     nu,
@@ -217,6 +220,23 @@ def test_exact_root_search_is_bounded_by_bit_length():
     with pytest.raises(DomainError, match="not a perfect"):
         PolarComplex(F(3)).root(10 ** 12, 0)
     assert time.perf_counter() - started < 1.0
+
+
+def test_square_root_matches_bisection_at_every_size():
+    """Square roots by ``math.isqrt`` against the bisection they replaced,
+    on perfect squares and their neighbours of about 2, 64, 8,192 and
+    32,768 bits.  Bisection takes about 2 s per 32,768-bit radicand."""
+    rng = random.Random(20261019)
+    library_s = 0.0
+    for bits in (2, 64, 8192, 32768):
+        half = bits // 2
+        x = rng.getrandbits(half) | 1 << (half - 1)
+        for n, expected in ((x * x - 1, None), (x * x, x), (x * x + 1, None)):
+            started = time.perf_counter()
+            root = _integer_root(n, 2)
+            library_s += time.perf_counter() - started
+            assert root == slow_integer_root(n, 2) == (expected if n > 1 else n), (bits, n)
+    assert library_s < 0.5
 
 
 def test_refine_requires_exact_radicals():
