@@ -441,18 +441,20 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
-def _fan_cone_rays(fan: Fan, indices) -> list[IntVector]:
-    idx = tuple(indices)
-    if not fan.is_cone(idx):  # rejects a non-integer index before the sort
-        raise DomainError(f"{[i + 1 for i in sorted(set(idx))]} is not a cone of the fan")
-    return [fan.rays[i] for i in sorted(set(idx))]
+def _fan_cone_rays(fan: Fan, indices) -> tuple[list[IntVector], int]:
+    """The rays of a fan cone in index order, and the mask of the maximal
+    cones holding it."""
+    idx, holders = fan._cone_indices(indices)
+    if not holders:
+        raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
+    return [fan.rays[i] for i in idx], holders
 
 
 def fan_cone(fan: Fan, indices) -> RationalCone:
     """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
     # the fan checked its rays primitive, and its cones are simplicial,
     # hence pointed
-    return RationalCone._trusted(fan.lattice_rank, _fan_cone_rays(fan, indices), ())
+    return RationalCone._trusted(fan.lattice_rank, _fan_cone_rays(fan, indices)[0], ())
 
 
 def affine_fiber_rank(fan: Fan, indices) -> int:
@@ -476,10 +478,9 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     when n = 2), which ``_rank2_count`` counts in O(log det) steps.  A
     singular cone with k >= 3 builds the Hilbert basis of its dual.
     """
-    idx = tuple(indices)
-    rays = _fan_cone_rays(fan, idx)
+    rays, holders = _fan_cone_rays(fan, indices)
     n, k = fan.lattice_rank, len(rays)
-    if k <= 1 or fan._holders(idx) & fan._unimodular:
+    if k <= 1 or holders & fan._unimodular:
         return 2 * n - k
     if k < n:
         # column j of the top k x k block of h holds the coordinates of

@@ -15,12 +15,16 @@ discriminant (``homogeneous.in_discriminant``) and whether a ray
 permutation is a fan automorphism (``quotient.fan_symmetry``).  Only
 ``cones()`` lists faces, once per fan and at most 2^20 of them.
 
-``ray_lattice()`` takes one Hermite pass over the rays on first use and
-keeps it, like the face list.  The constructor never takes that pass: it
-checks ranks by Bareiss elimination, whose last pivot is a k-minor of a
-maximal cone's k rays.  A pivot of +-1 sets bit k of ``_unimodular``: the
-cone and its faces are unimodular.  That decides every full-dimensional
-cone (the pivot is +-det), not every smaller one.
+``ray_lattice()`` computes the Hermite form of the rays and the canonical
+basis of their relations on first use and keeps them, like the face list.
+``intlinalg.spanning_lattice`` reads both off the lex-last basis B among
+the rays and d = |det B|: directly when d = 1, else by a Hermite form
+modulo d.  Rays that do not span raise ``TorusFactorError`` before any
+kernel work.  The constructor never computes the lattice: it checks ranks
+by Bareiss elimination, whose last pivot is a k-minor of a maximal cone's
+k rays.  A pivot of +-1 sets bit k of ``_unimodular``: the cone and its
+faces are unimodular.  That decides every full-dimensional cone (the pivot
+is +-det), not every smaller one.
 
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from .errors import DomainError, FanValidationError, ResourceLimitError
-from .intlinalg import IntMatrix, IntVector, _bareiss, hermite_and_left_kernel, primitive
+from .errors import DomainError, FanValidationError, ResourceLimitError, TorusFactorError
+from .intlinalg import IntMatrix, IntVector, _bareiss, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
 
@@ -145,10 +149,18 @@ class Fan:
         return IntMatrix._trusted(self.rays, self.lattice_rank)
 
     def ray_lattice(self) -> tuple[IntMatrix, IntMatrix]:
-        """``hermite_and_left_kernel`` of the ray matrix: its Hermite form
-        and the canonical basis of the relations among the rays."""
+        """``hermite_and_left_kernel`` of the ray matrix, by
+        ``spanning_lattice``: its Hermite form and the canonical basis of the
+        relations among the rays.  Rays that do not span raise
+        ``TorusFactorError`` before any kernel work."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", hermite_and_left_kernel(self.ray_matrix()))
+            lattice = spanning_lattice(self.rays, self.lattice_rank)
+            if lattice is None:
+                raise TorusFactorError(
+                    "fan has a torus factor (rays do not span the lattice); "
+                    "the homogeneous quotient presentation does not apply"
+                )
+            object.__setattr__(self, "_lattice", lattice)
         return self._lattice
 
     def _holders(self, indices) -> int:
@@ -158,15 +170,25 @@ class Fan:
             mask &= self._star[i]
         return mask
 
-    def is_cone(self, indices) -> bool:
-        """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
-        s = tuple(indices)
-        for i in s:
+    def _cone_indices(self, indices) -> tuple[tuple[int, ...], int]:
+        """The ray indices sorted and deduplicated, and the mask of the
+        maximal cones holding them.  One pass type- and range-checks each
+        index; only indices that do not strictly increase are sorted."""
+        idx = tuple(indices)
+        n, last, ordered = len(self.rays), -1, True
+        for i in idx:
             if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
                 raise FanValidationError(f"ray index {i!r} is not an integer")
-            if not (0 <= i < self.n_rays):
+            if not (0 <= i < n):
                 raise FanValidationError(f"ray index {i + 1} out of range")
-        return self._holders(s) != 0
+            ordered, last = ordered and i > last, i
+        if not ordered:
+            idx = tuple(sorted(set(idx)))
+        return idx, self._holders(idx)
+
+    def is_cone(self, indices) -> bool:
+        """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
+        return self._cone_indices(indices)[1] != 0
 
     def cones(self) -> tuple[ConeRef, ...]:
         """All cones of the fan: the subset closure of the maximal cones,

@@ -10,15 +10,20 @@ Both normal forms clear columns with one gcd step, ``_clear_column``, and
 carry a row transform as identity columns: reducing the rows of ``[a | I]``
 leaves ``[T @ a | T]`` (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse and, in
-``hermite_and_left_kernel`` (the one public Hermite entry point), the row
-lattice and the canonical left kernel, the package's one canonical-kernel
-route (the Hermite form of a saturated lattice is unique).
+``hermite_and_left_kernel``, the row lattice and the canonical left
+kernel (the Hermite form of a saturated lattice is unique).
+
+A matrix of full column rank, such as a fan's rays, skips the augmented
+pass: ``spanning_lattice`` finds the lex-last basis among the rows by one
+fraction-free Gauss-Jordan pass and gives the same H and kernel from it,
+reducing modulo the basis determinant (``_relations_mod``).  Both forms
+are unique, so ``hermite_and_left_kernel`` is its differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import DomainError
 
@@ -342,6 +347,124 @@ def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         IntMatrix._trusted(tuple([tuple(row[:n]) for row in A[:r]]), n),
         IntMatrix._trusted(tuple([tuple(row[n:]) for row in A[r:]]), a.rows),
     )
+
+
+def _lex_last_basis(rows, cols: int) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan over the rows taken as columns, last row
+    first, up to full rank.  A row is a pivot exactly when it is
+    independent of the rows after it, so the pivots are the lex-last basis
+    B among the rows.  Returns B in pivot order, the last pivot p (+-det of
+    B's rows) and the reduced columns: ``a[t][j]`` is p times the
+    coefficient of row ``B[t]`` in row j.  As in ``_bareiss`` every division
+    by the previous pivot is exact."""
+    a = [list(col) for col in zip(*rows)]
+    basis, prev = [], 1
+    for j in reversed(range(len(rows))):
+        t = len(basis)
+        if t == cols:
+            break
+        k = next((k for k in range(t, cols) if a[k][j]), None)
+        if k is None:
+            continue
+        a[t], a[k] = a[k], a[t]
+        top = a[t]
+        p = top[j]
+        for i in range(cols):
+            q = a[i][j]
+            if i != t and (q or p != prev):
+                a[i] = [(x * p - q * y) // prev for x, y in zip(a[i], top)]
+        basis.append(j)
+        prev = p
+    return basis, prev, a
+
+
+def _relations_mod(vectors: list[list[int]], d: int) -> list[dict]:
+    """Row Hermite basis of ``L = {y : sum_j y_j * vectors[j] = 0 mod d}``,
+    one sparse row ``{j: y_j}`` per pivot j, in pivot order.
+
+    L contains d Z^k, so it is computed modulo d (Domich, Kannan and
+    Trotter, Math. Oper. Res. 12 (1987); Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4.2), bottom-up: pivot h_j is the order of
+    v_j modulo the span S_j of the vectors after it, kept as an echelon
+    basis modulo d.  The pivots multiply to the order of S_0, a divisor of
+    d, so at most log2(d) exceed 1.  Those v_j are the wide generators:
+    each echelon row carries its coefficients on them in extra columns, and
+    every other column of the form is zero off its pivot.  A row costs
+    O(r (r + log d)) operations on entries below d."""
+    r = len(vectors[0]) if vectors else 0
+    ech = [[d * (c == i) for c in range(r + d.bit_length())] for i in range(r)]
+    wide: list[int] = []
+    rows: list[dict] = [{}] * len(vectors)
+    for i in reversed(range(len(vectors))):
+        v = [x % d for x in vectors[i]] + [0] * d.bit_length()
+        slot = r + len(wide)  # v_i's column, kept if its pivot exceeds 1
+        v[slot], h = 1, 1
+        for c in range(r):
+            b = ech[c]
+            q = v[c] // b[c]
+            if q:
+                v = [(x - q * y) % d for x, y in zip(v, b)]
+            if v[c]:
+                pivot = b[c]
+                while v[c]:
+                    q = b[c] // v[c]
+                    b, v = v, [(x - q * y) % d for x, y in zip(b, v)]
+                ech[c] = b
+                h *= pivot // b[c]
+        # v is zero, so its coefficients are a relation: +-h on v_i (each
+        # column whose pivot shrank scaled that coefficient by +- the
+        # factor) and the rest on the wide generators after i.  When h = d
+        # the slot reads 0 either way, and the rest reduces to zero below.
+        sign = 1 if v[slot] == h % d else -1
+        y = {i: h, **{j: sign * x for j, x in zip(wide, v[r:]) if x}}
+        for j in reversed(wide):
+            q = y.get(j, 0) // rows[j][j]
+            if q:
+                for m, x in rows[j].items():
+                    y[m] = y.get(m, 0) - q * x
+        rows[i] = {j: x for j, x in y.items() if x}
+        if h > 1:
+            wide.append(i)
+    return rows
+
+
+def spanning_lattice(rows, cols: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """``hermite_and_left_kernel`` of a matrix of rank ``cols``, without the
+    augmented pass, or ``None`` when the rank is lower.
+
+    One ``_lex_last_basis`` pass gives the lex-last basis B among the rows
+    and d = |det B|.  The pivot columns of the kernel's Hermite form are the
+    rows P outside B, and its rows are (y, -y C) for y in the Hermite basis
+    of ``{y : y C integral}``, with C the coordinates of P's rows in B.
+    When d = 1 that lattice is all of Z^|P|, so row p of K is e_p minus row
+    p's coordinates in B, and the rows span with Hermite form I.  Otherwise
+    it is ``_relations_mod`` of d C modulo d; its pivots multiply to the
+    index of B's lattice in the rows', which is d exactly when the rows span
+    (H = I again), and any other H is the plain ``_hermite`` of the rows."""
+    n = len(rows)
+    basis, p, a = _lex_last_basis(rows, cols)
+    if len(basis) < cols:
+        return None
+    chosen = set(basis)
+    free = [j for j in range(n) if j not in chosen]
+    h = [tuple(int(i == j) for j in range(cols)) for i in range(cols)]
+    relations = [{j: 1} for j in range(len(free))]
+    if abs(p) > 1:
+        relations = _relations_mod([[row[j] for row in a] for j in free], abs(p))
+        if prod(y[j] for j, y in enumerate(relations)) != abs(p):
+            h = [list(row) for row in rows]
+            _hermite(h)
+            h = [tuple(row) for row in h[:cols]]
+    kernel = []
+    for y in relations:
+        x, s = [0] * n, [0] * cols
+        for j, v in y.items():
+            x[free[j]] = v
+            s = [u + v * a[t][free[j]] for t, u in enumerate(s)]
+        for b, u in zip(basis, s):
+            x[b] = -(u // p)
+        kernel.append(tuple(x))
+    return IntMatrix._trusted(tuple(h), cols), IntMatrix._trusted(tuple(kernel), n)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

@@ -2,15 +2,22 @@
 discriminant locus, fan symmetry, and the automorphism presentation of the
 profinite completion.
 
-The charge matrix and the quotient group come from one Hermite reduction
-T @ M = H of the ray matrix M per fan (``Fan.ray_lattice``; Cox, J.
-Algebraic Geom. 4 (1995)); the rays span when H is square.  The charge
-matrix Q is the canonical basis of the rows of T opposite H's zero rows,
-transposed, so its columns span the relations sum_i Q[i][j] * v_i = 0
-among the primitive ray generators.  The quotient group G (kernel of the
-evaluation map from the big torus to the lattice torus) has free rank
+The charge matrix and the quotient group come from the ray lattice of the
+fan, computed once per fan (``Fan.ray_lattice``; Cox, J. Algebraic Geom.
+4 (1995)): the Hermite form H of the ray matrix M and the canonical
+(Hermite) basis of the relations among its rows, transposed into the
+charge matrix Q, so that its columns span the relations
+sum_i Q[i][j] * v_i = 0 among the primitive ray generators.  Both are read
+off the lex-last ray basis B: with |det B| = 1 directly, else by a Hermite
+form modulo |det B|.  The quotient group G (kernel of the evaluation map
+from the big torus to the lattice torus) has free rank
 ``n_rays - lattice_rank`` plus one finite cyclic factor per invariant
-factor of H (equal to those of M) exceeding 1.
+factor of H (equal to those of M) exceeding 1; when the rays span, H = I
+and there is none.
+
+The discriminant locus (primitive collections) is read off the face list
+with one ray bit mask per cone: the rays after the cone's last that extend
+it to a cone.
 
 The fan symmetry is computed as the ray permutations fixing every row of Q
 and mapping every maximal cone into a cone, a question the fan's incidence
@@ -31,7 +38,7 @@ from functools import lru_cache
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
-from .errors import IncompleteFanError, ResourceLimitError, TorusFactorError
+from .errors import IncompleteFanError, ResourceLimitError
 from .fans import _CACHE_SIZE, Fan, _one_based
 from .intlinalg import IntMatrix, smith_normal_form
 
@@ -105,29 +112,21 @@ class AutPresentation:
         return f"{self.finite_part.structure_name} x| (C*_Q)^{self.solenoidal_torus_rank}"
 
 
-def _spanning_lattice(fan: Fan) -> tuple[IntMatrix, IntMatrix]:
-    """``fan.ray_lattice()``, once its Hermite form shows the rays span."""
-    h, k = fan.ray_lattice()
-    if h.rows != fan.lattice_rank:
-        raise TorusFactorError(
-            "fan has a torus factor (rays do not span the lattice); "
-            "the homogeneous quotient presentation does not apply"
-        )
-    return h, k
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def charge_matrix(fan: Fan) -> ChargeMatrix:
     """Canonical relation matrix among the primitive ray generators."""
-    return ChargeMatrix(_spanning_lattice(fan)[1].transpose())
+    return ChargeMatrix(fan.ray_lattice()[1].transpose())
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def group_structure(fan: Fan) -> QuotientGroupStructure:
-    """Free rank and invariant factors of the quotient group."""
-    h, _ = _spanning_lattice(fan)
-    _, d, _ = smith_normal_form(h)
-    torsion = tuple(d.entries[i][i] for i in range(h.rows) if d.entries[i][i] > 1)
+    """Free rank and invariant factors of the quotient group: none when the
+    rays span the lattice (H = I), else the Smith form of the square H."""
+    h, _ = fan.ray_lattice()
+    torsion = ()
+    if any(h.entries[i][i] != 1 for i in range(h.rows)):
+        _, d, _ = smith_normal_form(h)
+        torsion = tuple(d.entries[i][i] for i in range(h.rows) if d.entries[i][i] > 1)
     return QuotientGroupStructure(fan.n_rays - fan.lattice_rank, torsion)
 
 
@@ -137,19 +136,43 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
 
     Every proper subset of a primitive collection is a cone, so it has at
     most max-cone-size + 1 rays.  Each one S arises exactly once as
-    F + (j,) with F = S minus max(S) a cone and j > max(F); it is kept when
-    S is no cone but every S minus one ray is.  Faces come by size, then
-    lexicographically, so the scan lists S in that order.  Cost: O(#cones *
-    n_rays * rank) hash lookups in the cone set.
+    F + (j,) with F = S minus max(S) a cone and j > max(F).  Let ext(F) be
+    the bit mask of the rays j > max(F) with F + (j,) a cone, one OR per
+    face.  S is kept when j is not in ext(F) and every facet S - k is a
+    cone: S minus max(F) when j is in ext(F[:-1]); for |F| = 2 the last one
+    when j shares a maximal cone with max(F); for larger F each other facet
+    by the incidence index.  Faces come by size, then lexicographically,
+    and j ascends, so the scan lists S in that order.  Cost: O(#cones) mask
+    operations, plus |F| incidence tests per candidate left after the
+    masks with |F| > 2.
     """
     cones = fan.cones()
-    faces = set(cones)  # hash lookups beat per-subset index masks on this scan
+    ext, prefix_of, p = [0] * len(cones), [0] * len(cones), 0
+    for i in range(1, len(cones)):
+        # faces of one size come lexicographically, so their prefixes do too
+        prefix = cones[i][:-1]
+        while cones[p] != prefix:
+            p += 1
+        prefix_of[i] = p
+        ext[p] |= 1 << cones[i][-1]
+    near = [0] * fan.n_rays  # rays sharing a maximal cone with ray k
+    for cone in fan.maximal_cones:
+        bits = sum(1 << k for k in cone)
+        for k in cone:
+            near[k] |= bits
     minimal: list[tuple[int, ...]] = []
-    for face in cones:
-        for j in range(face[-1] + 1 if face else 0, fan.n_rays):
-            s = face + (j,)
-            if s not in faces and all(s[:k] + s[k + 1:] in faces for k in range(len(face))):
+    for i in range(1, len(cones)):
+        face = cones[i]
+        new = ext[prefix_of[i]] & ~ext[i] & -(2 << face[-1])
+        if len(face) > 1:
+            new &= near[face[-1]]
+        while new:
+            low = new & -new
+            s = face + (low.bit_length() - 1,)
+            # for |F| <= 2 the masks were every facet test
+            if len(face) < 3 or all(fan._holders(s[:k] + s[k + 1:]) for k in range(len(face) - 1)):
                 minimal.append(s)
+            new ^= low
     return DiscriminantAntichain(tuple(minimal))
 
 

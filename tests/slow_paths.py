@@ -44,7 +44,9 @@ map the antichain onto itself.  ``slow_parse_expression`` is the K-ring
 parser from before one term pattern scanned the text: a sign-splitting
 state machine, then one anchored match per chunk.  ``slow_face_lattice``
 sorts the face nodes that ``moment.face_lattice`` now takes in face-list
-order.  ``slow_integer_root`` finds every root, square roots too, by
+order.  ``slow_discriminant_scan`` is the primitive-collection scan from
+before it read ray masks: hash lookups of every F + (j,) and its facets
+in the set of cones.  ``slow_integer_root`` finds every root, square roots too, by
 bisection over the root's bits, as ``solenoid._integer_root`` did before
 squares went to ``math.isqrt``.
 """
@@ -714,6 +716,21 @@ def slow_discriminant_locus(fan) -> tuple:
             if not slow_is_cone(fan, subset):
                 minimal.append(subset)
     return tuple(sorted(minimal, key=lambda t: (len(t), t)))
+
+
+def slow_discriminant_scan(fan) -> tuple:
+    """``quotient.discriminant_locus`` from before it read ray masks: for
+    every face F and every j > max(F), hash lookups of F + (j,) and of its
+    facets in the set of cones, in face order."""
+    cones = fan.cones()
+    faces = set(cones)
+    minimal: list[tuple[int, ...]] = []
+    for face in cones:
+        for j in range(face[-1] + 1 if face else 0, fan.n_rays):
+            s = face + (j,)
+            if s not in faces and all(s[:k] + s[k + 1:] in faces for k in range(len(face))):
+                minimal.append(s)
+    return tuple(minimal)
 
 
 def slow_face_lattice(fan) -> FaceLattice:

@@ -1,7 +1,9 @@
 """Command-line interface: golden reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from test_discriminant_fastpath import cp3_blowup
 from toriq.catalog import fan_path, projective_space, weighted_plane
 from toriq.cli import main
 from toriq.cones import affine_fiber_rank
@@ -71,6 +74,21 @@ def test_analyze_matches_golden_in_rank_3_and_4(capsys, tmp_path, name):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 0 and err == ""
     assert out == (GOLDEN / "rank3" / f"{name}_analyze.json").read_text()
+
+
+def test_analyze_of_a_200_ray_blowup_is_byte_identical(capsys, tmp_path):
+    """``toriq analyze`` of a 200-ray cp3 blow-up, whose lex-last ray basis
+    has determinant 113, so that the charge matrix takes the mod-d relation
+    scan: stdout hashes to the digest recorded from the augmented Hermite
+    pass and the hash-lookup discriminant scan (1,099,467 bytes)."""
+    path = tmp_path / "blowup200.json"
+    path.write_text(json.dumps(fan_to_dict(cp3_blowup(random.Random(0), 196))))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert len(out.encode()) == 1_099_467
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a748508d630679fb20da1a3a322beadc9896d5e696d8b42ee81e5f94cf07307a"
+    )
 
 
 def test_analyze_is_byte_deterministic(capsys):

@@ -34,7 +34,7 @@ from toriq.cones import (
     hilbert_basis,
     lineality_basis,
 )
-from toriq.errors import ResourceLimitError
+from toriq.errors import DomainError, FanValidationError, ResourceLimitError
 from toriq.fans import build_fan
 from toriq.intlinalg import IntMatrix, primitive
 
@@ -563,3 +563,28 @@ def test_fiber_rank_count_matches_built_basis():
     # to 4, and the fallback's singular cones of size >= 3 in rank 3 and 4
     assert {(n, k, False) for n in range(1, 6) for k in range(n + 1)} <= shapes
     assert {(2, 2, True), (3, 2, True), (3, 3, True), (4, 2, True), (4, 3, True), (4, 4, True)} <= shapes
+
+
+def test_cone_queries_sort_only_out_of_order_indices():
+    """``fan_cone`` and ``affine_fiber_rank`` check indices in one pass and
+    sort only indices that do not strictly increase: reversed, repeated and
+    generator inputs give the same cone and rank as the sorted tuple, and a
+    non-cone names its rays sorted and deduplicated."""
+    rng = random.Random(SEED)
+    fans = [catalog.projective_space(3), catalog.weighted_plane(7), _simplex_fan((1, 2, 3))]
+    fans += [_disguise(rng, _random_polygon_fan(rng)) for _ in range(5)]
+    checked = 0
+    for fan in fans:
+        for cone in fan.cones()[1:]:
+            rank, sigma = affine_fiber_rank(fan, cone), fan_cone(fan, cone)
+            for indices in (cone[::-1], cone + cone[:1], cone[:1] + cone, iter(cone)):
+                assert affine_fiber_rank(fan, indices) == rank, (fan, indices)
+            assert fan_cone(fan, cone[::-1] + cone) == sigma
+            checked += 1
+    assert checked >= 80
+    cp3 = catalog.projective_space(3)
+    for indices in ((3, 0, 1, 2, 0), [2, 1, 0, 3]):
+        with pytest.raises(DomainError, match=re.escape("[1, 2, 3, 4] is not a cone of the fan")):
+            affine_fiber_rank(cp3, indices)
+    with pytest.raises(FanValidationError, match="ray index 5 out of range"):
+        fan_cone(cp3, (2, 1, 4))

@@ -10,8 +10,8 @@ from itertools import combinations, product
 
 import pytest
 
-from slow_paths import slow_discriminant_locus, slow_face_lattice
-from test_fan_index import _corpus, _random_fan
+from slow_paths import slow_discriminant_locus, slow_discriminant_scan, slow_face_lattice
+from test_fan_index import _corpus, _cp1_power, _random_fan
 from toriq import catalog, quotient
 from toriq.cli import main
 from toriq.errors import DomainError, ResourceLimitError
@@ -186,16 +186,22 @@ def test_symmetry_cap_raises_named_error(monkeypatch, tmp_path, capsys):
         fan_symmetry.cache_clear()
 
 
-def test_face_lattice_and_discriminant_keep_face_list_order():
-    """``face_lattice`` buckets the face list by face dimension and
-    ``discriminant_locus`` keeps its scan order, with no sort: both equal
-    the sorted outputs, on the fan-index corpus, 200 random fans and 600
-    fans like the wide-fans benchmark's (11-, 12- and 14-ray polygons and
-    seven-step cp3 blow-ups)."""
+def _order_corpus():
+    """The fan-index corpus, 200 random fans and 600 fans like the
+    wide-fans benchmark's (11-, 12- and 14-ray polygons and seven-step cp3
+    blow-ups)."""
     rng = random.Random(SEED)
     fans = _corpus() + [_random_fan(rng) for _ in range(200)]
     for _ in range(150):
         fans += [polygon_fan(rng, n) for n in (11, 12, 14)] + [cp3_blowup(rng, 7)]
+    return fans
+
+
+def test_face_lattice_and_discriminant_keep_face_list_order():
+    """``face_lattice`` buckets the face list by face dimension and
+    ``discriminant_locus`` keeps its scan order, with no sort: both equal
+    the sorted outputs, on ``_order_corpus``."""
+    fans = _order_corpus()
     complete = [fan for fan in fans if fan.complete]
     assert len(fans) == 882 and len(complete) >= 600
     face_lattice.cache_clear()
@@ -205,3 +211,21 @@ def test_face_lattice_and_discriminant_keep_face_list_order():
     for fan in fans:
         minimal = discriminant_locus(fan).minimal_subsets
         assert minimal == tuple(sorted(minimal, key=lambda t: (len(t), t))), fan
+
+
+def test_mask_scan_matches_hash_lookup_scan():
+    """The ray-mask scan against the hash-lookup scan it replaced, member
+    for member and in order: on ``_order_corpus``, on (cp^1)^6, P^5 and
+    cp^2 x cp^3 (primitive collections of 2, 6 and 3 + 4 rays), and on a
+    200-ray cp3 blow-up, where the 2^n-subset oracle cannot run."""
+    fans = _order_corpus() + [_cp1_power(6), catalog.projective_space(5), product_fan((2, 3))]
+    fans.append(cp3_blowup(random.Random(0), 196))
+    assert len(fans) == 886 and fans[-1].n_rays == 200
+    sizes = set()
+    discriminant_locus.cache_clear()
+    for fan in fans:
+        minimal = discriminant_locus(fan).minimal_subsets
+        assert minimal == slow_discriminant_scan(fan), fan
+        sizes.update(map(len, minimal))
+    assert sizes == {2, 3, 4, 5, 6}
+    assert len(discriminant_locus(fans[-1]).minimal_subsets) == 19_403

@@ -1,12 +1,13 @@
 """One Hermite pass per ray lattice against the Smith-form routes it
 replaced (``slow_paths.py``): integer kernels of random matrices, charge
 matrices, torsion factors and the torus-factor error on a wide fan corpus;
-plus counts of the passes that ``quotient_report``, ``load_fan`` and
-``delzant_report`` run."""
+plus counts of the lattice work that ``quotient_report``, ``load_fan``
+and ``delzant_report`` do."""
 
 import json
 import random
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from slow_paths import (
 )
 from test_discriminant_fastpath import cp3_blowup, polygon_fan, product_fan
 from test_fan_index import SEED, _cp1_power, _random_fan
-from toriq import catalog, fans, intlinalg, quotient
+from toriq import catalog, cones, fans, intlinalg, quotient
 from toriq.errors import TorusFactorError
 from toriq.fans import build_fan, fan_to_dict, load_fan
 from toriq.intlinalg import (
@@ -29,6 +30,7 @@ from toriq.intlinalg import (
     _augmented,
     _clear_column,
     _hermite,
+    _lex_last_basis,
     hermite_and_left_kernel,
     integer_kernel,
 )
@@ -173,52 +175,74 @@ def test_non_spanning_fan_raises_the_same_message_from_both_functions():
 
 
 def _count_passes(monkeypatch):
-    """Count lattice passes wherever the library takes one and record the
-    shape of every Smith-form input."""
-    passes, smith_shapes = [], []
+    """Record the lattice work wherever the library does it: each
+    ``spanning_lattice`` (one per fan), each augmented Hermite pass
+    (``hermite_and_left_kernel``), each mod-d relation scan and the shape of
+    every Smith-form input."""
+    seen = SimpleNamespace(lattices=[], passes=[], scans=[], smith_shapes=[])
 
-    def counted(f):
-        return lambda a: passes.append((a.rows, a.cols)) or f(a)
+    def recorded(log, f, shape):
+        return lambda *args: log.append(shape(*args)) or f(*args)
 
-    def recorded(f):
-        return lambda a: smith_shapes.append((a.rows, a.cols)) or f(a)
-
-    monkeypatch.setattr(fans, "hermite_and_left_kernel", counted(fans.hermite_and_left_kernel))
-    monkeypatch.setattr(intlinalg, "hermite_and_left_kernel",
-                        counted(intlinalg.hermite_and_left_kernel))
+    monkeypatch.setattr(fans, "spanning_lattice", recorded(
+        seen.lattices, fans.spanning_lattice, lambda rows, cols: (len(rows), cols)))
+    for module in (intlinalg, cones):
+        monkeypatch.setattr(module, "hermite_and_left_kernel", recorded(
+            seen.passes, module.hermite_and_left_kernel, lambda a: (a.rows, a.cols)))
+    monkeypatch.setattr(intlinalg, "_relations_mod", recorded(
+        seen.scans, intlinalg._relations_mod, lambda vectors, d: (len(vectors), d)))
     for module in (intlinalg, quotient):
-        monkeypatch.setattr(module, "smith_normal_form", recorded(module.smith_normal_form))
+        monkeypatch.setattr(module, "smith_normal_form", recorded(
+            seen.smith_shapes, module.smith_normal_form, lambda a: (a.rows, a.cols)))
     for f in QUOTIENT_CACHES:
         f.cache_clear()
-    return passes, smith_shapes
+    return seen
+
+
+# a complete fan whose rays span an index-2 sublattice: torsion Z/2, d = 2
+TORSION_FAN = build_fan(2, [(1, 0), (1, 2), (-1, 0), (-1, -2)],
+                        [[0, 1], [1, 2], [2, 3], [0, 3]], complete=True)
 
 
 @pytest.mark.parametrize("make", [
     lambda: catalog.projective_space(3),
     lambda: catalog.weighted_plane(7),
     lambda: cp3_blowup(random.Random(SEED), 6),
+    lambda: cp3_blowup(random.Random(0), 46),
+    lambda: TORSION_FAN,
 ])
 def test_quotient_report_takes_one_lattice_pass(monkeypatch, make):
+    """One ``spanning_lattice`` per fan and no augmented pass.  With d = 1
+    (the first three fans) there is no relation scan; with d > 1 there is
+    one.  Rays that span, as in every smooth complete fan, take no Smith
+    form; only the torsion fan takes one, of the square H."""
     fan = make()
-    passes, smith_shapes = _count_passes(monkeypatch)
+    r = fan.lattice_rank
+    seen = _count_passes(monkeypatch)
     quotient_report(fan)
-    assert passes == [(fan.n_rays, fan.lattice_rank)]
-    assert (fan.n_rays, fan.lattice_rank) not in smith_shapes
-    assert smith_shapes == [(fan.lattice_rank, fan.lattice_rank)]
+    smooth = fan._unimodular == (1 << len(fan.maximal_cones)) - 1
+    torsion = group_structure(fan).has_torsion
+    assert seen.lattices == [(fan.n_rays, r)]
+    assert seen.passes == []
+    d = abs(_lex_last_basis(fan.rays, r)[1])
+    assert seen.scans == ([(fan.n_rays - r, d)] if d > 1 else [])
+    assert (d > 1) == (fan.n_rays == 50 or fan is TORSION_FAN)
+    assert seen.smith_shapes == ([(r, r)] if torsion else [])
+    assert torsion == (fan is TORSION_FAN) and not (smooth and torsion)
     quotient_report(fan)
     for f in QUOTIENT_CACHES:
         f.cache_clear()
     quotient_report(fan)
-    assert len(passes) == 1
+    assert len(seen.lattices) == 1 and seen.passes == []
 
 
 def test_loading_a_fan_for_delzant_takes_no_lattice_pass(monkeypatch, tmp_path):
     fan = cp3_blowup(random.Random(SEED), 4)
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan_to_dict(fan)))
-    passes, _ = _count_passes(monkeypatch)
+    seen = _count_passes(monkeypatch)
     for loaded in (build_fan(3, fan.rays, fan.maximal_cones, complete=True), load_fan(path)):
         face_lattice.cache_clear()
         delzant_report(loaded)
         assert loaded._lattice is None
-    assert passes == []
+    assert seen.lattices == seen.passes == seen.scans == []
