@@ -17,7 +17,15 @@ from .errors import DomainError, LevelMismatchError
 from .fans import Fan
 from .intlinalg import IntMatrix, smith_normal_form
 from .quotient import charge_matrix
-from .solenoid import PolarComplex, _check_level, _integer_root
+from .solenoid import PolarComplex, _capped_pow, _check_level, _integer_root
+
+
+def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, PolarComplex):
+            raise DomainError(f"{what} must be PolarComplex values, got {v!r:.40}")
+    return values
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
@@ -44,7 +52,7 @@ class HomogeneousPoint:
 
     def __post_init__(self):
         _check_level(self.level)
-        object.__setattr__(self, "coords", tuple(self.coords))
+        object.__setattr__(self, "coords", _polar_tuple(self.coords, "coordinates"))
         if in_discriminant(self.fan, self.coords):
             raise DomainError("point lies in the discriminant locus")
 
@@ -62,7 +70,7 @@ class TorusElement:
 
     def __post_init__(self):
         _check_level(self.level)
-        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "params", _polar_tuple(self.params, "torus parameters"))
         if any(p.is_zero for p in self.params):
             raise DomainError("torus parameters must be nonzero")
 
@@ -78,19 +86,25 @@ class TorusElement:
 
 
 def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
-    """Scale coordinate i by the product of t_j to the power Q[i][j]."""
+    """Scale coordinate i by the product of t_j to the power Q[i][j].
+
+    One pass per coordinate: the moduli multiply up and the turns add up
+    as plain ``Fraction``s, each factor's power capped as in ``pow_int``,
+    and one ``PolarComplex`` is built at the end.
+    """
     if t.level != z.level:
         raise LevelMismatchError("torus element and point live at different levels")
     q = charge_matrix(z.fan).matrix
     if len(t.params) != q.cols:
         raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
     new_coords = []
-    for i, c in enumerate(z.coords):
-        for j, p in enumerate(t.params):
-            e = q.entries[i][j]
+    for c, row in zip(z.coords, q.entries):
+        rho, turns = c.rho, c.turns
+        for e, p in zip(row, t.params):
             if e:
-                c = c * p.pow_int(e)
-        new_coords.append(c)
+                rho *= _capped_pow(p.rho, e)
+                turns += p.turns * e
+        new_coords.append(PolarComplex._trusted(rho, turns))
     return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
 
 

@@ -55,9 +55,13 @@ class FormalSum:
         return cls(())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
+        if not isinstance(other, FormalSum):
+            return NotImplemented
         return FormalSum(self.terms + other.terms)
 
     def __mul__(self, other: "FormalSum") -> "FormalSum":
+        if not isinstance(other, FormalSum):
+            return NotImplemented
         return FormalSum(
             tuple((q1 + q2, c1 * c2) for q1, c1 in self.terms for q2, c2 in other.terms)
         )
@@ -84,10 +88,14 @@ class KRingElement:
         object.__setattr__(self, "class_part", _as_fraction(self.class_part))
 
     def __add__(self, other: "KRingElement") -> "KRingElement":
+        if not isinstance(other, KRingElement):
+            return NotImplemented
         return KRingElement(self.rank_part + other.rank_part,
                             self.class_part + other.class_part)
 
     def __mul__(self, other: "KRingElement") -> "KRingElement":
+        if not isinstance(other, KRingElement):
+            return NotImplemented
         return KRingElement(
             self.rank_part * other.rank_part,
             self.rank_part * other.class_part + other.rank_part * self.class_part,

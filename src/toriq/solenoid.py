@@ -8,6 +8,12 @@ powering.  Angles are stored in turns (fractions of a full rotation), so
 the usual 2*pi factors become integer shifts and everything stays rational.
 Moduli under root extraction are kept exact by accepting only perfect
 powers; anything else raises rather than rounding.
+
+Input is validated once, at the public boundary: ``PolarComplex(...)``
+converts and checks its fields, and ``SolenoidPoint`` accepts only a
+``PolarComplex``.  Results of the package's own exact arithmetic (products,
+powers and roots, ``phi``, ``nu`` and the torus action of ``homogeneous``)
+are built by ``PolarComplex._trusted``, which only normalizes.
 """
 
 from __future__ import annotations
@@ -18,9 +24,23 @@ from math import isqrt, lcm
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
 
-# Bound on |k| * (bit length of the larger part of rho, less one) in pow_int,
-# about the bit size of the power; tests and benchmark workloads stay below 600.
+# Bound on |k| * (bit length of the larger part of rho, less one) for each
+# power that pow_int or homogeneous.act forms, about the bit size of the
+# power; tests and benchmark workloads stay below 600.
 _POW_BITS_CAP = 1 << 20
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _capped_pow(rho: Fraction, k: int) -> Fraction:
+    """``rho ** k`` for a nonzero modulus (``rho`` itself for k = 1), refused
+    past ``_POW_BITS_CAP``."""
+    num, den = rho.numerator.bit_length(), rho.denominator.bit_length()
+    if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
+        raise ResourceLimitError(
+            f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
+            f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
+    return rho if k == 1 else rho ** k
 
 
 def _as_fraction(x) -> Fraction:
@@ -89,7 +109,10 @@ class PolarComplex:
     """Exact polar form rho * e^(2*pi*i*turns): rational modulus and turns.
 
     turns is normalized into [0, 1) and forced to 0 when the modulus is 0,
-    so equality of values is equality of fields.
+    so equality of values is equality of fields.  The constructor converts
+    both fields to ``Fraction`` and rejects floats, non-rationals and a
+    negative modulus; ``_trusted`` builds the results of exact arithmetic
+    on values that already passed it.
     """
 
     rho: Fraction
@@ -107,6 +130,25 @@ class PolarComplex:
         object.__setattr__(self, "turns", turns)
 
     @classmethod
+    def _trusted(cls, rho: Fraction, turns: Fraction) -> "PolarComplex":
+        """Build without conversion or the sign check, for results of this
+        package's exact arithmetic.
+
+        ``rho`` must be a ``Fraction`` >= 0 and ``turns`` a ``Fraction``.
+        turns is still reduced into [0, 1) and forced to 0 when rho is 0, so
+        the result equals, and hashes as, ``PolarComplex(rho, turns)``.
+        """
+        z = object.__new__(cls)
+        n, d = turns.numerator, turns.denominator
+        if not rho:
+            turns = _ZERO
+        elif not 0 <= n < d:
+            turns = Fraction(n % d, d)
+        object.__setattr__(z, "rho", rho)
+        object.__setattr__(z, "turns", turns)
+        return z
+
+    @classmethod
     def one(cls) -> "PolarComplex":
         return cls(Fraction(1), Fraction(0))
 
@@ -121,7 +163,7 @@ class PolarComplex:
     def __mul__(self, other: "PolarComplex") -> "PolarComplex":
         if not isinstance(other, PolarComplex):
             return NotImplemented
-        return PolarComplex(self.rho * other.rho, self.turns + other.turns)
+        return PolarComplex._trusted(self.rho * other.rho, self.turns + other.turns)
 
     def pow_int(self, k: int) -> "PolarComplex":
         if isinstance(k, bool) or not isinstance(k, int):
@@ -129,23 +171,18 @@ class PolarComplex:
         if self.rho == 0:
             if k < 1:
                 raise DomainError("0 cannot be raised to a nonpositive power")
-            return PolarComplex.zero()
-        num, den = self.rho.numerator.bit_length(), self.rho.denominator.bit_length()
-        if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
-            raise ResourceLimitError(
-                f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
-                f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
-        return PolarComplex(self.rho ** k, self.turns * k)
+            return self
+        return PolarComplex._trusted(_capped_pow(self.rho, k), self.turns * k)
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
         _check_level(q)
-        if not 0 <= branch < q:
-            raise DomainError(f"branch must lie in [0, {q}), got {branch}")
+        if isinstance(branch, bool) or not isinstance(branch, int) or not 0 <= branch < q:
+            raise DomainError(f"branch must be an integer in [0, {q}), got {branch!r}")
         if self.rho == 0:
-            return PolarComplex.zero()
+            return self
         rho = Fraction(_exact_root(self.rho.numerator, q), _exact_root(self.rho.denominator, q))
-        return PolarComplex(rho, (self.turns + branch) / q)
+        return PolarComplex._trusted(rho, (self.turns + branch) / q)
 
     def __str__(self) -> str:
         return f"rho={self.rho} turns={self.turns}"
@@ -211,6 +248,8 @@ class SolenoidPoint:
 
     def __post_init__(self):
         _check_level(self.level)
+        if not isinstance(self.top, PolarComplex):
+            raise DomainError(f"top coordinate must be a PolarComplex, got {self.top!r:.40}")
 
     def coordinate(self, d: int) -> PolarComplex:
         _check_level(d)
@@ -241,7 +280,7 @@ def phi(a: ProfiniteInt) -> SolenoidPoint:
     The image has trivial base coordinate: its level-M turn is a/M, which
     powers to a whole number of turns at level 1.
     """
-    return SolenoidPoint(a.level, PolarComplex(Fraction(1), Fraction(a.residue, a.level)))
+    return SolenoidPoint(a.level, PolarComplex._trusted(_ONE, Fraction(a.residue, a.level)))
 
 
 def nu(theta_turns, level: int = 1) -> SolenoidPoint:
@@ -249,7 +288,7 @@ def nu(theta_turns, level: int = 1) -> SolenoidPoint:
     at the working level by dividing the angle."""
     t = _as_fraction(theta_turns)
     _check_level(level)
-    return SolenoidPoint(level, PolarComplex(Fraction(1), t / level))
+    return SolenoidPoint(level, PolarComplex._trusted(_ONE, t / level))
 
 
 def sol_exp(a: ProfiniteInt, theta_turns) -> SolenoidPoint:

@@ -48,7 +48,10 @@ order.  ``slow_discriminant_scan`` is the primitive-collection scan from
 before it read ray masks: hash lookups of every F + (j,) and its facets
 in the set of cones.  ``slow_integer_root`` finds every root, square roots too, by
 bisection over the root's bits, as ``solenoid._integer_root`` did before
-squares went to ``math.isqrt``.
+squares went to ``math.isqrt``.  ``slow_act`` is the torus action from
+before it took one pass per coordinate: one ``pow_int`` per nonzero charge
+entry, and each product built by the validating ``PolarComplex``
+constructor.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ from toriq.errors import (
     DomainError,
     ExpressionError,
     FanValidationError,
+    LevelMismatchError,
     ResourceLimitError,
     TorusFactorError,
 )
-from toriq.homogeneous import HomogeneousPoint
+from toriq.homogeneous import HomogeneousPoint, TorusElement
 from toriq.intlinalg import (
     IntMatrix,
     _clear_column,
@@ -103,6 +107,7 @@ from toriq.quotient import (
     discriminant_locus,
     group_structure,
 )
+from toriq.solenoid import PolarComplex
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -970,3 +975,22 @@ def slow_integer_root(n: int, q: int) -> int | None:
         else:
             hi = mid
     return lo if lo ** q == n else None
+
+
+def slow_act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
+    """Scale coordinate i by t_j ** Q[i][j], one validated product per
+    nonzero charge entry."""
+    if t.level != z.level:
+        raise LevelMismatchError("torus element and point live at different levels")
+    q = charge_matrix(z.fan).matrix
+    if len(t.params) != q.cols:
+        raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
+    new_coords = []
+    for i, c in enumerate(z.coords):
+        for j, p in enumerate(t.params):
+            e = q.entries[i][j]
+            if e:
+                power = p.pow_int(e)
+                c = PolarComplex(c.rho * power.rho, c.turns + power.turns)
+        new_coords.append(c)
+    return HomogeneousPoint(z.fan, z.level, tuple(new_coords))

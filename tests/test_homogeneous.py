@@ -62,6 +62,15 @@ def test_point_outside_discriminant_enforced():
         HomogeneousPoint(CP1, 1, (P.zero(), P.zero()))
 
 
+def test_points_and_torus_elements_reject_non_polar_input():
+    for bad in ((1, 2, 3), (polar(1), polar(1), F(1)), (polar(1), None, polar(2))):
+        with pytest.raises(DomainError, match="coordinates must be PolarComplex"):
+            HomogeneousPoint(CP2, 1, bad)
+    for bad in ((2,), (polar(2), F(3)), ((1, 0),)):
+        with pytest.raises(DomainError, match="torus parameters must be PolarComplex"):
+            TorusElement(1, bad)
+
+
 def test_act_identity_and_example():
     z = HomogeneousPoint(CP1, 1, (polar(1), polar(1)))
     t_id = TorusElement(1, (P.one(),))

@@ -109,6 +109,15 @@ def test_ring_axioms_random():
         assert u * (v + w) == u * v + u * w
 
 
+def test_operators_refuse_foreign_operands():
+    s, e = FormalSum.monomial(1), KRingElement(1, 0)
+    for x, other in ((s, 1), (FormalSum.zero(), 3), (s, e), (e, 2), (e, F(1)), (e, s)):
+        assert x.__add__(other) is NotImplemented and x.__mul__(other) is NotImplemented
+        for op in (lambda: x + other, lambda: other + x, lambda: x * other, lambda: other * x):
+            with pytest.raises(TypeError):
+                op()
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

@@ -190,6 +190,15 @@ def test_solenoid_multiplication_and_level_guard():
         x * SolenoidPoint(5, PolarComplex.one())
 
 
+def test_solenoid_point_and_root_reject_bad_input():
+    for bad in (5, F(1), None, (1, 0)):
+        with pytest.raises(DomainError, match="must be a PolarComplex"):
+            SolenoidPoint(2, bad)
+    for branch in (0.5, F(1, 2), F(1), True, 2, -1):
+        with pytest.raises(DomainError, match=r"branch must be an integer in \[0, 2\)"):
+            PolarComplex(F(4)).root(2, branch)
+
+
 def test_refine_examples():
     assert refine(SolenoidPoint(1, PolarComplex.one()), 3, 1).top == PolarComplex(F(1), F(1, 3))
     assert refine(SolenoidPoint(2, PolarComplex(F(1), F(1, 2))), 4, 0).top == PolarComplex(F(1), F(1, 4))
