@@ -8,7 +8,14 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from .errors import DomainError
 from .fans import Fan, build_fan, load_fan
+
+
+def _check_parameter(value, least: int, message: str) -> None:
+    """Raise ``DomainError(message)`` unless value is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(message)
 
 
 def projective_space(m: int) -> Fan:
@@ -17,8 +24,7 @@ def projective_space(m: int) -> Fan:
     Rays are the unit vectors plus the negative of their sum; maximal cones
     are all m-subsets of the m + 1 rays.
     """
-    if m < 1:
-        raise ValueError("projective_space needs m >= 1")
+    _check_parameter(m, 1, "projective_space needs m >= 1")
     rays = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
     rays.append(tuple(-1 for _ in range(m)))
     cones = [
@@ -49,8 +55,7 @@ def weighted_plane(n: int) -> Fan:
     Ray order realizes the relation v1 + v2 + n*v3 = 0, so the charge
     matrix is the column (1, 1, n).
     """
-    if n < 1:
-        raise ValueError("weighted_plane needs n >= 1")
+    _check_parameter(n, 1, "weighted_plane needs n >= 1")
     rays = [(1, 0), (-1, n), (0, -1)]
     cones = [[0, 1], [1, 2], [0, 2]]
     return build_fan(2, rays, cones, complete=True, name=f"cp11_{n}")
@@ -61,8 +66,7 @@ def hirzebruch(n: int) -> Fan:
 
     Ray order realizes v3 + v4 = 0 and v1 + v2 - n*v4 = 0.
     """
-    if n < 0:
-        raise ValueError("hirzebruch needs n >= 0")
+    _check_parameter(n, 0, "hirzebruch needs n >= 0")
     rays = [(1, 0), (-1, n), (0, -1), (0, 1)]
     cones = [[0, 3], [1, 3], [1, 2], [0, 2]]
     return build_fan(2, rays, cones, complete=True, name=f"hirzebruch_{n}")

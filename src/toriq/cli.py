@@ -15,7 +15,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
-from .errors import DomainError, ExpressionError, InputError, ResourceLimitError
+from .errors import DomainError, InputError, ResourceLimitError
 from .fans import Fan, load_fan
 from .kring import in_level_image, parse_expression, reduce
 from .moment import delzant_report, delzant_svg, face_lattice
@@ -233,10 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

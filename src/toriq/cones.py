@@ -28,12 +28,12 @@ pointed quotient.
 
 Fiber ranks.  ``affine_fiber_rank`` counts the Hilbert basis of the dual of
 a fan cone from the cone's k rays in rank n, without building it.  A
-unimodular cone has rank 2n - k: a ray or a face of a maximal cone in the
-fan's ``_unimodular`` mask with no lattice work, any other cone with k < n
-when its rays' lattice has index 1 in its saturation.  A singular 2-cone in
-any rank counts the walk of its pointed dual quotient in O(log det) steps,
-collapsing each run of ``b = 2`` steps into one division.  Only a singular
-cone with k >= 3 builds the dual's basis.
+unimodular cone has rank 2n - k: a ray or a face of a maximal cone in
+``fan._unimodular`` by the index check, before any ray is read, any other
+cone with k < n when its rays' lattice has index 1 in its saturation.  A
+singular 2-cone in any rank counts the walk of its pointed dual quotient
+in O(log det) steps, collapsing each run of ``b = 2`` steps into one
+division.  Only a singular cone with k >= 3 builds the dual's basis.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .intlinalg import (
     primitive,
     smith_normal_form,
 )
+from .solenoid import _as_fraction
 
 
 def _grlex_key(v: IntVector):
@@ -244,8 +245,9 @@ def lineality_basis(cone: RationalCone) -> list[IntVector]:
 
 
 def cone_contains(cone: RationalCone, point) -> bool:
-    """Exact membership via the dual description."""
-    p = tuple(point)
+    """Exact membership via the dual description.  Coordinates are integers
+    or ``Fraction``s; a float or a non-rational one raises ``DomainError``."""
+    p = tuple(x if type(x) is int else _as_fraction(x) for x in point)
     if len(p) != cone.ambient_rank:
         raise DomainError("point has wrong length")
     return all(dot(d, p) >= 0 for d in dual_cone(cone).generators)
@@ -441,20 +443,20 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
-def _fan_cone_rays(fan: Fan, indices) -> tuple[list[IntVector], int]:
-    """The rays of a fan cone in index order, and the mask of the maximal
-    cones holding it."""
+def _fan_cone_indices(fan: Fan, indices) -> tuple[tuple[int, ...], int]:
+    """The sorted ray indices of a fan cone and the mask of the maximal
+    cones holding it; a ray set that is no cone raises ``DomainError``."""
     idx, holders = fan._cone_indices(indices)
     if not holders:
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
-    return [fan.rays[i] for i in idx], holders
+    return idx, holders
 
 
 def fan_cone(fan: Fan, indices) -> RationalCone:
     """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
-    # the fan checked its rays primitive, and its cones are simplicial,
-    # hence pointed
-    return RationalCone._trusted(fan.lattice_rank, _fan_cone_rays(fan, indices)[0], ())
+    # fan rays are primitive and fan cones simplicial, hence pointed
+    idx = _fan_cone_indices(fan, indices)[0]
+    return RationalCone._trusted(fan.lattice_rank, [fan.rays[i] for i in idx], ())
 
 
 def affine_fiber_rank(fan: Fan, indices) -> int:
@@ -478,10 +480,11 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     when n = 2), which ``_rank2_count`` counts in O(log det) steps.  A
     singular cone with k >= 3 builds the Hilbert basis of its dual.
     """
-    rays, holders = _fan_cone_rays(fan, indices)
-    n, k = fan.lattice_rank, len(rays)
+    idx, holders = _fan_cone_indices(fan, indices)
+    n, k = fan.lattice_rank, len(idx)
     if k <= 1 or holders & fan._unimodular:
         return 2 * n - k
+    rays = [fan.rays[i] for i in idx]
     if k < n:
         # column j of the top k x k block of h holds the coordinates of
         # ray j in a basis of the saturation of the rays' span

@@ -10,10 +10,11 @@ operation per (ray, maximal cone) incidence: bit k of ``star[i]`` is set
 when maximal cone k holds ray i.  The AND of the listed rays' masks is the
 set of maximal cones holding them all, which decides ``is_cone``, the
 containment of one maximal cone in another, the facet count of a complete
-fan, the unused-ray check, whether a point's zero pattern lies in the
-discriminant (``homogeneous.in_discriminant``) and whether a ray
-permutation is a fan automorphism (``quotient.fan_symmetry``).  Only
-``cones()`` lists faces, once per fan and at most 2^20 of them.
+fan, the unused-ray check, the facet tests of ``discriminant_locus``,
+whether a point's zero pattern lies in the discriminant, whether a ray
+permutation is a fan automorphism and whether a cone lies in a unimodular
+maximal cone (``affine_fiber_rank``).  Only ``cones()`` lists faces, once
+per fan and at most 2^20 of them.
 
 ``ray_lattice()`` computes the Hermite form of the rays and the canonical
 basis of their relations on first use and keeps them, like the face list.
@@ -29,7 +30,8 @@ is +-det), not every smaller one.
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
 exactly two maximal cones); a full covering check of the ambient space is
-deliberately out of scope.
+deliberately out of scope.  The rays of a full-dimensional maximal cone
+span, so only a fan with none eliminates all its rays again.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class Fan:
 
     def _check_completeness_necessary(self):
         n = self.lattice_rank
-        if _bareiss(self.rays, n)[0] != n:
+        if all(len(c) < n for c in self.maximal_cones) and _bareiss(self.rays, n)[0] != n:
             raise FanValidationError("complete: rays of a complete fan must span the lattice")
         for k, cone in enumerate(self.maximal_cones):
             if len(cone) != n:
@@ -285,10 +287,15 @@ def fan_from_dict(data) -> Fan:
 
 
 def load_fan(path) -> Fan:
-    """Read a fan from a JSON file; see ``fan_to_dict`` for the format."""
-    text = Path(path).read_text()
+    """Read a fan from a UTF-8 JSON file; see ``fan_to_dict`` for the
+    format.  A file that is not UTF-8 or holds an integer past
+    ``sys.get_int_max_str_digits()`` raises ``FanValidationError`` naming
+    it; a path that cannot be read raises the ``OSError``."""
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode())
     except json.JSONDecodeError as exc:
         raise FanValidationError(f"invalid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise FanValidationError(f"{path}: {exc}") from None
     return fan_from_dict(data)

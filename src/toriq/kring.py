@@ -35,7 +35,8 @@ class FormalSum:
     def __post_init__(self):
         merged: dict[Fraction, int] = {}
         for q, c in self.terms:
-            q = _as_fraction(q)
+            if type(q) is not Fraction:
+                q = _as_fraction(q)
             if isinstance(c, bool) or not isinstance(c, int):
                 raise DomainError("coefficients must be integers")
             merged[q] = merged.get(q, 0) + c

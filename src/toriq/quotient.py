@@ -15,9 +15,8 @@ from the big torus to the lattice torus) has free rank
 factor of H (equal to those of M) exceeding 1; when the rays span, H = I
 and there is none.
 
-The discriminant locus (primitive collections) is read off the face list
-with one ray bit mask per cone: the rays after the cone's last that extend
-it to a cone.
+The discriminant locus (primitive collections) is read off the face list,
+one ray bit mask per cone, and off the fan's ray-incidence index.
 
 The fan symmetry is computed as the ray permutations fixing every row of Q
 and mapping every maximal cone into a cone, a question the fan's incidence
@@ -140,11 +139,11 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
     the bit mask of the rays j > max(F) with F + (j,) a cone, one OR per
     face.  S is kept when j is not in ext(F) and every facet S - k is a
     cone: S minus max(F) when j is in ext(F[:-1]); for |F| = 2 the last one
-    when j shares a maximal cone with max(F); for larger F each other facet
-    by the incidence index.  Faces come by size, then lexicographically,
-    and j ascends, so the scan lists S in that order.  Cost: O(#cones) mask
-    operations, plus |F| incidence tests per candidate left after the
-    masks with |F| > 2.
+    when j shares a maximal cone with max(F), one AND of incidence masks
+    that screens larger F too, whose other facets take the incidence index.
+    Faces come by size, then lexicographically, and j ascends, so the scan
+    lists S in that order.  Cost: O(#cones) mask operations, plus one AND
+    per candidate left and |F| incidence tests per one left with |F| > 2.
     """
     cones = fan.cones()
     ext, prefix_of, p = [0] * len(cones), [0] * len(cones), 0
@@ -155,23 +154,18 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
             p += 1
         prefix_of[i] = p
         ext[p] |= 1 << cones[i][-1]
-    near = [0] * fan.n_rays  # rays sharing a maximal cone with ray k
-    for cone in fan.maximal_cones:
-        bits = sum(1 << k for k in cone)
-        for k in cone:
-            near[k] |= bits
-    minimal: list[tuple[int, ...]] = []
+    star, minimal = fan._star, []
     for i in range(1, len(cones)):
         face = cones[i]
         new = ext[prefix_of[i]] & ~ext[i] & -(2 << face[-1])
-        if len(face) > 1:
-            new &= near[face[-1]]
+        last = star[face[-1]] if len(face) > 1 else -1  # a ray F: -1 & star[j] = star[j] != 0
         while new:
             low = new & -new
-            s = face + (low.bit_length() - 1,)
-            # for |F| <= 2 the masks were every facet test
-            if len(face) < 3 or all(fan._holders(s[:k] + s[k + 1:]) for k in range(len(face) - 1)):
-                minimal.append(s)
+            j = low.bit_length() - 1
+            # for |F| <= 2 the masks and the AND were every facet test
+            if last & star[j] and (len(face) < 3 or all(
+                    fan._holders(face[:k] + face[k + 1:] + (j,)) for k in range(len(face) - 1))):
+                minimal.append(face + (j,))
             new ^= low
     return DiscriminantAntichain(tuple(minimal))
 

@@ -158,6 +158,31 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2 and err
 
 
+def _one_error_line(err, path, cause):
+    return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err and cause in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_fan_file_with_an_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(f'{{"lattice_rank": 1, "rays": [[{digits}]], "maximal_cones": [[1]]}}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and _one_error_line(err, path, "digits"), err
+
+
+def test_fan_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"lattice_rank": 1, "rays": [[1]], "maximal_cones": [[1]], "name": "\xe9"}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and _one_error_line(err, path, "'utf-8' codec can't decode"), err
+
+
+def test_fan_path_that_is_a_directory_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "delzant", str(tmp_path))
+    assert code == 2 and out == "" and _one_error_line(err, tmp_path, "Is a directory"), err
+
+
 def test_hilbert_subcommand(capsys):
     code, out, _ = run(capsys, "hilbert", str(fan_path("cp2")), "--cone", "1,2")
     assert code == 0

@@ -1,6 +1,7 @@
 """Dual cones and Hilbert bases, checked against brute-force oracles."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -162,6 +163,15 @@ def test_hilbert_minimality_on_worked_examples():
             rest = [b for b in hb.generators if b != drop]
             partial = generated_points(rest, 2, weight, w_cap, coord_bound=75)
             assert not all(p in partial for p in points), (gens, drop)
+
+
+def test_cone_contains_is_exact():
+    ray = RationalCone(2, ((1, 0),))
+    assert cone_contains(ray, (3, 0)) and cone_contains(ray, (Fraction(3, 2), 0))
+    assert not cone_contains(ray, (Fraction(3, 2), Fraction(1, 10**30)))
+    for point in [(1.5, 0), (1, 0.0), (Fraction(1, 2), "x")]:
+        with pytest.raises(DomainError):
+            cone_contains(ray, point)
 
 
 def test_lineality_basis():

@@ -129,10 +129,26 @@ def _broken_fans(rng, count):
         yield fan.lattice_rank, rays, cones, fan.complete
 
 
+def _lower_dimensional_fans():
+    """(lattice_rank, rays, maximal cones, True) of fans declared complete
+    with a maximal cone below full dimension, from each complete fan of rank
+    at least 2: every ray its own maximal cone (the rays span, no cone is
+    full-dimensional), the same in one rank more (the rays do not span), and
+    the cones through ray 1 traded for ray 1 alone, listed last (the check
+    reaches a lower-dimensional cone after full-dimensional ones)."""
+    for fan in _complete_fans():
+        if fan.lattice_rank < 2:
+            continue
+        singletons = [(i,) for i in range(fan.n_rays)]
+        yield fan.lattice_rank, fan.rays, singletons, True
+        yield fan.lattice_rank + 1, [v + (0,) for v in fan.rays], singletons, True
+        yield fan.lattice_rank, fan.rays, [c for c in fan.maximal_cones if 0 not in c] + [(0,)], True
+
+
 def test_first_validation_message_matches_slow_path():
     rng = random.Random(SEED + 1)
     messages = []
-    for rank, rays, cones, complete in _broken_fans(rng, 600):
+    for rank, rays, cones, complete in chain(_broken_fans(rng, 600), _lower_dimensional_fans()):
         expected = slow_fan_error(rank, rays, cones, complete)
         if expected is None:
             Fan(rank, rays, cones, complete)
@@ -141,8 +157,34 @@ def test_first_validation_message_matches_slow_path():
             Fan(rank, rays, cones, complete)
         assert str(exc.value) == expected, (rank, rays, cones, complete)
         messages.append(expected)
-    for part in ("duplicate cone", "is contained in", "lies in 1 ", "lies in 3 ", "not used"):
+    for part in ("duplicate cone", "is contained in", "lies in 1 ", "lies in 3 ", "not used",
+                 "must span the lattice", "is not full-dimensional"):
         assert any(part in m for m in messages), part
+
+
+def test_valid_complete_fans_eliminate_each_maximal_cone_once(monkeypatch):
+    """Building a valid complete fan runs one Bareiss elimination per
+    maximal cone and none over all its rays: cp^1 to cp^5, polygon fans
+    like the wide-fans benchmark's and a 200-ray cp3 blow-up."""
+    from test_discriminant_fastpath import cp3_blowup, polygon_fan
+
+    rng = random.Random(SEED + 4)
+    inputs = [catalog.projective_space(m) for m in range(1, 6)]
+    inputs += [polygon_fan(rng, n) for n in (11, 12, 14) for _ in range(5)]
+    inputs.append(cp3_blowup(random.Random(0), 196))
+    calls = []
+
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return bareiss(rows, cols)
+
+    bareiss = fans_module._bareiss
+    monkeypatch.setattr(fans_module, "_bareiss", counting)
+    for fan in inputs:
+        calls.clear()
+        again = Fan(fan.lattice_rank, fan.rays, fan.maximal_cones, fan.complete)
+        assert again == fan and again.complete
+        assert calls == [len(c) for c in fan.maximal_cones], fan
 
 
 def test_one_40_ray_cone_is_cheap():

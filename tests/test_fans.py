@@ -7,7 +7,7 @@ import pytest
 
 from toriq import catalog
 from toriq.cones import affine_fiber_rank, fan_cone
-from toriq.errors import FanValidationError
+from toriq.errors import DomainError, FanValidationError
 from toriq.fans import Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
 from toriq.intlinalg import IntMatrix
 
@@ -220,6 +220,22 @@ def test_shipped_fans_match_catalog():
         assert shipped[f"cp11_{n}"] == catalog.weighted_plane(n)
     for n in (1, 2, 3):
         assert shipped[f"hirzebruch_{n}"] == catalog.hirzebruch(n)
+
+
+@pytest.mark.parametrize(
+    "build, parameter",
+    [
+        (catalog.projective_space, 0),
+        (catalog.projective_space, 1.5),
+        (catalog.weighted_plane, 0),
+        (catalog.weighted_plane, "2"),
+        (catalog.hirzebruch, -1),
+        (catalog.hirzebruch, True),
+    ],
+)
+def test_catalog_parameters_raise_domain_error(build, parameter):
+    with pytest.raises(DomainError, match=f"^{build.__name__} needs "):
+        build(parameter)
 
 
 @pytest.mark.parametrize(

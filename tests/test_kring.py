@@ -216,3 +216,12 @@ def test_formal_sum_merges_terms():
     s = FormalSum.from_terms([(F(1, 2), 3), (F(1, 2), -3), (F(0), 1)])
     assert s.terms == ((F(0), 1),)
     assert str(FormalSum.zero()) == "0"
+
+
+def test_formal_sum_keeps_fraction_exponents_and_converts_the_rest():
+    half = F(1, 2)
+    s = FormalSum.from_terms([(half, 1), (2, 1), ("1/3", 1)])
+    assert s.terms == ((F(1, 3), 1), (half, 1), (F(2), 1))
+    assert s.terms[1][0] is half and all(type(q) is F for q, _ in s.terms)
+    with pytest.raises(DomainError):
+        FormalSum.from_terms([(0.5, 1)])
