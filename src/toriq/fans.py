@@ -16,20 +16,30 @@ permutation is a fan automorphism and whether a cone lies in a unimodular
 maximal cone (``affine_fiber_rank``).  Only ``cones()`` lists faces, once
 per fan and at most 2^20 of them.
 
+The constructor validates in one pass and in a fixed order, so the first
+message it raises does not depend on how it checks.  Rays of exact ints
+are checked by ``any(v)`` and ``gcd(*v) == 1``; any other ray goes through
+``primitive`` for its message.  Each maximal cone's indices take one
+strictly-increasing scan that also fills the incidence index; only a scan
+that stops sorts them, to choose the message.  ``cones()`` fills one set
+per face size and sorts each natively.
+
 ``ray_lattice()`` computes the Hermite form of the rays and the canonical
 basis of their relations on first use and keeps them, like the face list.
 ``intlinalg.spanning_lattice`` reads both off the lex-last basis B among
 the rays and d = |det B|: directly when d = 1, else by a Hermite form
 modulo d.  Rays that do not span raise ``TorusFactorError`` before any
 kernel work.  The constructor never computes the lattice: it checks ranks
-by Bareiss elimination, whose last pivot is a k-minor of a maximal cone's
-k rays.  A pivot of +-1 sets bit k of ``_unimodular``: the cone and its
-faces are unimodular.  That decides every full-dimensional cone (the pivot
-is +-det), not every smaller one.
+by one ``_bareiss`` per maximal cone, whose last pivot is a k-minor of the
+cone's k rays (the determinant, by the cofactor formula, for a nonsingular
+2 x 2 or 3 x 3).  A pivot of +-1 sets bit k of ``_unimodular``: the cone
+and its faces are unimodular.  That decides every full-dimensional cone
+(the pivot is +-det), not every smaller one.
 
 Completeness is a declared flag.  When set, necessary conditions are
 enforced (rays span, maximal cones full-dimensional, each facet shared by
-exactly two maximal cones); a full covering check of the ambient space is
+exactly two maximal cones, counted from prefix and suffix ANDs of each
+cone's incidence masks); a full covering check of the ambient space is
 deliberately out of scope.  The rays of a full-dimensional maximal cone
 span, so only a fan with none eliminates all its rays again.
 """
@@ -39,6 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 from .errors import DomainError, FanValidationError, ResourceLimitError, TorusFactorError
@@ -61,47 +72,50 @@ class Fan:
     _lattice = None  # not a field; see ray_lattice
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(v) for v in self.rays))
-        object.__setattr__(self, "maximal_cones", tuple(tuple(c) for c in self.maximal_cones))
+        rays = tuple(tuple(v) for v in self.rays)
+        cones = tuple(tuple(c) for c in self.maximal_cones)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "maximal_cones", cones)
         rank = self.lattice_rank
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise FanValidationError("lattice_rank must be a positive integer")
-        if not self.rays:
+        if not rays:
             raise FanValidationError("rays: at least one ray is required")
-        for k, v in enumerate(self.rays):
-            if len(v) != self.lattice_rank:
+        # rays of exact ints only need any(v) and gcd(*v) == 1; primitive()
+        # names what is wrong with any other
+        exact = {type(x) for v in rays for x in v} <= {int}
+        for k, v in enumerate(rays):
+            if len(v) != rank:
                 raise FanValidationError(
-                    f"rays[{k + 1}]: expected {self.lattice_rank} coordinates, got {len(v)}"
+                    f"rays[{k + 1}]: expected {rank} coordinates, got {len(v)}"
                 )
-            try:
-                prim = primitive(v)
-            except DomainError as exc:
-                raise FanValidationError(f"rays[{k + 1}]: {exc}") from None
-            if prim != v:
+            if not (exact and any(v)):
+                try:
+                    primitive(v)
+                except DomainError as exc:
+                    raise FanValidationError(f"rays[{k + 1}]: {exc}") from None
+            if gcd(*v) != 1:
                 raise FanValidationError(f"rays[{k + 1}]: ray {v} is not primitive")
-        if len(set(self.rays)) != len(self.rays):
+        if len(set(rays)) != len(rays):
             raise FanValidationError("rays: duplicate ray")
-        if not self.maximal_cones:
+        if not cones:
             raise FanValidationError("maximal_cones: at least one cone is required")
-        star, unimodular = [0] * len(self.rays), 0
+        n = len(rays)
+        star, unimodular = [0] * n, 0
         seen: set[ConeRef] = set()
-        for k, cone in enumerate(self.maximal_cones):
+        for k, cone in enumerate(cones):
             if not cone:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: empty cone")
-            if tuple(sorted(set(_int_indices(k, cone)))) != cone:
-                raise FanValidationError(
-                    f"maximal_cones[{k + 1}]: indices must be sorted and distinct"
-                )
+            bit, last = 1 << k, -1
             for i in cone:
-                if not (0 <= i < len(self.rays)):
-                    raise FanValidationError(
-                        f"maximal_cones[{k + 1}]: ray index {i + 1} out of range"
-                    )
-                star[i] |= 1 << k
+                if type(i) is not int or not last < i < n:
+                    _check_indices(k, cone, n)  # returns only for int subclasses
+                star[i] |= bit
+                last = i
             if cone in seen:
                 raise FanValidationError(f"maximal_cones[{k + 1}]: duplicate cone")
             seen.add(cone)
-            independent, pivot = _bareiss([self.rays[i] for i in cone], rank)
+            independent, pivot = _bareiss([rays[i] for i in cone], rank)
             if independent != len(cone):
                 raise FanValidationError(
                     f"maximal_cones[{k + 1}]: generators are linearly dependent "
@@ -110,10 +124,10 @@ class Fan:
             unimodular |= (abs(pivot) == 1) << k
         object.__setattr__(self, "_star", star)
         object.__setattr__(self, "_unimodular", unimodular)
-        for k, a in enumerate(self.maximal_cones):
+        for k, a in enumerate(cones):
             others = self._holders(a) & ~(1 << k)
             if others:
-                b = self.maximal_cones[(others & -others).bit_length() - 1]
+                b = cones[(others & -others).bit_length() - 1]
                 raise FanValidationError(
                     f"maximal_cones: cone {_one_based(a)} is contained in {_one_based(b)}"
                 )
@@ -124,23 +138,31 @@ class Fan:
             self._check_completeness_necessary()
 
     def _check_completeness_necessary(self):
-        n = self.lattice_rank
-        if all(len(c) < n for c in self.maximal_cones) and _bareiss(self.rays, n)[0] != n:
+        n, cones, star = self.lattice_rank, self.maximal_cones, self._star
+        if all(len(c) < n for c in cones) and _bareiss(self.rays, n)[0] != n:
             raise FanValidationError("complete: rays of a complete fan must span the lattice")
-        for k, cone in enumerate(self.maximal_cones):
+        for k, cone in enumerate(cones):
             if len(cone) != n:
                 raise FanValidationError(
                     f"complete: maximal_cones[{k + 1}] is not full-dimensional"
                 )
-        for cone in self.maximal_cones:
-            for drop in cone:
-                facet = tuple(i for i in cone if i != drop)
-                count = self._holders(facet).bit_count()
+        # every cone has n rays: the facet without cone[j] is held by prefix
+        # (rays before j) AND suffix[n - 1 - j] (rays after j), 3n ANDs a cone
+        full = (1 << len(cones)) - 1
+        for cone in cones:
+            suffix = [full]
+            for i in reversed(cone):
+                suffix.append(suffix[-1] & star[i])
+            prefix = full
+            for j, i in enumerate(cone):
+                count = (prefix & suffix[n - 1 - j]).bit_count()
                 if count != 2:
+                    facet = cone[:j] + cone[j + 1:]
                     raise FanValidationError(
                         f"complete: facet {_one_based(facet)} lies in {count} maximal cones, "
                         "expected exactly 2"
                     )
+                prefix &= star[i]
 
     @property
     def n_rays(self) -> int:
@@ -175,18 +197,21 @@ class Fan:
     def _cone_indices(self, indices) -> tuple[tuple[int, ...], int]:
         """The ray indices sorted and deduplicated, and the mask of the
         maximal cones holding them.  One pass type- and range-checks each
-        index; only indices that do not strictly increase are sorted."""
+        index and ANDs its mask; only indices that do not strictly increase
+        are sorted."""
         idx = tuple(indices)
-        n, last, ordered = len(self.rays), -1, True
+        n, star, last, ordered = len(self.rays), self._star, -1, True
+        mask = (1 << len(self.maximal_cones)) - 1
         for i in idx:
             if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
                 raise FanValidationError(f"ray index {i!r} is not an integer")
             if not (0 <= i < n):
                 raise FanValidationError(f"ray index {i + 1} out of range")
+            mask &= star[i]
             ordered, last = ordered and i > last, i
         if not ordered:
             idx = tuple(sorted(set(idx)))
-        return idx, self._holders(idx)
+        return idx, mask
 
     def is_cone(self, indices) -> bool:
         """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
@@ -195,19 +220,22 @@ class Fan:
     def cones(self) -> tuple[ConeRef, ...]:
         """All cones of the fan: the subset closure of the maximal cones,
         sorted by dimension, then lexicographically; listed once per fan.
-        Past ``_FACE_CAP`` faces, counted before and after each maximal
-        cone's are listed, it raises ``ResourceLimitError``."""
+        One set per face size is filled and sorted natively.  Past
+        ``_FACE_CAP`` faces, counted before and after each maximal cone's
+        are listed, it raises ``ResourceLimitError``."""
         if self._cones is None:
-            faces: set[ConeRef] = set()
-            for k, c in enumerate(self.maximal_cones):
+            cones = self.maximal_cones
+            by_size: list[set[ConeRef]] = [set() for _ in range(max(map(len, cones)) + 1)]
+            for k, c in enumerate(cones):
                 if 2 ** len(c) <= _FACE_CAP:
-                    faces.update(f for r in range(len(c) + 1) for f in combinations(c, r))
-                if 2 ** len(c) > _FACE_CAP or len(faces) > _FACE_CAP:
+                    for r in range(len(c) + 1):
+                        by_size[r].update(combinations(c, r))
+                if 2 ** len(c) > _FACE_CAP or sum(map(len, by_size)) > _FACE_CAP:
                     raise ResourceLimitError(
-                        f"cones: listing the faces of maximal cone {k + 1} of {len(self.maximal_cones)} "
+                        f"cones: listing the faces of maximal cone {k + 1} of {len(cones)} "
                         f"({len(c)} rays, {2 ** len(c)} faces) passes the cap of {_FACE_CAP} cones"
                     )
-            object.__setattr__(self, "_cones", tuple(sorted(faces, key=lambda c: (len(c), c))))
+            object.__setattr__(self, "_cones", tuple(f for faces in by_size for f in sorted(faces)))
         return self._cones
 
     def cone_dim(self, indices) -> int:
@@ -218,8 +246,11 @@ class Fan:
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:
     """Validate and normalize fan data (cones sorted, duplicates rejected)."""
     rays = tuple(tuple(v) for v in rays)
-    cones = (tuple(sorted(set(_int_indices(k, c)))) for k, c in enumerate(maximal_cones))
-    return Fan(lattice_rank, rays, tuple(sorted(cones)), bool(complete), name)
+    cones = [tuple(c) for c in maximal_cones]
+    if not {type(i) for c in cones for i in c} <= {int}:
+        cones = [_int_indices(k, c) for k, c in enumerate(cones)]
+    cones = sorted(tuple(sorted(set(c))) for c in cones)
+    return Fan(lattice_rank, rays, tuple(cones), bool(complete), name)
 
 
 def _int_indices(k: int, cone) -> tuple:
@@ -231,6 +262,17 @@ def _int_indices(k: int, cone) -> tuple:
         if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
             raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be integers")
     return cone
+
+
+def _check_indices(k: int, cone: tuple, n: int) -> None:
+    """Raise the first message for maximal cone k's indices, if any: one
+    not an integer, then not sorted and distinct, then out of range.  The
+    constructor calls this only when its scan stops, and sorts only here."""
+    if tuple(sorted(set(_int_indices(k, cone)))) != cone:
+        raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be sorted and distinct")
+    for i in cone:
+        if not (0 <= i < n):
+            raise FanValidationError(f"maximal_cones[{k + 1}]: ray index {i + 1} out of range")
 
 
 def _one_based(cone) -> list[int]:

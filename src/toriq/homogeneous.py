@@ -5,6 +5,11 @@ discriminant locus; the quotient torus acts through the charge matrix, and
 the coordinatewise power maps realize the bonding maps of the completion.
 All identities here are level-wise, so a single truncation level suffices:
 inverse-limit points are never materialized.
+
+A caller's ``HomogeneousPoint`` and ``TorusElement`` are checked once, when
+built.  Nonzero parameters keep a point's zero pattern, so the images under
+``act`` and ``power_map`` and the powers and products of torus elements are
+built by ``_trusted`` constructors without the checks.
 """
 
 from __future__ import annotations
@@ -56,6 +61,18 @@ class HomogeneousPoint:
         if in_discriminant(self.fan, self.coords):
             raise DomainError("point lies in the discriminant locus")
 
+    @classmethod
+    def _trusted(cls, fan: Fan, level: int, coords: tuple[PolarComplex, ...]
+                 ) -> "HomogeneousPoint":
+        """Build without the checks, for the images under ``act`` and
+        ``power_map`` of a point that passed them: a tuple of
+        ``PolarComplex`` with the point's zero pattern, at its level."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "fan", fan)
+        object.__setattr__(z, "level", level)
+        object.__setattr__(z, "coords", coords)
+        return z
+
     @property
     def zero_pattern(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c.is_zero)
@@ -74,15 +91,25 @@ class TorusElement:
         if any(p.is_zero for p in self.params):
             raise DomainError("torus parameters must be nonzero")
 
+    @classmethod
+    def _trusted(cls, level: int, params: tuple[PolarComplex, ...]) -> "TorusElement":
+        """Build without the checks, for powers and products of elements
+        that passed them: their parameters are nonzero ``PolarComplex``."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "level", level)
+        object.__setattr__(t, "params", params)
+        return t
+
     def pow_int(self, k: int) -> "TorusElement":
-        return TorusElement(self.level, tuple(p.pow_int(k) for p in self.params))
+        return TorusElement._trusted(self.level, tuple(p.pow_int(k) for p in self.params))
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         if not isinstance(other, TorusElement):
             return NotImplemented
         if self.level != other.level:
             raise LevelMismatchError("torus elements at different levels")
-        return TorusElement(self.level, tuple(a * b for a, b in zip(self.params, other.params)))
+        return TorusElement._trusted(
+            self.level, tuple(a * b for a, b in zip(self.params, other.params)))
 
 
 def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
@@ -105,14 +132,15 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
                 rho *= _capped_pow(p.rho, e)
                 turns += p.turns * e
         new_coords.append(PolarComplex._trusted(rho, turns))
-    return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
+    # nonzero parameters keep the zero pattern, so the image is valid too
+    return HomogeneousPoint._trusted(z.fan, z.level, tuple(new_coords))
 
 
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power; zero patterns are unchanged."""
     if isinstance(l, bool) or not isinstance(l, int) or l < 1:
         raise DomainError("power map exponent must be a positive integer")
-    return HomogeneousPoint(z.fan, z.level, tuple(c.pow_int(l) for c in z.coords))
+    return HomogeneousPoint._trusted(z.fan, z.level, tuple(c.pow_int(l) for c in z.coords))
 
 
 def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -> bool:

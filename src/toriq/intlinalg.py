@@ -13,6 +13,11 @@ Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse and, in
 ``hermite_and_left_kernel``, the row lattice and the canonical left
 kernel (the Hermite form of a saturated lattice is unique).
 
+Ranks and determinants come from fraction-free Bareiss elimination
+(``_bareiss``), or for a nonsingular 2 x 2 or 3 x 3 from the cofactor
+formula, which gives the same signed last pivot; a fan runs one per maximal
+cone.
+
 A matrix of full column rank, such as a fan's rays, skips the augmented
 pass: ``spanning_lattice`` finds the lex-last basis among the rows by one
 fraction-free Gauss-Jordan pass and gives the same H and kernel from it,
@@ -164,29 +169,48 @@ def _bareiss(rows, cols: int) -> tuple[int, int]:
     the rank is 0).  After ``r`` pivots every entry below them is an
     ``(r + 1)``-minor of the input, so each division by the previous pivot
     is exact and entries stay the size of minors.  For a square matrix of
-    full rank the signed last pivot is the determinant.
+    full rank the signed last pivot is the determinant, so a square 2 x 2
+    or 3 x 3 input with a nonzero determinant returns ``(n, det)`` from the
+    cofactor formula; any other input is eliminated.  The elimination
+    rewrites a row below the pivot only when its entry in the pivot column
+    is nonzero or the pivot changed, and only past that column: the input
+    rows are never copied or modified.
     """
-    a = [list(row) for row in rows]
-    m = len(a)
+    m = len(rows)
+    if m == cols == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        if det:
+            return 2, det
+    elif m == cols == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if det:
+            return 3, det
+    a = list(rows)
     rank, sign, prev = 0, 1, 1
     for c in range(cols):
         if rank == m:
             break
-        pivot = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if pivot is None:
+        pivot = rank
+        while pivot < m and not a[pivot][c]:
+            pivot += 1
+        if pivot == m:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
         top = a[rank]
         p = top[c]
-        for i in range(rank + 1, m):
+        rank += 1
+        for i in range(rank, m):
             row = a[i]
             q = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (row[j] * p - q * top[j]) // prev
+            if q or p != prev:
+                # columns up to c are never read again
+                a[i] = [0] * (c + 1) + [
+                    (row[j] * p - q * top[j]) // prev for j in range(c + 1, cols)]
         prev = p
-        rank += 1
     return rank, sign * prev
 
 

@@ -11,6 +11,7 @@ require choosing an ample divisor the combinatorics does not depend on.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,13 +62,13 @@ def face_lattice(fan: Fan) -> FaceLattice:
     dimension ``lattice_rank - d`` with fiber rank equal to its dimension."""
     _require_complete(fan, "face lattice")
     n = fan.lattice_rank
-    # cones come by dimension, then lexicographically: each bucket is sorted
-    buckets = [[] for _ in range(n + 1)]
-    for cone in fan.cones():
-        m = n - fan.cone_dim(cone)
-        buckets[m].append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
-    nodes = tuple(node for bucket in buckets for node in bucket)
-    return FaceLattice(n, nodes, tuple(map(len, buckets)))
+    cones = fan.cones()
+    # cones come by dimension, then lexicographically: the d-ray cones are
+    # the block cones[ends[d]:ends[d + 1]], and face dimension m takes d = n - m
+    ends = [bisect_left(cones, d, key=len) for d in range(n + 2)]
+    nodes = tuple(FaceNode(cone, m, m, m == 0)
+                  for m in range(n + 1) for cone in cones[ends[n - m]:ends[n - m + 1]])
+    return FaceLattice(n, nodes, tuple(ends[d + 1] - ends[d] for d in reversed(range(n + 1))))
 
 
 def cusp_count(fan: Fan) -> int:

@@ -38,7 +38,7 @@ from itertools import permutations, product as iproduct
 from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError
-from .fans import _CACHE_SIZE, Fan, _one_based
+from .fans import _CACHE_SIZE, Fan
 from .intlinalg import IntMatrix, smith_normal_form
 
 Permutation = tuple[int, ...]  # one-line form: i -> perm[i]
@@ -248,10 +248,12 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
     torsion = group_structure(fan).has_torsion
     classes = _row_classes(q)
 
-    class_of = {i: cls for cls in classes for i in cls}
-    # t is a union of row classes iff every class meeting t lies inside t
-    filter_vacuous = all(
-        j in t for t in discriminant_locus(fan).minimal_subsets for i in t for j in class_of[i]
+    # t is a union of row classes iff every class meeting t lies inside t;
+    # only classes of more than one ray can fail that
+    class_of = {i: cls for cls in classes if len(cls) > 1 for i in cls}
+    filter_vacuous = not class_of or all(
+        j in t for t in discriminant_locus(fan).minimal_subsets
+        for i in t if i in class_of for j in class_of[i]
     )
     total = _product_of_factorials(len(c) for c in classes)
 
@@ -340,8 +342,8 @@ def symmetry_report(fan: Fan) -> dict:
     sym = fan_symmetry(fan)
     return {
         "order": sym.order,
-        "classes": [_one_based(c) for c in sym.row_classes],
-        "generators": [_one_based(g) for g in sym.generators],
+        "classes": [[i + 1 for i in c] for c in sym.row_classes],
+        "generators": [[i + 1 for i in g] for g in sym.generators],
         "structure": sym.structure_name,
         "preserves_maximal_cones": sym.preserves_maximal_cones,
         "torsion_warning": sym.torsion_warning,
@@ -354,10 +356,10 @@ def quotient_report(fan: Fan) -> dict:
     structure = group_structure(fan)
     disc = discriminant_locus(fan)
     report = {
-        "charge_matrix": [list(q.matrix.row(i)) for i in range(q.n_rays)],
+        "charge_matrix": [list(row) for row in q.matrix.entries],
         "torus_rank": structure.torus_rank,
         "torsion": list(structure.torsion_factors),
-        "discriminant": [_one_based(t) for t in disc.minimal_subsets],
+        "discriminant": [[i + 1 for i in t] for t in disc.minimal_subsets],
         "symmetry": symmetry_report(fan),
     }
     if fan.complete:

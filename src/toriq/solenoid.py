@@ -10,10 +10,11 @@ Moduli under root extraction are kept exact by accepting only perfect
 powers; anything else raises rather than rounding.
 
 Input is validated once, at the public boundary: ``PolarComplex(...)``
-converts and checks its fields, and ``SolenoidPoint`` accepts only a
-``PolarComplex``.  Results of the package's own exact arithmetic (products,
-powers and roots, ``phi``, ``nu`` and the torus action of ``homogeneous``)
-are built by ``PolarComplex._trusted``, which only normalizes.
+converts and checks its fields, which take numbers only (no text and no
+``bool``), and ``SolenoidPoint`` accepts only a ``PolarComplex``.  Results
+of the package's own exact arithmetic (products, powers and roots, ``phi``,
+``nu`` and the torus action of ``homogeneous``) are built by
+``PolarComplex._trusted``, which only normalizes.
 """
 
 from __future__ import annotations
@@ -44,12 +45,21 @@ def _capped_pow(rho: Fraction, k: int) -> Fraction:
 
 
 def _as_fraction(x) -> Fraction:
-    """``Fraction(x)``; a float or a non-rational x raises ``DomainError``."""
+    """``x`` as a ``Fraction``: an ``int`` or ``Fraction`` at once, another
+    exact rational number by ``Fraction(x)``.  A float, a string (which
+    ``Fraction`` would parse), a ``bool`` or a non-rational x raises
+    ``DomainError``."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, float):
         raise DomainError("floating point input rejected; pass Fraction or int")
+    if isinstance(x, (str, bool)):
+        raise DomainError(f"exact rational expected, got {x!r:.40}")
     try:
         return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"exact rational expected, got {x!r:.40}") from None
 
 

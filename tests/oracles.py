@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own algorithms: cone membership and
 feasibility run through Fourier-Motzkin elimination over exact rationals,
-lattice decompositions through bounded search, irreducibility through
-exhaustive polytope scans, and determinants through the permutation sum.
+lattice decompositions through memoized descent or bounded search,
+irreducibility through exhaustive polytope scans, and determinants through
+the permutation sum.  Where an oracle needs a cone's inequalities, the
+caller passes them in.
 """
 
 from __future__ import annotations
@@ -76,13 +78,57 @@ def halfspace_lattice_points(primal_generators, rank: int, bound: int):
     return pts
 
 
-def generated_points(basis, rank: int, weight, w_cap, coord_bound=None):
-    """Forward closure of 0 under adding basis vectors.
+def generated_points(points, basis, weight, inequalities) -> set:
+    """The given points that are nonnegative integer combinations of the
+    basis, each decided by memoized descent.
+
+    p is generated when p = 0, or when p - b is generated for some basis
+    vector b.  Every b must have positive weight, so the weight falls at
+    each step and the descent ends; a point is generated exactly when a
+    chain of basis vectors leads from it down to 0.  The basis lies in the
+    cone ``{y : d.y >= 0 for d in inequalities}``, so a step that leaves it
+    leads to no sum of basis vectors and is not taken: wrong inequalities
+    could only reject a generated point, never accept another one.
+    """
+    assert all(dot(weight, b) > 0 for b in basis)
+    known = {(0,) * len(weight): True}
+    for p in points:
+        # each entry: a point, the basis vectors left to try, the last step taken
+        stack = [[p, iter(basis), None]]
+        while stack:
+            q, rest, step = top = stack[-1]
+            if q in known:
+                stack.pop()
+                continue
+            if step is not None and known[step]:
+                known[q] = True
+                stack.pop()
+                continue
+            for b in rest:
+                r = tuple(x - y for x, y in zip(q, b))
+                found = known.get(r)
+                if found or found is None and all(dot(d, r) >= 0 for d in inequalities):
+                    break
+            else:
+                known[q] = False
+                stack.pop()
+                continue
+            if found:
+                known[q] = True
+                stack.pop()
+            else:
+                top[2] = r
+                stack.append([r, iter(basis), None])
+    return {p for p in points if known[p]}
+
+
+def closure_points(basis, rank: int, weight, w_cap, coord_bound):
+    """Forward closure of 0 under adding basis vectors, for a basis with
+    lineality directions of weight zero, where descent would not end.
 
     Prefix sums of semigroup elements stay in the cone, so the closure cut
-    off at weight ``w_cap`` (plus an optional coordinate bound, needed when
-    the basis contains a lineality direction of weight zero) contains every
-    nonnegative integer combination up to that weight.
+    off at weight ``w_cap`` and the coordinate bound contains every
+    nonnegative integer combination within both.
     """
     zero = (0,) * rank
     seen = {zero}
@@ -95,7 +141,7 @@ def generated_points(basis, rank: int, weight, w_cap, coord_bound=None):
                 continue
             if dot(weight, y) > w_cap:
                 continue
-            if coord_bound is not None and any(abs(v) > coord_bound for v in y):
+            if any(abs(v) > coord_bound for v in y):
                 continue
             seen.add(y)
             queue.append(y)

@@ -51,7 +51,10 @@ bisection over the root's bits, as ``solenoid._integer_root`` did before
 squares went to ``math.isqrt``.  ``slow_act`` is the torus action from
 before it took one pass per coordinate: one ``pow_int`` per nonzero charge
 entry, and each product built by the validating ``PolarComplex``
-constructor.
+constructor, and the point by the validating ``HomogeneousPoint``, as
+``slow_power_map`` builds its powers.  ``slow_bareiss`` is ``intlinalg._bareiss`` from before small
+square inputs took the cofactor formula and the elimination stopped
+copying rows: every row below a pivot is rewritten.
 """
 
 from __future__ import annotations
@@ -397,6 +400,39 @@ def slow_parallelepiped_points(subset, rank):
         )
         points.append(point)
     return points
+
+
+def slow_bareiss(rows, cols: int) -> tuple[int, int]:
+    """Fraction-free row echelon (Bareiss, Math. Comp. 22 (1968)).
+
+    Returns the rank and the last pivot, negated once per row swap (1 when
+    the rank is 0).  After ``r`` pivots every entry below them is an
+    ``(r + 1)``-minor of the input, so each division by the previous pivot
+    is exact and entries stay the size of minors.  For a square matrix of
+    full rank the signed last pivot is the determinant.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, m):
+            row = a[i]
+            q = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * p - q * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 def slow_rank(a: IntMatrix) -> int:
@@ -994,3 +1030,8 @@ def slow_act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
                 c = PolarComplex(c.rho * power.rho, c.turns + power.turns)
         new_coords.append(c)
     return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
+
+
+def slow_power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
+    """Coordinatewise l-th power, rebuilt by the validating constructor."""
+    return HomogeneousPoint(z.fan, z.level, tuple(c.pow_int(l) for c in z.coords))

@@ -152,10 +152,8 @@ def test_hilbert_bases_randomized():
                 for p in product(range(-box, box + 1), repeat=rank)
                 if cone_contains(cone, p)
             ]
-            w_cap = max((dot(weight, p) for p in points), default=0)
-            reachable = generated_points(basis, rank, weight, w_cap)
-            for p in points:
-                assert p in reachable, (cone.generators, p)
+            missed = set(points) - generated_points(points, basis, weight, dual.generators)
+            assert not missed, (cone.generators, missed)
             # minimality: no basis element is a sum of two nonzero semigroup
             # elements (exhaustive polytope scan)
             for b in basis:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from oracles import (
+    closure_points,
     generated_points,
     halfspace_lattice_points,
     irreducible_in_semigroup,
@@ -128,12 +129,13 @@ def test_hilbert_non_simplicial_pointed():
     hb = hilbert_basis(cone)
     assert set(gens) <= set(hb.generators)
     assert (0, 0, 1) in hb.generators  # interior point of the fundamental region
-    weight = tuple(sum(d[i] for d in dual_cone(cone).generators) for i in range(3))
+    dual = dual_cone(cone).generators
+    weight = tuple(sum(d[i] for d in dual) for i in range(3))
     points = [p for p in product(range(-3, 4), repeat=3) if cone_contains(cone, p)]
-    w_cap = max(dot(weight, p) for p in points)
-    reachable = generated_points(hb.generators, 3, weight, w_cap)
-    for point in points:
-        assert point in reachable
+    assert generated_points(points, hb.generators, weight, dual) == set(points)
+    rest = [b for b in hb.generators if b != (0, 0, 1)]
+    missed = set(points) - generated_points(points, rest, weight, dual)
+    assert (0, 0, 1) in missed and (0, 0, 2) not in missed  # (0, 0, 2) = (1, 0, 1) + (-1, 0, 1)
 
 
 def test_hilbert_singular_quadric_cone():
@@ -157,11 +159,11 @@ def test_hilbert_minimality_on_worked_examples():
             if cone_contains(cone, p)
         ]
         w_cap = max(dot(weight, p) for p in points)
-        reachable = generated_points(hb.generators, 2, weight, w_cap, coord_bound=75)
+        reachable = closure_points(hb.generators, 2, weight, w_cap, coord_bound=75)
         assert all(p in reachable for p in points)
         for drop in hb.generators:
             rest = [b for b in hb.generators if b != drop]
-            partial = generated_points(rest, 2, weight, w_cap, coord_bound=75)
+            partial = closure_points(rest, 2, weight, w_cap, coord_bound=75)
             assert not all(p in partial for p in points), (gens, drop)
 
 

@@ -126,7 +126,8 @@ def test_is_cone_index_validation():
 def test_ray_indices_must_be_integers(bad):
     """Caught before any sort compares them, and a bool is no ray index."""
     message = "maximal_cones[2]: indices must be integers"
-    for cones in ([[0, 1], [bad, 2]], [[0, 1], [2, bad]], [[0, 1], [bad, bad]]):
+    for cones in ([[0, 1], [bad, 2]], [[0, 1], [2, bad]], [[0, 1], [bad, bad]],
+                  [[0, 1], [2, 1, bad]]):
         with pytest.raises(FanValidationError) as exc:
             build_fan(2, CP2_RAYS, cones)
         assert str(exc.value) == message
@@ -144,6 +145,24 @@ def test_ray_indices_must_be_integers(bad):
             with pytest.raises(FanValidationError) as exc:
                 query(indices)
             assert str(exc.value) == f"ray index {bad!r} is not an integer"
+
+
+def test_int_subclass_rays_and_indices_are_accepted():
+    """The constructor's scans stop at any entry that is not an exact int;
+    an int subclass then passes the full checks like the int it equals."""
+    class Index(int):
+        pass
+
+    rays = [tuple(map(Index, v)) for v in CP2_RAYS]
+    cones = [(Index(0), Index(1)), (1, Index(2)), (Index(0), 2)]
+    plain = catalog.projective_plane()
+    for fan in (Fan(2, rays, sorted(cones), True), build_fan(2, rays, cones, True)):
+        assert fan.rays == plain.rays and fan.maximal_cones == plain.maximal_cones
+        assert fan._star == plain._star and fan._unimodular == plain._unimodular
+    with pytest.raises(FanValidationError, match=r"^maximal_cones\[2\]: indices must be sorted"):
+        Fan(2, rays, [(0, 1), (Index(2), 1)])
+    with pytest.raises(FanValidationError, match=r"^rays\[2\]: ray \(2, 4\) is not primitive"):
+        Fan(2, [(1, 0), (Index(2), Index(4))], [(0,), (1,)])
 
 
 def test_fan_cones_cp1():

@@ -4,6 +4,7 @@ inverse against the slow paths they replaced."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import leibniz_det
 from slow_paths import (
+    slow_bareiss,
     slow_inverse_unimodular,
     slow_lineality_basis,
     slow_rank,
@@ -138,8 +140,6 @@ def test_kernel_columns_annihilated_and_saturated(a):
 )
 def test_kernel_box_completeness(a):
     """Every small integer kernel vector lies in the span of the basis."""
-    from itertools import product
-
     k = integer_kernel(a)
     zero = (0,) * a.rows
     for c in product(range(-3, 4), repeat=a.cols):
@@ -298,6 +298,44 @@ def test_rank_and_det_of_products_and_empty_shapes():
         assert IntMatrix(((),) * rows, 0).rank() == 0
     assert IntMatrix((), 3).rank() == 0
     assert IntMatrix((), 0).det() == 1
+
+
+def test_bareiss_matches_slow_path_on_random_matrices():
+    """Rank and signed last pivot against the elimination from before the
+    closed form, on seeded k x n matrices with 1 <= k, n <= 5 and entries
+    in [-3, 3]: singular ones, and leading zeros that force a row swap.
+    The input rows are left as they were."""
+    rng = random.Random(2026)
+    swapped = singular = square = 0
+    for _ in range(3000):
+        k, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.3:
+            rows[0][0] = 0
+        before = [row[:] for row in rows]
+        rank, pivot = intlinalg._bareiss(rows, n)
+        assert (rank, pivot) == slow_bareiss(before, n), before
+        assert rows == before
+        swapped += rows[0][0] == 0 and any(row[0] for row in rows[1:])
+        singular += rank < min(k, n)
+        square += k == n and rank == n
+    assert swapped > 100 and singular > 50 and square > 100
+
+
+def test_bareiss_on_every_small_2x2_and_3x3():
+    """Every 2 x 2 with entries in [-2, 2] and every 3 x 3 with entries in
+    [-1, 1]: the nonsingular ones return (n, det) from the cofactor formula,
+    and the singular ones fall through to the elimination."""
+    singular = 0
+    for n, box in ((2, range(-2, 3)), (3, range(-1, 2))):
+        for entries in product(box, repeat=n * n):
+            rows = [entries[i:i + n] for i in range(0, n * n, n)]
+            got = intlinalg._bareiss(rows, n)
+            assert got == slow_bareiss(rows, n), rows
+            det = leibniz_det(rows)
+            assert got[1] == det if det else got[0] < n, rows
+            singular += not det
+    assert singular > 5000
 
 
 def _random_matrices(rng, count):

@@ -3,6 +3,7 @@ last also against the sign-splitting parser it replaced (``slow_paths.py``)."""
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -220,8 +221,9 @@ def test_formal_sum_merges_terms():
 
 def test_formal_sum_keeps_fraction_exponents_and_converts_the_rest():
     half = F(1, 2)
-    s = FormalSum.from_terms([(half, 1), (2, 1), ("1/3", 1)])
-    assert s.terms == ((F(1, 3), 1), (half, 1), (F(2), 1))
+    s = FormalSum.from_terms([(half, 1), (2, 1), (Decimal("0.25"), 1)])
+    assert s.terms == ((F(1, 4), 1), (half, 1), (F(2), 1))
     assert s.terms[1][0] is half and all(type(q) is F for q, _ in s.terms)
-    with pytest.raises(DomainError):
-        FormalSum.from_terms([(0.5, 1)])
+    for bad in (0.5, "1/3", True):
+        with pytest.raises(DomainError):
+            FormalSum.from_terms([(bad, 1)])

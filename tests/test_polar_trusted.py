@@ -1,5 +1,8 @@
 """Results of polar arithmetic are built without re-validation
-(``PolarComplex._trusted``), and ``act`` takes one pass per coordinate.
+(``PolarComplex._trusted``), and so are the points that ``act`` and
+``power_map`` return and the torus elements of ``pow_int`` and ``*``
+(``HomogeneousPoint._trusted``, ``TorusElement._trusted``); ``act`` takes
+one pass per coordinate.
 
 Checked against the per-entry action it replaced (``slow_paths.slow_act``)
 and against rebuilds through the validating constructor; the ``pow_int``
@@ -13,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slow_paths import slow_act
+from slow_paths import slow_act, slow_power_map
 from toriq import catalog
 from toriq.errors import ResourceLimitError
 from toriq.homogeneous import (
@@ -97,10 +100,13 @@ def test_action_power_map_and_equivariance_match_validated_arithmetic(inputs, l)
             rho, tw = rho * p.rho ** e, tw + p.turns * e
         assert_matches(x, rho, tw)
     powered = power_map(l, z)
+    assert powered == slow_power_map(l, z)
     for c, x in zip(z.coords, powered.coords):
         assert_matches(x, c.rho ** l, c.turns * l)
     assert powered.zero_pattern == z.zero_pattern
     t_l = t.pow_int(l)
+    assert t_l == TorusElement(t.level, t_l.params)
+    assert t_l * t == TorusElement(t.level, tuple(a * b for a, b in zip(t_l.params, t.params)))
     for p, x in zip(t.params, t_l.params):
         assert_matches(x, p.rho ** l, p.turns * l)
     right = act(t_l, powered)
@@ -169,19 +175,23 @@ def test_pow_int_cap_holds_inside_act():
 
 
 def test_no_revalidation_inside_action_powers_or_solenoid_maps(monkeypatch):
-    """Only the caller's own ``PolarComplex(...)`` calls run the validating
-    ``__post_init__``."""
+    """Only the caller's own ``PolarComplex(...)``, ``HomogeneousPoint(...)``
+    and ``TorusElement(...)`` calls run the validating ``__post_init__``."""
     fan = catalog.hirzebruch(2)
     z = HomogeneousPoint(fan, 2, (PolarComplex(F(3, 2), F(9, 4)), PolarComplex.zero(),
                                   PolarComplex(F(5), F(-1, 3)), PolarComplex(F(2, 7))))
     t = TorusElement(2, (PolarComplex(F(4, 9), F(7, 5)), PolarComplex(F(6), F(-2, 3))))
     base = SolenoidPoint(3, PolarComplex(F(16, 81), F(2, 3)))
     calls = []
-    original = PolarComplex.__post_init__
-    monkeypatch.setattr(PolarComplex, "__post_init__",
-                        lambda self: calls.append(self) or original(self))
+    for cls in PolarComplex, HomogeneousPoint, TorusElement:
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, original=original: calls.append(self) or original(self))
     PolarComplex(F(2), F(5, 4))
-    assert len(calls) == 1
+    HomogeneousPoint(fan, 2, z.coords)
+    TorusElement(2, t.params)
+    assert [type(x) for x in calls] == [PolarComplex, HomogeneousPoint, TorusElement]
+    calls.clear()
     act(t, z)
     power_map(3, z)
     assert check_equivariance(fan, t, z, 3)
@@ -197,4 +207,4 @@ def test_no_revalidation_inside_action_powers_or_solenoid_maps(monkeypatch):
     sol_exp(ProfiniteInt(6, 5), F(7, 3))
     phi(ProfiniteInt(4, 1))
     nu(F(-5, 2), 3).base_coordinate()
-    assert len(calls) == 1
+    assert calls == []

@@ -2,12 +2,14 @@
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slow_paths import slow_integer_root
+from toriq.cones import RationalCone, cone_contains
 from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
 from toriq.kring import FormalSum, KRingElement
 from toriq.solenoid import (
@@ -88,12 +90,18 @@ def test_polar_normalization_and_zero():
     nu,
     FormalSum.monomial,
     lambda x: KRingElement(0, x),
+    pytest.param(lambda x: FormalSum.from_terms([(x, 1)]), id="formal_sum_terms"),
+    pytest.param(lambda x: cone_contains(RationalCone(2, ((1, 0),)), (x, 0)), id="cone_contains"),
+    pytest.param(lambda x: sol_exp(ProfiniteInt(3, 1), x), id="sol_exp"),
 ])
 def test_non_rational_input_is_domain_error(make):
-    for bad in (None, "x", "1/0"):
+    """Every exact-rational boundary takes numbers only: text that
+    ``Fraction`` would parse, and a ``bool``, are refused like any other
+    non-rational value."""
+    for bad in (None, "x", "1/0", "3/4", " 2 ", "1.5", True, False):
         with pytest.raises(DomainError, match=f"got {bad!r}"):
             make(bad)
-    for good in (3, F(3, 4), "3/4", " 2 ", "1.5"):
+    for good in (3, F(3, 4), Decimal("1.5")):
         make(good)
 
 
