@@ -7,14 +7,16 @@ common class of x^q - 1 scaled so that x^q maps to (1, q).
 
 The closed form (sum of coefficients, exponent-weighted sum) is cheap but
 derived, so the module also ships an independent brute-force reduction:
-rewrite x^(p+q) -> x^p + x^q - 1 with arbitrary splittings, in arbitrary
-order, on a shared term table, until only the exponents {0, g} of the
+rewrite x^(p+q) -> x^p + x^q - 1 at random split points on a shared term
+table, largest exponent magnitude first, so that each exponent is split
+once with its merged coefficient, until only the exponents {0, g} of the
 common grid survive.  The two must agree; tests and the acceptance suite
 gate the closed form on that agreement.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 import sys
@@ -132,9 +134,11 @@ def oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
     monomial outside {0, g} is split by x^(a+b) -> x^a + x^b - 1 (applied
     backwards for exponents below zero), with the split point chosen at
     random, until only 1 and x^g survive.  Coefficients merge in a shared
-    table, so repeated subterms are processed once.  Any splitting order
-    reaches the same pair, which is the point of using it as an oracle for
-    the closed form in ``reduce``.
+    table.  Every split yields exponents of smaller magnitude, so taking
+    the pending exponent of largest magnitude first splits each exponent
+    once, with its fully merged coefficient.  Any splitting order reaches
+    the same pair, which is the point of using it as an oracle for the
+    closed form in ``reduce``.
     """
     if not s.terms:
         return KRingElement(0, Fraction(0))
@@ -145,20 +149,25 @@ def oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
         k = q / g
         assert k.denominator == 1
         table[k.numerator] = table.get(k.numerator, 0) + c
+    # pending exponents keyed on -|k|; an entry whose exponent has left the
+    # table (split, or cancelled to zero) is skipped when popped
+    heap = [(-abs(k), k) for k in table if k not in (0, 1)]
+    heapq.heapify(heap)
 
     def bump(k: int, c: int):
         new = table.get(k, 0) + c
         if new:
+            if k not in table and k not in (0, 1):
+                heapq.heappush(heap, (-abs(k), k))
             table[k] = new
         else:
             table.pop(k, None)
 
-    while True:
-        pending = [k for k in table if k not in (0, 1)]
-        if not pending:
-            break
-        k = rng.choice(pending)
-        c = table.pop(k)
+    while heap:
+        k = heapq.heappop(heap)[1]
+        c = table.pop(k, 0)
+        if not c:
+            continue
         if k >= 2:
             if k <= 32:
                 j = rng.randint(1, k - 1)

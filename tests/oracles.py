@@ -3,9 +3,9 @@
 These deliberately avoid the library's own algorithms: cone membership and
 feasibility run through Fourier-Motzkin elimination over exact rationals,
 lattice decompositions through memoized descent or bounded search,
-irreducibility through exhaustive polytope scans, and determinants through
-the permutation sum.  Where an oracle needs a cone's inequalities, the
-caller passes them in.
+irreducibility through exhaustive polytope scans whose vertices come from
+Cramer's rule, and determinants through the permutation sum.  Where an
+oracle needs a cone's inequalities, the caller passes them in.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from toriq.intlinalg import dot
+
+def dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def fm_feasible(inequalities, n_vars: int) -> bool:
@@ -149,47 +151,42 @@ def closure_points(basis, rank: int, weight, w_cap, coord_bound):
 
 
 def polytope_box(constraints, n: int):
-    """Integer bounding box of a compact polytope ``{y : a.y >= b}``.
+    """Integer bounding box of a compact polytope ``{y : a.y >= b}`` with
+    integer a and b.
 
-    Vertices are intersections of n constraints; the box is the coordinate
+    Vertices are intersections of n constraints, each solved exactly by
+    Cramer's rule as y = num / den with den > 0; a vertex is feasible when
+    a.num >= b * den for every constraint, and the box is the coordinate
     range over the feasible ones.
     """
-    vertices = []
-    for subset in combinations(range(len(constraints)), n):
-        rows = [constraints[i][0] for i in subset]
-        rhs = [constraints[i][1] for i in subset]
-        vertex = _solve_square(rows, rhs)
+    lo = hi = None
+    for subset in combinations(constraints, n):
+        vertex = _solve_square([a for a, _ in subset], [b for _, b in subset])
         if vertex is None:
             continue
-        if all(
-            sum(Fraction(a) * v for a, v in zip(coeffs, vertex)) >= b
-            for coeffs, b in constraints
-        ):
-            vertices.append(vertex)
-    if not vertices:
+        num, den = vertex
+        if all(dot(a, num) >= b * den for a, b in constraints):
+            floors = [x // den for x in num]
+            ceils = [-(-x // den) for x in num]
+            lo = floors if lo is None else list(map(min, lo, floors))
+            hi = ceils if hi is None else list(map(max, hi, ceils))
+    if lo is None:
         return None
-    lo = [min(v[i] for v in vertices) for i in range(n)]
-    hi = [max(v[i] for v in vertices) for i in range(n)]
-    floor = lambda f: f.numerator // f.denominator
-    ceil = lambda f: -((-f).numerator // (-f).denominator) if f.denominator != 1 else f.numerator
-    return [range(floor(lo[i]), ceil(hi[i]) + 1) for i in range(n)]
+    return [range(lo[i], hi[i] + 1) for i in range(n)]
 
 
 def _solve_square(rows, rhs):
-    n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return tuple(work[i][n] for i in range(n))
+    """(numerators, den) with ``rows . (num / den) = rhs`` and den > 0, by
+    Cramer's rule over permutation-sum determinants; None if singular."""
+    det = leibniz_det(rows)
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    num = [
+        sign * leibniz_det([[*row[:i], b, *row[i + 1:]] for row, b in zip(rows, rhs)])
+        for i in range(len(rows))
+    ]
+    return num, sign * det
 
 
 def irreducible_in_semigroup(element, dual_generators, rank: int) -> bool:
@@ -202,8 +199,8 @@ def irreducible_in_semigroup(element, dual_generators, rank: int) -> bool:
     """
     constraints = []
     for d in dual_generators:
-        constraints.append((tuple(d), Fraction(0)))  # d.y >= 0
-        constraints.append((tuple(-x for x in d), Fraction(-dot(d, element))))  # d.y <= d.e
+        constraints.append((tuple(d), 0))  # d.y >= 0
+        constraints.append((tuple(-x for x in d), -dot(d, element)))  # d.y <= d.e
     box = polytope_box(constraints, rank)
     if box is None:
         return True

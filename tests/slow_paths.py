@@ -42,7 +42,11 @@ discriminant antichain, as before both read the fan's incidence index: a
 subset test per primitive collection, and the row-class permutations that
 map the antichain onto itself.  ``slow_parse_expression`` is the K-ring
 parser from before one term pattern scanned the text: a sign-splitting
-state machine, then one anchored match per chunk.  ``slow_face_lattice``
+state machine, then one anchored match per chunk.  ``slow_oracle_reduce``
+is ``kring.oracle_reduce`` from before it split the largest exponent
+first: each step rebuilds the pending list from the whole table and
+splits a random entry of it, so an exponent can be split, rebuilt by a
+later split and split again.  ``slow_face_lattice``
 sorts the face nodes that ``moment.face_lattice`` now takes in face-list
 order.  ``slow_discriminant_scan`` is the primitive-collection scan from
 before it read ray masks: hash lookups of every F + (j,) and its facets
@@ -59,6 +63,7 @@ copying rows: every row below a pivot is rewritten.
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 from fractions import Fraction
@@ -93,7 +98,7 @@ from toriq.intlinalg import (
     primitive,
     smith_normal_form,
 )
-from toriq.kring import FormalSum
+from toriq.kring import FormalSum, KRingElement, _common_grid
 from toriq.moment import FaceLattice, FaceNode
 from toriq.quotient import (
     _ENUMERATION_CAP,
@@ -995,6 +1000,55 @@ def slow_parse_expression(text: str) -> FormalSum:
             raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
         terms.append((Fraction(num, den), sgn * coeff))
     return FormalSum.from_terms(terms)
+
+
+def slow_oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
+    """``oracle_reduce`` choosing the next exponent to split at random."""
+    if not s.terms:
+        return KRingElement(0, Fraction(0))
+    rng = random.Random(seed)
+    g = _common_grid(s)
+    table: dict[int, int] = {}
+    for q, c in s.terms:
+        k = q / g
+        assert k.denominator == 1
+        table[k.numerator] = table.get(k.numerator, 0) + c
+
+    def bump(k: int, c: int):
+        new = table.get(k, 0) + c
+        if new:
+            table[k] = new
+        else:
+            table.pop(k, None)
+
+    while True:
+        pending = [k for k in table if k not in (0, 1)]
+        if not pending:
+            break
+        k = rng.choice(pending)
+        c = table.pop(k)
+        if k >= 2:
+            if k <= 32:
+                j = rng.randint(1, k - 1)
+            else:
+                j = max(1, min(k - 1, k // 2 + rng.randint(-3, 3)))
+            bump(j, c)
+            bump(k - j, c)
+            bump(0, -c)
+        else:
+            # k <= -1: x^k = x^(k+j) - x^j + 1, split point capped so both
+            # new exponents shrink in magnitude
+            bound = max(1, -k - 1)
+            if bound <= 32:
+                j = rng.randint(1, bound)
+            else:
+                j = max(1, min(bound, (-k) // 2 + rng.randint(-3, 3)))
+            bump(k + j, c)
+            bump(j, -c)
+            bump(0, c)
+    a0 = table.get(0, 0)
+    a1 = table.get(1, 0)
+    return KRingElement(a0 + a1, a1 * g)
 
 
 def slow_integer_root(n: int, q: int) -> int | None:
