@@ -118,6 +118,12 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+def _level(value: int, what: str) -> int:
+    if value < 1:
+        raise InputError(f"{what}: level must be positive, got {value}")
+    return value
+
+
 def _parse_profinite(args) -> ProfiniteInt:
     text = args.a.strip()
     if "/" in text:
@@ -136,9 +142,7 @@ def _parse_profinite(args) -> ProfiniteInt:
         if args.level is None:
             raise InputError("--level is required when --a carries no /LEVEL part")
         level = args.level
-    if level < 1:
-        raise InputError(f"--a: level must be positive, got {level}")
-    return ProfiniteInt(level, residue)
+    return ProfiniteInt(_level(level, "--a" if "/" in text else "--level"), residue)
 
 
 def cmd_solenoid(args) -> int:
@@ -147,16 +151,15 @@ def cmd_solenoid(args) -> int:
         turns = _parse_fraction(args.turns, "--turns")
         _print(args, sol_exp(a, turns))
     elif args.action == "cover":
-        if args.n < 1 or args.m < 1:
-            raise InputError("--n and --m must be positive")
+        n, m = _level(args.n, "--n"), _level(args.m, "--m")
         z = PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns"))
-        _print(args, cover_map(args.n, args.m, z))
+        _print(args, cover_map(n, m, z))
     else:  # refine
         z = SolenoidPoint(
-            args.level,
+            _level(args.level, "--level"),
             PolarComplex(_parse_fraction(args.rho, "--rho"), _parse_fraction(args.turns, "--turns")),
         )
-        _print(args, refine(z, args.to, args.branch))
+        _print(args, refine(z, _level(args.to, "--to"), args.branch))
     return 0
 
 
@@ -168,8 +171,9 @@ def cmd_kring(args) -> int:
         v = reduce(parse_expression(args.expr[1]))
         _print(args, u * v)
     else:  # level
+        n = _level(args.n, "n")
         element = reduce(parse_expression(args.expr[0]))
-        print("true" if in_level_image(element, args.n) else "false")
+        print("true" if in_level_image(element, n) else "false")
     return 0
 
 

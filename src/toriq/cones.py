@@ -10,8 +10,9 @@ pairs and a set independent modulo the pairs' span (every fan cone, every
 dual of one, every quotient cone below), each independent generator owns
 one ray, and one Smith form of the generators gives every ray.  Any other
 cone falls back to scanning all corank-one subsets.  The dual carries its
-lineality basis, the generators' canonical kernel from one Hermite pass,
-so ``lineality_basis`` need not recompute it.
+lineality basis, the generators' canonical kernel read off their lex-last
+basis (``intlinalg._basis_kernel``), so ``lineality_basis`` need not
+recompute it.
 
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
 along its boundary (Hirzebruch-Jung continued fraction), in steps
@@ -50,9 +51,10 @@ from .fans import _CACHE_SIZE, Fan
 from .intlinalg import (
     IntMatrix,
     IntVector,
+    _basis_kernel,
     _hermite,
+    _lex_last_basis,
     dot,
-    hermite_and_left_kernel,
     inverse_unimodular,
     primitive,
     smith_normal_form,
@@ -109,10 +111,6 @@ class RationalCone:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def generator_matrix(self) -> IntMatrix:
-        """Generators as matrix rows."""
-        return IntMatrix._trusted(self.generators, self.ambient_rank)
-
 
 @dataclass(frozen=True)
 class HilbertBasis:
@@ -129,7 +127,8 @@ class HilbertBasis:
 def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
     """Canonical saturated kernel basis of the row system: the left kernel
     of the transpose, which is Z^rank when there are no rows."""
-    return list(hermite_and_left_kernel(IntMatrix._trusted(tuple(rows), rank).transpose())[1].entries)
+    columns = list(zip(*rows)) or [()] * rank
+    return _basis_kernel(rank, *_lex_last_basis(columns, len(rows)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -173,10 +173,9 @@ class Fan:
         return IntMatrix._trusted(self.rays, self.lattice_rank)
 
     def ray_lattice(self) -> tuple[IntMatrix, IntMatrix]:
-        """``hermite_and_left_kernel`` of the ray matrix, by
-        ``spanning_lattice``: its Hermite form and the canonical basis of the
-        relations among the rays.  Rays that do not span raise
-        ``TorusFactorError`` before any kernel work."""
+        """``spanning_lattice`` of the ray matrix: its Hermite form and the
+        canonical basis of the relations among the rays.  Rays that do not
+        span raise ``TorusFactorError`` before any kernel work."""
         if self._lattice is None:
             lattice = spanning_lattice(self.rays, self.lattice_rank)
             if lattice is None:
@@ -237,10 +236,6 @@ class Fan:
                     )
             object.__setattr__(self, "_cones", tuple(f for faces in by_size for f in sorted(faces)))
         return self._cones
-
-    def cone_dim(self, indices) -> int:
-        # simplicial: generators of every cone are independent
-        return len(tuple(indices))
 
 
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:

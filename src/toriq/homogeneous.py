@@ -101,6 +101,8 @@ class TorusElement:
         return t
 
     def pow_int(self, k: int) -> "TorusElement":
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise DomainError("exponent must be an integer")
         return TorusElement._trusted(self.level, tuple(p.pow_int(k) for p in self.params))
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":

@@ -9,20 +9,21 @@ this module.
 Both normal forms clear columns with one gcd step, ``_clear_column``, and
 carry a row transform as identity columns: reducing the rows of ``[a | I]``
 leaves ``[T @ a | T]`` (Cohen, *A Course in Computational Algebraic Number
-Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse and, in
-``hermite_and_left_kernel``, the row lattice and the canonical left
-kernel (the Hermite form of a saturated lattice is unique).
+Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse.
 
 Ranks and determinants come from fraction-free Bareiss elimination
 (``_bareiss``), or for a nonsingular 2 x 2 or 3 x 3 from the cofactor
 formula, which gives the same signed last pivot; a fan runs one per maximal
 cone.
 
-A matrix of full column rank, such as a fan's rays, skips the augmented
-pass: ``spanning_lattice`` finds the lex-last basis among the rows by one
-fraction-free Gauss-Jordan pass and gives the same H and kernel from it,
-reducing modulo the basis determinant (``_relations_mod``).  Both forms
-are unique, so ``hermite_and_left_kernel`` is its differential oracle.
+Every canonical kernel takes one route: ``_lex_last_basis`` finds the
+lex-last basis among the rows by one fraction-free Gauss-Jordan pass, and
+``_basis_kernel`` reads the left kernel's Hermite form off it, reducing
+modulo the basis determinant (``_relations_mod``) when that is not +-1.
+A fan's rays (``spanning_lattice``), ``integer_kernel`` and the cone
+kernels of ``cones`` all use it.  The Hermite form of a saturated lattice
+is unique, so the augmented pass over ``[a | I]`` that it replaced, kept
+in ``tests/slow_paths.py``, is its differential oracle.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class IntMatrix:
         object.__setattr__(m, "cols", cols)
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -130,29 +127,10 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(self.columns(), self.rows)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DomainError("matrix product shape mismatch")
-        ot = other.columns()
-        return IntMatrix._trusted(
-            tuple(tuple(dot(r, c) for c in ot) for r in self.entries),
-            other.cols,
-        )
-
     def mat_vec(self, v) -> IntVector:
         if len(v) != self.cols:
             raise DomainError("matrix-vector shape mismatch")
         return tuple(dot(row, v) for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise DomainError("determinant of a non-square matrix")
-        rank, pivot = _bareiss(self.entries, self.cols)
-        return pivot if rank == self.cols else 0
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free Bareiss elimination."""
@@ -354,25 +332,6 @@ def _hermite(A) -> None:
         r += 1
 
 
-def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite form H of ``a`` and the canonical basis K of its left
-    kernel ``{x : x @ a = 0}``, as matrix rows, from one Hermite pass.
-
-    The pass over ``[a | I]`` leaves ``[T @ a | T]`` with T unimodular, so
-    the rows of T opposite the zero rows of T @ a are a basis of the
-    (saturated) left kernel, which the same pass makes canonical.  H keeps
-    only the nonzero rows, one per unit of rank.
-    """
-    n = a.cols
-    A = _augmented(a.entries)
-    _hermite(A)
-    r = len([row for row in A if any(row[:n])])
-    return (
-        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A[:r]]), n),
-        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A[r:]]), a.rows),
-    )
-
-
 def _lex_last_basis(rows, cols: int) -> tuple[list[int], int, list[list[int]]]:
     """Fraction-free Gauss-Jordan over the rows taken as columns, last row
     first, up to full rank.  A row is a pivot exactly when it is
@@ -452,54 +411,66 @@ def _relations_mod(vectors: list[list[int]], d: int) -> list[dict]:
     return rows
 
 
-def spanning_lattice(rows, cols: int) -> tuple[IntMatrix, IntMatrix] | None:
-    """``hermite_and_left_kernel`` of a matrix of rank ``cols``, without the
-    augmented pass, or ``None`` when the rank is lower.
+def _basis_kernel(n: int, basis: list[int], p: int, a: list[list[int]]) -> list[IntVector]:
+    """Canonical basis K of the left kernel ``{x : x @ rows = 0}`` of n rows
+    of any rank, in row Hermite form, from their ``_lex_last_basis``.
 
-    One ``_lex_last_basis`` pass gives the lex-last basis B among the rows
-    and d = |det B|.  The pivot columns of the kernel's Hermite form are the
-    rows P outside B, and its rows are (y, -y C) for y in the Hermite basis
-    of ``{y : y C integral}``, with C the coordinates of P's rows in B.
-    When d = 1 that lattice is all of Z^|P|, so row p of K is e_p minus row
-    p's coordinates in B, and the rows span with Hermite form I.  Otherwise
-    it is ``_relations_mod`` of d C modulo d; its pivots multiply to the
-    index of B's lattice in the rows', which is d exactly when the rows span
-    (H = I again), and any other H is the plain ``_hermite`` of the rows."""
-    n = len(rows)
-    basis, p, a = _lex_last_basis(rows, cols)
-    if len(basis) < cols:
-        return None
+    A row is a pivot of K exactly when it depends on the rows after it, so
+    K's pivot columns are the rows P outside the lex-last basis B, and its
+    rows are (y, -y C) for y in the Hermite basis of ``{y : y C integral}``,
+    with C = a / p the coordinates of P's rows in B.  When |p| = 1 that
+    lattice is all of Z^|P|, so row j of K is e_j minus row j's coordinates
+    in B; with no rows in B (no columns, or only zero rows) that is the
+    identity.  Otherwise it is ``_relations_mod`` of p C modulo |p|."""
+    rank = len(basis)
     chosen = set(basis)
     free = [j for j in range(n) if j not in chosen]
-    h = [tuple(int(i == j) for j in range(cols)) for i in range(cols)]
-    relations = [{j: 1} for j in range(len(free))]
     if abs(p) > 1:
-        relations = _relations_mod([[row[j] for row in a] for j in free], abs(p))
-        if prod(y[j] for j, y in enumerate(relations)) != abs(p):
-            h = [list(row) for row in rows]
-            _hermite(h)
-            h = [tuple(row) for row in h[:cols]]
+        relations = _relations_mod([[row[j] for row in a[:rank]] for j in free], abs(p))
+    else:
+        relations = [{j: 1} for j in range(len(free))]
     kernel = []
     for y in relations:
-        x, s = [0] * n, [0] * cols
+        x, s = [0] * n, [0] * rank
         for j, v in y.items():
             x[free[j]] = v
             s = [u + v * a[t][free[j]] for t, u in enumerate(s)]
         for b, u in zip(basis, s):
             x[b] = -(u // p)
         kernel.append(tuple(x))
-    return IntMatrix._trusted(tuple(h), cols), IntMatrix._trusted(tuple(kernel), n)
+    return kernel
+
+
+def spanning_lattice(rows, cols: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """Row Hermite form H of a matrix of rank ``cols`` and the canonical
+    basis K of its left kernel, or ``None`` when the rank is lower.
+
+    One ``_lex_last_basis`` pass gives the lex-last basis B among the rows
+    and d = |det B|, and ``_basis_kernel`` gives K from it.  K's pivots
+    multiply to the index of B's lattice in the rows', which is d exactly
+    when the rows span (H = I); any other H is the plain ``_hermite`` of
+    the rows."""
+    basis, p, a = _lex_last_basis(rows, cols)
+    if len(basis) < cols:
+        return None
+    kernel = _basis_kernel(len(rows), basis, p, a)
+    h = [tuple(int(i == j) for j in range(cols)) for i in range(cols)]
+    if abs(p) > 1 and prod(next(filter(None, x)) for x in kernel) != abs(p):
+        h = [list(row) for row in rows]
+        _hermite(h)
+        h = [tuple(row) for row in h[:cols]]
+    return IntMatrix._trusted(tuple(h), cols), IntMatrix._trusted(tuple(kernel), len(rows))
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Saturated integer basis of ``{c : a @ c = 0}``, as matrix columns.
-
-    The left kernel of the transpose, in canonical Hermite form, so
-    repeated runs are bit-identical.
+    """Saturated integer basis of ``{c : a @ c = 0}``, as matrix columns:
+    the canonical left kernel of the transpose (``_basis_kernel`` of a's
+    columns), so repeated runs are bit-identical.
     """
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
-    return hermite_and_left_kernel(a.transpose())[1].transpose()
+    kernel = _basis_kernel(a.cols, *_lex_last_basis(a.columns(), a.rows))
+    return IntMatrix._trusted(tuple(kernel), a.cols).transpose()
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -35,10 +35,6 @@ class FaceLattice:
     nodes: tuple[FaceNode, ...]
     f_vector: tuple[int, ...]
 
-    def leq(self, a: FaceNode, b: FaceNode) -> bool:
-        """Face order: a is a face of b iff a's cone contains b's cone."""
-        return set(a.cone) >= set(b.cone)
-
     @property
     def cusps(self) -> tuple[FaceNode, ...]:
         return tuple(node for node in self.nodes if node.is_cusp)

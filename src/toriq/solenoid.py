@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
 
@@ -186,7 +186,8 @@ class PolarComplex:
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
-        _check_level(q)
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            raise DomainError(f"root degree must be a positive integer, got {q!r}")
         if isinstance(branch, bool) or not isinstance(branch, int) or not 0 <= branch < q:
             raise DomainError(f"branch must be an integer in [0, {q}), got {branch!r}")
         if self.rho == 0:
@@ -318,10 +319,3 @@ def refine(z: SolenoidPoint, new_level: int, branch: int) -> SolenoidPoint:
         )
     q = new_level // z.level
     return SolenoidPoint(new_level, z.top.root(q, branch))
-
-
-def common_level(*levels: int) -> int:
-    """Least common multiple of truncation levels."""
-    for lv in levels:
-        _check_level(lv)
-    return lcm(*levels)

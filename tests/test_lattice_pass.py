@@ -1,5 +1,5 @@
-"""One Hermite pass per ray lattice against the Smith-form routes it
-replaced (``slow_paths.py``): integer kernels of random matrices, charge
+"""The lattice routes against the Smith-form routes they replaced
+(``slow_paths.py``): integer kernels of random matrices, charge
 matrices, torsion factors and the torus-factor error on a wide fan corpus;
 plus counts of the lattice work that ``quotient_report``, ``load_fan``
 and ``delzant_report`` do."""
@@ -11,7 +11,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import matmul
 from slow_paths import (
+    hermite_and_left_kernel,
     slow_charge_matrix,
     slow_clear_column,
     slow_group_structure,
@@ -31,7 +33,6 @@ from toriq.intlinalg import (
     _clear_column,
     _hermite,
     _lex_last_basis,
-    hermite_and_left_kernel,
     integer_kernel,
 )
 from toriq.moment import delzant_report, face_lattice
@@ -59,7 +60,7 @@ def _random_matrix(rng, index):
         right = IntMatrix.from_rows(
             [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)], n
         )
-        rows = [list(r) for r in (left @ right).entries]
+        rows = [list(r) for r in matmul(left.entries, right.entries, n)]
     if index % 4 == 0:
         rows[rng.randrange(m)] = [0] * n
     if index % 5 == 0:
@@ -82,11 +83,15 @@ def test_integer_kernel_matches_smith_route_on_random_matrices():
 
 
 def test_hermite_and_left_kernel_on_empty_shapes():
+    """The reference pass and the lex-last kernel: the identity for three
+    rows of no columns, nothing for no rows."""
     h, k = hermite_and_left_kernel(IntMatrix(((),) * 3, 0))
     assert (h.rows, h.cols) == (0, 0)
-    assert k == IntMatrix.identity(3)
+    assert (k.entries, k.cols) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+    assert intlinalg._basis_kernel(3, *_lex_last_basis(((),) * 3, 0)) == list(k.entries)
     h, k = hermite_and_left_kernel(IntMatrix((), 4))
     assert (h.rows, h.cols, k.rows, k.cols) == (0, 4, 0, 0)
+    assert intlinalg._basis_kernel(0, *_lex_last_basis((), 4)) == []
 
 
 def _lattice_corpus():
@@ -176,10 +181,10 @@ def test_non_spanning_fan_raises_the_same_message_from_both_functions():
 
 def _count_passes(monkeypatch):
     """Record the lattice work wherever the library does it: each
-    ``spanning_lattice`` (one per fan), each augmented Hermite pass
-    (``hermite_and_left_kernel``), each mod-d relation scan and the shape of
-    every Smith-form input."""
-    seen = SimpleNamespace(lattices=[], passes=[], scans=[], smith_shapes=[])
+    ``spanning_lattice`` (one per fan), each kernel read off a lex-last
+    basis (``_basis_kernel``, as rows and basis size), each mod-d relation
+    scan and the shape of every Smith-form input."""
+    seen = SimpleNamespace(lattices=[], kernels=[], scans=[], smith_shapes=[])
 
     def recorded(log, f, shape):
         return lambda *args: log.append(shape(*args)) or f(*args)
@@ -187,8 +192,8 @@ def _count_passes(monkeypatch):
     monkeypatch.setattr(fans, "spanning_lattice", recorded(
         seen.lattices, fans.spanning_lattice, lambda rows, cols: (len(rows), cols)))
     for module in (intlinalg, cones):
-        monkeypatch.setattr(module, "hermite_and_left_kernel", recorded(
-            seen.passes, module.hermite_and_left_kernel, lambda a: (a.rows, a.cols)))
+        monkeypatch.setattr(module, "_basis_kernel", recorded(
+            seen.kernels, module._basis_kernel, lambda n, basis, p, a: (n, len(basis))))
     monkeypatch.setattr(intlinalg, "_relations_mod", recorded(
         seen.scans, intlinalg._relations_mod, lambda vectors, d: (len(vectors), d)))
     for module in (intlinalg, quotient):
@@ -212,7 +217,7 @@ TORSION_FAN = build_fan(2, [(1, 0), (1, 2), (-1, 0), (-1, -2)],
     lambda: TORSION_FAN,
 ])
 def test_quotient_report_takes_one_lattice_pass(monkeypatch, make):
-    """One ``spanning_lattice`` per fan and no augmented pass.  With d = 1
+    """One ``spanning_lattice`` per fan and one kernel, its own.  With d = 1
     (the first three fans) there is no relation scan; with d > 1 there is
     one.  Rays that span, as in every smooth complete fan, take no Smith
     form; only the torsion fan takes one, of the square H."""
@@ -222,8 +227,7 @@ def test_quotient_report_takes_one_lattice_pass(monkeypatch, make):
     quotient_report(fan)
     smooth = fan._unimodular == (1 << len(fan.maximal_cones)) - 1
     torsion = group_structure(fan).has_torsion
-    assert seen.lattices == [(fan.n_rays, r)]
-    assert seen.passes == []
+    assert seen.lattices == seen.kernels == [(fan.n_rays, r)]
     d = abs(_lex_last_basis(fan.rays, r)[1])
     assert seen.scans == ([(fan.n_rays - r, d)] if d > 1 else [])
     assert (d > 1) == (fan.n_rays == 50 or fan is TORSION_FAN)
@@ -233,7 +237,7 @@ def test_quotient_report_takes_one_lattice_pass(monkeypatch, make):
     for f in QUOTIENT_CACHES:
         f.cache_clear()
     quotient_report(fan)
-    assert len(seen.lattices) == 1 and seen.passes == []
+    assert len(seen.lattices) == len(seen.kernels) == 1
 
 
 def test_loading_a_fan_for_delzant_takes_no_lattice_pass(monkeypatch, tmp_path):
@@ -245,4 +249,4 @@ def test_loading_a_fan_for_delzant_takes_no_lattice_pass(monkeypatch, tmp_path):
         face_lattice.cache_clear()
         delzant_report(loaded)
         assert loaded._lattice is None
-    assert seen.lattices == seen.passes == seen.scans == []
+    assert seen.lattices == seen.kernels == seen.scans == []

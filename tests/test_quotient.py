@@ -5,6 +5,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from oracles import leibniz_det, matmul
 from test_intlinalg import column_hermite_form
 from toriq import catalog
 from toriq.errors import IncompleteFanError, TorusFactorError
@@ -149,7 +150,7 @@ def test_symmetry_invariant_under_lattice_basis_change():
             for row in t:
                 row[a] += q * row[b]
         tm = IntMatrix.from_rows(t)
-        assert tm.det() in (1, -1)
+        assert leibniz_det(t) in (1, -1)
         rays = [tm.mat_vec(v) for v in fan.rays]
         changed = build_fan(2, rays, fan.maximal_cones, complete=True)
         sym = fan_symmetry(changed)
@@ -171,7 +172,7 @@ def test_row_classes_depend_only_on_column_span():
             c = rng.randint(-3, 3)
             for row in w:
                 row[a] += c * row[b]
-        mixed = q @ IntMatrix.from_rows(w)
+        mixed = IntMatrix.from_rows(matmul(q.entries, w))
         assert _row_classes(mixed) == base
 
 
@@ -212,7 +213,7 @@ def test_rank_nullity_when_rays_span():
         assert q.torus_rank + fan.lattice_rank == fan.n_rays
         # Q-columns kill the rays
         rt = fan.ray_matrix().transpose()
-        assert (rt @ q.matrix).is_zero()
+        assert not any(map(any, matmul(rt.entries, q.matrix.entries)))
 
 
 def test_torsion_warning():

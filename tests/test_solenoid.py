@@ -19,7 +19,6 @@ from toriq.solenoid import (
     SolenoidPoint,
     _exact_root,
     _integer_root,
-    common_level,
     cover_map,
     nu,
     phi,
@@ -207,6 +206,14 @@ def test_solenoid_point_and_root_reject_bad_input():
             PolarComplex(F(4)).root(2, branch)
 
 
+def test_root_names_its_degree_and_refine_its_level():
+    for q in (0, -1, 1.0, True, None):
+        with pytest.raises(DomainError, match=rf"root degree must be a positive integer, got {q!r}$"):
+            PolarComplex(1).root(q, 0)
+    with pytest.raises(DomainError, match=r"^level must be a positive integer, got 0$"):
+        refine(SolenoidPoint(1, PolarComplex.one()), 0, 0)
+
+
 def test_refine_examples():
     assert refine(SolenoidPoint(1, PolarComplex.one()), 3, 1).top == PolarComplex(F(1), F(1, 3))
     assert refine(SolenoidPoint(2, PolarComplex(F(1), F(1, 2))), 4, 0).top == PolarComplex(F(1), F(1, 4))
@@ -269,11 +276,6 @@ def test_compatibility_under_projection():
     for d in (1, 2, 3, 4, 6, 12):
         for e in (dd for dd in range(1, d + 1) if d % dd == 0):
             assert z.coordinate(d).pow_int(d // e) == z.coordinate(e)
-
-
-def test_common_level():
-    assert common_level(4, 6) == 12
-    assert common_level(1) == 1
 
 
 def test_rendering_fixed():

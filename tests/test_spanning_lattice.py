@@ -1,22 +1,35 @@
 """``Fan.ray_lattice`` by ``intlinalg.spanning_lattice`` against the
-augmented Hermite pass it replaced, ``hermite_and_left_kernel`` of the ray
-matrix: the same H and K, bit for bit, on the lattice corpus, on fans
+augmented Hermite pass it replaced, ``slow_paths.hermite_and_left_kernel``
+of the ray matrix: the same H and K, bit for bit, on the lattice corpus, on fans
 shaped like the wide-fans benchmark's, on 50-, 100- and 200-ray cp3
 blow-ups and on disguised fans with large determinants and entries.  Each
 corpus asserts how many fans take the d = 1 path (K read off the lex-last
-basis B) and how many the mod-d relation scan (d = |det B| > 1)."""
+basis B) and how many the mod-d relation scan (d = |det B| > 1).  The same
+reference checks ``_basis_kernel`` at every rank through all three of its
+callers, on seeded matrices and on every cone of the shipped fans and its
+dual."""
 
 import random
 
 import pytest
 
+from oracles import matmul
+from slow_paths import hermite_and_left_kernel
 from test_discriminant_fastpath import cp3_blowup, polygon_fan
 from test_fan_index import SEED
 from test_lattice_pass import _lattice_corpus, _non_spanning_fan
-from toriq import intlinalg
+from toriq import catalog, intlinalg
+from toriq.cones import _kernel_columns, dual_cone, fan_cone
 from toriq.errors import TorusFactorError
 from toriq.fans import build_fan
-from toriq.intlinalg import _lex_last_basis, hermite_and_left_kernel, primitive, spanning_lattice
+from toriq.intlinalg import (
+    IntMatrix,
+    _basis_kernel,
+    _lex_last_basis,
+    integer_kernel,
+    primitive,
+    spanning_lattice,
+)
 from toriq.quotient import charge_matrix, group_structure
 
 
@@ -125,7 +138,7 @@ def test_torus_factor_is_raised_before_any_kernel_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("kernel work on a fan whose rays do not span")
 
-    for name in ("_relations_mod", "_hermite", "hermite_and_left_kernel"):
+    for name in ("_relations_mod", "_hermite", "_basis_kernel"):
         monkeypatch.setattr(intlinalg, name, refuse)
     fans = [_non_spanning_fan(), build_fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], [[0], [1], [2]])]
     for fan in fans:
@@ -133,3 +146,73 @@ def test_torus_factor_is_raised_before_any_kernel_work(monkeypatch):
             with pytest.raises(TorusFactorError, match="rays do not span the lattice"):
                 f(fan)
         assert fan._lattice is None
+
+
+def _generator_matrices(rng, count):
+    """``count`` seeded k x n matrices, 1 <= n <= 5 and 0 <= k <= 15, with
+    entries up to 1, 3, 100 or 10^6: every third a product through a
+    smaller inner dimension (rank-deficient), and some with plus/minus
+    pairs of rows, a sum of two rows appended or a row zeroed."""
+    out = []
+    for index in range(count):
+        n, k = rng.randint(1, 5), rng.randint(0, 15)
+        bound = rng.choice([1, 3, 100, 10**6])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+        if index % 3 == 0:
+            inner = rng.randint(0, n - 1)
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(k)]
+            right = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(inner)]
+            rows = [list(r) for r in matmul(left, right, n)]
+        if rows and index % 4 == 1:
+            rows += [[-x for x in r] for r in rng.sample(rows, rng.randint(1, len(rows)))]
+        if len(rows) > 1 and index % 5 == 2:
+            i, j = rng.sample(range(len(rows)), 2)
+            rows.append([x + y for x, y in zip(rows[i], rows[j])])
+        if rows and index % 7 == 3:
+            rows[rng.randrange(len(rows))] = [0] * n
+        rng.shuffle(rows)
+        out.append(IntMatrix.from_rows(rows, n))
+    return out
+
+
+def _shipped_cone_matrices():
+    """The generators of every cone of the shipped fans and of its dual."""
+    out = []
+    for fan in catalog.shipped_fans().values():
+        for indices in fan.cones():
+            cone = fan_cone(fan, indices)
+            for c in (cone, dual_cone(cone)):
+                out.append(IntMatrix(c.generators, c.ambient_rank))
+    return out
+
+
+def test_basis_kernel_matches_augmented_pass_on_seeded_matrices():
+    """``_basis_kernel`` of the lex-last basis against the augmented Hermite
+    pass it replaced, bit for bit, as the left kernel of the rows, as
+    ``spanning_lattice``, as the cone kernel ``_kernel_columns`` and as
+    ``integer_kernel``.  The corpus has rank-deficient matrices, zero rows,
+    no rows and no columns (the identity kernel), plus/minus pairs,
+    entries of 10^6, and both the d = 1 and the d > 1 path."""
+    rng = random.Random(SEED)
+    shipped = _shipped_cone_matrices()
+    assert len(shipped) == 2 * 67
+    inputs = _generator_matrices(rng, 3000) + shipped
+    inputs += [IntMatrix((), n) for n in range(6)] + [IntMatrix(((),) * k, 0) for k in range(1, 6)]
+    assert sum(a.rank() < min(a.rows, a.cols) for a in inputs) >= 1000
+    assert sum(any(not any(row) for row in a.entries) for a in inputs) >= 1000
+    assert sum(not a.rows for a in inputs) >= 200
+    assert sum(any(tuple(-x for x in row) in a.entries for row in a.entries if any(row))
+               for a in inputs) >= 1000
+    assert max(abs(x) for a in inputs for row in a.entries for x in row) >= 10**6
+    paths = [0, 0]
+    for a in inputs:
+        h, k = hermite_and_left_kernel(a)
+        basis, p, reduced = _lex_last_basis(a.entries, a.cols)
+        paths[abs(p) > 1] += 1
+        assert _basis_kernel(a.rows, basis, p, reduced) == list(k.entries), a
+        assert spanning_lattice(a.entries, a.cols) == ((h, k) if h.rows == a.cols else None), a
+        columns = hermite_and_left_kernel(a.transpose())[1]
+        assert _kernel_columns(list(a.entries), a.cols) == list(columns.entries), a
+        if not a.is_empty:
+            assert integer_kernel(a) == columns.transpose(), a
+    assert min(paths) >= 1000
