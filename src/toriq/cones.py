@@ -54,6 +54,7 @@ from .intlinalg import (
     _basis_kernel,
     _hermite,
     _lex_last_basis,
+    _trusted,
     dot,
     inverse_unimodular,
     primitive,
@@ -98,14 +99,12 @@ class RationalCone:
         return cls(ambient_rank, tuple(tuple(v) for v in generators))
 
     @classmethod
-    def _trusted(cls, ambient_rank: int, generators, lineality) -> "RationalCone":
+    def _carrying(cls, ambient_rank: int, generators, lineality) -> "RationalCone":
         """Build carrying ``lineality``, without the per-generator check:
         ``generators`` must be primitive tuples of ``int`` of the right length."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "ambient_rank", ambient_rank)
-        object.__setattr__(cone, "generators", tuple(sorted(set(generators), key=_grlex_key)))
-        object.__setattr__(cone, "_lineality", tuple(lineality))
-        return cone
+        return _trusted(cls, ambient_rank=ambient_rank,
+                        generators=tuple(sorted(set(generators), key=_grlex_key)),
+                        _lineality=tuple(lineality))
 
     @property
     def is_zero(self) -> bool:
@@ -160,7 +159,7 @@ def dual_cone(sigma: RationalCone) -> RationalCone:
         if rays is None:
             rays = _scanned_rays(gens, rho, n)
         out.update(primitive(lift(project(ray))) for ray in rays)
-    return RationalCone._trusted(n, out, lineality)
+    return RationalCone._carrying(n, out, lineality)
 
 
 def _smith_rays(gens, rank):
@@ -187,7 +186,7 @@ def _smith_rays(gens, rank):
             rest.append(g)
         elif g > neg:
             pairs.append(g)
-    u, d, v = smith_normal_form(IntMatrix._trusted(tuple(rest + pairs), rank))
+    u, d, v = smith_normal_form(_trusted(IntMatrix, entries=tuple(rest + pairs), cols=rank))
     diag = [d.entries[j][j] for j in range(rank - len(lineality))]
     rho, k = len(diag), len(rest)
     if any(u.entries[j][i] for j in range(rho, u.rows) for i in range(k)):
@@ -204,7 +203,7 @@ def _scanned_rays(gens, rho, rank):
     """Dual rays found by scanning all C(len(gens), rho - 1) subsets."""
     rays = []
     for rows in combinations(gens, rho - 1):
-        if rows and IntMatrix._trusted(rows, rank).rank() != rho - 1:
+        if rows and _trusted(IntMatrix, entries=rows, cols=rank).rank() != rho - 1:
             continue
         # the kernel is the lineality space plus one direction; a basis
         # vector is off the lineality space iff some generator sees it
@@ -226,7 +225,7 @@ def _lineality_quotient(lineality, rank):
     if not lineality:
         return (lambda x: x), (lambda y: y)
     ell = len(lineality)
-    u, _, _ = smith_normal_form(IntMatrix._trusted(tuple(zip(*lineality)), ell))
+    u, _, _ = smith_normal_form(_trusted(IntMatrix, entries=tuple(zip(*lineality)), cols=ell))
     uinv = inverse_unimodular(u)
     return (
         lambda x: u.mat_vec(x)[ell:],
@@ -270,7 +269,7 @@ def _parallelepiped(subset: list[IntVector], rank: int):
     ``G^T @ (t mod 1)`` is an exact integer quotient.
     """
     k = len(subset)
-    _, d, v = smith_normal_form(IntMatrix._trusted(tuple(zip(*subset)), k))
+    _, d, v = smith_normal_form(_trusted(IntMatrix, entries=tuple(zip(*subset)), cols=k))
     diag = [d.entries[i][i] for i in range(k)]
     top = diag[-1]
     def points():
@@ -305,7 +304,7 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     gens, rank = cone.generators, cone.ambient_rank
     if not gens:
         return []
-    rho = IntMatrix._trusted(gens, rank).rank()
+    rho = _trusted(IntMatrix, entries=gens, cols=rank).rank()
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
     parallelepipeds = [_parallelepiped(list(s), rank) for s in combinations(gens, rho)]
@@ -428,7 +427,7 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
         project, lift = _lineality_quotient(lineality, n)
         proj_gens = [primitive(img) for img in map(project, cone.generators) if any(img)]
         if proj_gens:
-            quotient = RationalCone._trusted(n - ell, proj_gens, ())
+            quotient = RationalCone._carrying(n - ell, proj_gens, ())
             try:
                 quotient_basis = hilbert_basis(quotient).generators
             except ResourceLimitError as exc:
@@ -455,7 +454,7 @@ def fan_cone(fan: Fan, indices) -> RationalCone:
     """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
     # fan rays are primitive and fan cones simplicial, hence pointed
     idx = _fan_cone_indices(fan, indices)[0]
-    return RationalCone._trusted(fan.lattice_rank, [fan.rays[i] for i in idx], ())
+    return RationalCone._carrying(fan.lattice_rank, [fan.rays[i] for i in idx], ())
 
 
 def affine_fiber_rank(fan: Fan, indices) -> int:
@@ -492,7 +491,7 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
         if prod(h[i][i] for i in range(k)) == 1:
             return 2 * n - k
     if k > 2:
-        return hilbert_basis(dual_cone(RationalCone._trusted(n, rays, ()))).rank_r
+        return hilbert_basis(dual_cone(RationalCone._carrying(n, rays, ()))).rank_r
     (a, b), (c, d) = rays if k == n else zip(*h[:2])
     # the normals to the two rays span the pointed dual or its negation,
     # which has a basis of the same size

@@ -53,7 +53,7 @@ from math import gcd
 from pathlib import Path
 
 from .errors import DomainError, FanValidationError, ResourceLimitError, TorusFactorError
-from .intlinalg import IntMatrix, IntVector, _bareiss, primitive, spanning_lattice
+from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
 
@@ -170,7 +170,7 @@ class Fan:
 
     def ray_matrix(self) -> IntMatrix:
         """Rows are the primitive ray generators."""
-        return IntMatrix._trusted(self.rays, self.lattice_rank)
+        return _trusted(IntMatrix, entries=self.rays, cols=self.lattice_rank)
 
     def ray_lattice(self) -> tuple[IntMatrix, IntMatrix]:
         """``spanning_lattice`` of the ray matrix: its Hermite form and the

@@ -9,18 +9,22 @@ inverse-limit points are never materialized.
 A caller's ``HomogeneousPoint`` and ``TorusElement`` are checked once, when
 built.  Nonzero parameters keep a point's zero pattern, so the images under
 ``act`` and ``power_map`` and the powers and products of torus elements are
-built by ``_trusted`` constructors without the checks.
+built by the shared ``_trusted`` helper without the checks.
+
+The action, the power maps and the orbit test run on the integer parts of
+each polar value, ``(n, d, tn, td)`` for modulus n / d and turns tn / td:
+moduli multiply as numerator and denominator products, turns add over a
+common denominator, and each coordinate is normalized once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, LevelMismatchError
 from .fans import Fan
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import IntMatrix, _trusted, smith_normal_form
 from .quotient import charge_matrix
 from .solenoid import PolarComplex, _capped_pow, _check_level, _integer_root
 
@@ -61,18 +65,6 @@ class HomogeneousPoint:
         if in_discriminant(self.fan, self.coords):
             raise DomainError("point lies in the discriminant locus")
 
-    @classmethod
-    def _trusted(cls, fan: Fan, level: int, coords: tuple[PolarComplex, ...]
-                 ) -> "HomogeneousPoint":
-        """Build without the checks, for the images under ``act`` and
-        ``power_map`` of a point that passed them: a tuple of
-        ``PolarComplex`` with the point's zero pattern, at its level."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "fan", fan)
-        object.__setattr__(z, "level", level)
-        object.__setattr__(z, "coords", coords)
-        return z
-
     @property
     def zero_pattern(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c.is_zero)
@@ -91,68 +83,119 @@ class TorusElement:
         if any(p.is_zero for p in self.params):
             raise DomainError("torus parameters must be nonzero")
 
-    @classmethod
-    def _trusted(cls, level: int, params: tuple[PolarComplex, ...]) -> "TorusElement":
-        """Build without the checks, for powers and products of elements
-        that passed them: their parameters are nonzero ``PolarComplex``."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "level", level)
-        object.__setattr__(t, "params", params)
-        return t
-
     def pow_int(self, k: int) -> "TorusElement":
         if isinstance(k, bool) or not isinstance(k, int):
             raise DomainError("exponent must be an integer")
-        return TorusElement._trusted(self.level, tuple(p.pow_int(k) for p in self.params))
+        # powers of nonzero parameters are nonzero
+        return _trusted(TorusElement, level=self.level,
+                        params=tuple(p.pow_int(k) for p in self.params))
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         if not isinstance(other, TorusElement):
             return NotImplemented
         if self.level != other.level:
             raise LevelMismatchError("torus elements at different levels")
-        return TorusElement._trusted(
-            self.level, tuple(a * b for a, b in zip(self.params, other.params)))
+        return _trusted(TorusElement, level=self.level,
+                        params=tuple(a * b for a, b in zip(self.params, other.params)))
 
 
-def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
-    """Scale coordinate i by the product of t_j to the power Q[i][j].
+def _parts(c: PolarComplex) -> tuple[int, int, int, int]:
+    return c.rho.numerator, c.rho.denominator, c.turns.numerator, c.turns.denominator
 
-    One pass per coordinate: the moduli multiply up and the turns add up
-    as plain ``Fraction``s, each factor's power capped as in ``pow_int``,
-    and one ``PolarComplex`` is built at the end.
-    """
+
+def _reduced(n: int, d: int, tn: int, td: int) -> tuple[int, int, int, int]:
+    """The parts of ``PolarComplex._from_parts(n, d, tn, td)``, in lowest
+    terms, without building it."""
+    if not n:
+        return 0, 1, 0, 1
+    g = gcd(n, d)
+    tn %= td
+    h = gcd(tn, td)
+    return n // g, d // g, tn // h, td // h
+
+
+def _power(parts: tuple[int, int, int, int], k: int) -> tuple[int, int, int, int]:
+    """The parts of ``PolarComplex.pow_int(k)`` for k >= 1, from reduced
+    parts: zero stays zero, and the modulus parts stay coprime."""
+    n, d, tn, td = parts
+    if not n:
+        return parts
+    n, d = _capped_pow(n, d, k)
+    tn = tn * k % td
+    h = gcd(tn, td)
+    return n, d, tn // h, td // h
+
+
+def _charge_rows(t: TorusElement, z: HomogeneousPoint) -> tuple[tuple[int, ...], ...]:
     if t.level != z.level:
         raise LevelMismatchError("torus element and point live at different levels")
     q = charge_matrix(z.fan).matrix
     if len(t.params) != q.cols:
         raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
-    new_coords = []
-    for c, row in zip(z.coords, q.entries):
-        rho, turns = c.rho, c.turns
-        for e, p in zip(row, t.params):
+    return q.entries
+
+
+def _act_parts(rows, params, coords) -> list[tuple[int, int, int, int]]:
+    """Unreduced parts of each coordinate times the product of the params
+    to the powers of its charge row, each factor's power capped as in
+    ``pow_int``."""
+    out = []
+    for (n, d, tn, td), row in zip(coords, rows):
+        for e, (a, b, pn, pd) in zip(row, params):
             if e:
-                rho *= _capped_pow(p.rho, e)
-                turns += p.turns * e
-        new_coords.append(PolarComplex._trusted(rho, turns))
+                a, b = _capped_pow(a, b, e)
+                n *= a
+                d *= b
+                tn = tn * pd + pn * e * td
+                td *= pd
+        out.append((n, d, tn, td))
+    return out
+
+
+def _check_exponent(l) -> None:
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        raise DomainError("power map exponent must be a positive integer")
+
+
+def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
+    """Scale coordinate i by the product of t_j to the power Q[i][j].
+
+    One pass per coordinate on integer parts: the moduli multiply as
+    numerator and denominator products, a negative exponent swapping the
+    two, and the turns add over a common denominator, each factor's power
+    capped as in ``pow_int``.  One ``PolarComplex`` is built at the end.
+    """
+    rows = _charge_rows(t, z)
+    image = _act_parts(rows, [_parts(p) for p in t.params], [_parts(c) for c in z.coords])
     # nonzero parameters keep the zero pattern, so the image is valid too
-    return HomogeneousPoint._trusted(z.fan, z.level, tuple(new_coords))
+    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
+                    coords=tuple(PolarComplex._from_parts(*x) for x in image))
 
 
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power; zero patterns are unchanged."""
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
-        raise DomainError("power map exponent must be a positive integer")
-    return HomogeneousPoint._trusted(z.fan, z.level, tuple(c.pow_int(l) for c in z.coords))
+    _check_exponent(l)
+    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
+                    coords=tuple(c.pow_int(l) for c in z.coords))
 
 
 def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -> bool:
     """Exact check that powering intertwines the action with its l-fold
-    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z)."""
+    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z).
+
+    Both sides are compared as reduced integer parts, with the powers
+    formed, and capped, in the order the two compositions form them.
+    """
     if z.fan != fan:
         raise DomainError("point does not belong to the given fan")
-    left = power_map(l, act(t, z))
-    right = act(t.pow_int(l), power_map(l, z))
-    return left.coords == right.coords
+    rows = _charge_rows(t, z)
+    params = [_parts(p) for p in t.params]
+    coords = [_parts(c) for c in z.coords]
+    image = _act_parts(rows, params, coords)
+    _check_exponent(l)
+    left = [_power(_reduced(*x), l) for x in image]
+    right = _act_parts(rows, [_power(p, l) for p in params], [_power(c, l) for c in coords])
+    return left == [_reduced(*x) for x in right]
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -211,13 +254,19 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     s = q.cols
     if s == 0:
         return all(z.coords[i] == z2.coords[i] for i in rows)
-    sub = IntMatrix._trusted(tuple(q.entries[i] for i in rows), s)
+    sub = _trusted(IntMatrix, entries=tuple(q.entries[i] for i in rows), cols=s)
     u, d, _ = smith_normal_form(sub)
     diag = [d.entries[i][i] if i < min(len(rows), s) else 0 for i in range(len(rows))]
 
-    ratios = [z2.coords[i].rho / z.coords[i].rho for i in rows]
-    for b in _coprime_base([n for x in ratios for n in (x.numerator, x.denominator)]):
-        e = tuple(_multiplicity(b, x.numerator) - _multiplicity(b, x.denominator) for x in ratios)
+    # each modulus ratio z2 / z in lowest terms, by one gcd of cross products
+    ratios = []
+    for i in rows:
+        r, r2 = z.coords[i].rho, z2.coords[i].rho
+        num, den = r2.numerator * r.denominator, r2.denominator * r.numerator
+        g = gcd(num, den)
+        ratios.append((num // g, den // g))
+    for b in _coprime_base([x for ratio in ratios for x in ratio]):
+        e = tuple(_multiplicity(b, num) - _multiplicity(b, den) for num, den in ratios)
         a = 1
         for di, ci in zip(diag, u.mat_vec(e)):
             if di:
@@ -227,8 +276,12 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
         if a > 1 and _integer_root(b, a) is None:
             return False
 
-    delta = [z2.coords[i].turns - z.coords[i].turns for i in rows]
+    # the turn differences as numerators over one common denominator
+    turns = [(z.coords[i].turns, z2.coords[i].turns) for i in rows]
+    common = lcm(*(x.denominator for pair in turns for x in pair))
+    delta = [t2.numerator * (common // t2.denominator) - t.numerator * (common // t.denominator)
+             for t, t2 in turns]
     for di, row in zip(diag, u.entries):
-        if di == 0 and sum(Fraction(uij) * dj for uij, dj in zip(row, delta)).denominator != 1:
+        if di == 0 and sum(uij * dj for uij, dj in zip(row, delta)) % common:
             return False
     return True

@@ -42,6 +42,24 @@ def _check_int(x) -> int:
     return x
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` stored as
+    given, without ``__post_init__``.
+
+    For results of this package that already hold what the checks enforce:
+    equality and hashing compare the stored values, so they must be in the
+    form the checks would leave them (an ``IntMatrix`` takes a tuple of
+    ``cols``-long tuples of ``int``, as ``from_rows`` would leave it).
+    """
+    obj = object.__new__(cls)
+    # one object.__setattr__ per field, as a dataclass __init__ sets them:
+    # writing obj.__dict__ instead would materialize the instance dict and
+    # slow every later attribute read
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def dot(u, v) -> int:
     if len(u) != len(v):
         raise DomainError("dot product of vectors of unequal length")
@@ -93,19 +111,6 @@ class IntMatrix:
             cols = len(rows[0])
         return cls(rows, cols)
 
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """Build without the per-entry check, for results of this package.
-
-        ``entries`` must already be a tuple of ``cols``-long tuples of
-        ``int``, as ``from_rows`` would leave it: equality and hashing
-        compare the stored tuples.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "cols", cols)
-        return m
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -125,7 +130,7 @@ class IntMatrix:
         return tuple(zip(*self.entries)) or ((),) * self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(self.columns(), self.rows)
+        return _trusted(IntMatrix, entries=self.columns(), cols=self.rows)
 
     def mat_vec(self, v) -> IntVector:
         if len(v) != self.cols:
@@ -299,9 +304,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             _negate_row(A, t)
 
     return (
-        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A]), m),
-        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A]), n),
-        IntMatrix._trusted(tuple(zip(*Vt)), n),
+        _trusted(IntMatrix, entries=tuple([tuple(row[n:]) for row in A]), cols=m),
+        _trusted(IntMatrix, entries=tuple([tuple(row[:n]) for row in A]), cols=n),
+        _trusted(IntMatrix, entries=tuple(zip(*Vt)), cols=n),
     )
 
 
@@ -459,7 +464,8 @@ def spanning_lattice(rows, cols: int) -> tuple[IntMatrix, IntMatrix] | None:
         h = [list(row) for row in rows]
         _hermite(h)
         h = [tuple(row) for row in h[:cols]]
-    return IntMatrix._trusted(tuple(h), cols), IntMatrix._trusted(tuple(kernel), len(rows))
+    return (_trusted(IntMatrix, entries=tuple(h), cols=cols),
+            _trusted(IntMatrix, entries=tuple(kernel), cols=len(rows)))
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -470,7 +476,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
     kernel = _basis_kernel(a.cols, *_lex_last_basis(a.columns(), a.rows))
-    return IntMatrix._trusted(tuple(kernel), a.cols).transpose()
+    return _trusted(IntMatrix, entries=tuple(kernel), cols=a.cols).transpose()
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -490,4 +496,4 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
         raise DomainError("matrix is singular")
     if any(A[i][i] != 1 for i in range(n)):
         raise DomainError("matrix is not unimodular")
-    return IntMatrix._trusted(tuple([tuple(row[n:]) for row in A]), n)
+    return _trusted(IntMatrix, entries=tuple([tuple(row[n:]) for row in A]), cols=n)

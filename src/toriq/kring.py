@@ -109,9 +109,13 @@ class KRingElement:
 
 
 def reduce(s: FormalSum) -> KRingElement:
-    """Closed-form normal form: (sum of coefficients, weighted exponent sum)."""
+    """Closed-form normal form: (sum of coefficients, weighted exponent sum).
+
+    The weighted sum adds integer numerators over the lcm of the exponents'
+    denominators and is normalized once."""
     a = sum(c for _, c in s.terms)
-    r = sum((Fraction(c) * q for q, c in s.terms), Fraction(0))
+    den = lcm(*(q.denominator for q, _ in s.terms))
+    r = Fraction(sum(c * q.numerator * (den // q.denominator) for q, c in s.terms), den)
     return KRingElement(a, r)
 
 

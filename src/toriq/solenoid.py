@@ -11,10 +11,12 @@ powers; anything else raises rather than rounding.
 
 Input is validated once, at the public boundary: ``PolarComplex(...)``
 converts and checks its fields, which take numbers only (no text and no
-``bool``), and ``SolenoidPoint`` accepts only a ``PolarComplex``.  Results
-of the package's own exact arithmetic (products, powers and roots, ``phi``,
-``nu`` and the torus action of ``homogeneous``) are built by
-``PolarComplex._trusted``, which only normalizes.
+``bool``), and ``SolenoidPoint`` accepts only a ``PolarComplex``.  The
+package's own exact arithmetic (products, powers and roots, ``phi``, ``nu``
+and the torus action of ``homogeneous``) runs on the integer numerators and
+denominators of the two fields and builds its results by
+``PolarComplex._from_parts``, which only normalizes: one ``Fraction(n, d)``
+for the modulus, and one for the turns after a ``% 1``.
 """
 
 from __future__ import annotations
@@ -24,24 +26,28 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
+from .intlinalg import _trusted
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
 # power that pow_int or homogeneous.act forms, about the bit size of the
 # power; tests and benchmark workloads stay below 600.
 _POW_BITS_CAP = 1 << 20
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
-def _capped_pow(rho: Fraction, k: int) -> Fraction:
-    """``rho ** k`` for a nonzero modulus (``rho`` itself for k = 1), refused
-    past ``_POW_BITS_CAP``."""
-    num, den = rho.numerator.bit_length(), rho.denominator.bit_length()
+def _capped_pow(n: int, d: int, k: int) -> tuple[int, int]:
+    """The parts of ``(n / d) ** k`` for a nonzero modulus in lowest terms:
+    a negative k swaps n and d.  Powers of coprime parts stay coprime.
+    Refused past ``_POW_BITS_CAP``."""
+    num, den = n.bit_length(), d.bit_length()
     if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
         raise ResourceLimitError(
             f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
             f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
-    return rho if k == 1 else rho ** k
+    if k < 0:
+        n, d, k = d, n, -k
+    return (n, d) if k == 1 else (n ** k, d ** k)
 
 
 def _as_fraction(x) -> Fraction:
@@ -121,8 +127,8 @@ class PolarComplex:
     turns is normalized into [0, 1) and forced to 0 when the modulus is 0,
     so equality of values is equality of fields.  The constructor converts
     both fields to ``Fraction`` and rejects floats, non-rationals and a
-    negative modulus; ``_trusted`` builds the results of exact arithmetic
-    on values that already passed it.
+    negative modulus; ``_from_parts`` builds the results of exact
+    arithmetic on values that already passed it.
     """
 
     rho: Fraction
@@ -140,23 +146,18 @@ class PolarComplex:
         object.__setattr__(self, "turns", turns)
 
     @classmethod
-    def _trusted(cls, rho: Fraction, turns: Fraction) -> "PolarComplex":
-        """Build without conversion or the sign check, for results of this
-        package's exact arithmetic.
+    def _from_parts(cls, n: int, d: int, tn: int, td: int) -> "PolarComplex":
+        """The value of modulus n / d and turns tn / td, from integer parts
+        that need not be in lowest terms, built without conversion or the
+        sign check: for results of this package's exact arithmetic.
 
-        ``rho`` must be a ``Fraction`` >= 0 and ``turns`` a ``Fraction``.
-        turns is still reduced into [0, 1) and forced to 0 when rho is 0, so
-        the result equals, and hashes as, ``PolarComplex(rho, turns)``.
+        ``n >= 0``, ``d > 0`` and ``td > 0``.  The turns are reduced into
+        [0, 1) and forced to 0 when n is 0, so the result equals, and hashes
+        as, ``PolarComplex(Fraction(n, d), Fraction(tn, td))``.
         """
-        z = object.__new__(cls)
-        n, d = turns.numerator, turns.denominator
-        if not rho:
-            turns = _ZERO
-        elif not 0 <= n < d:
-            turns = Fraction(n % d, d)
-        object.__setattr__(z, "rho", rho)
-        object.__setattr__(z, "turns", turns)
-        return z
+        if not n:
+            return _trusted(cls, rho=_ZERO, turns=_ZERO)
+        return _trusted(cls, rho=Fraction(n, d), turns=Fraction(tn % td, td))
 
     @classmethod
     def one(cls) -> "PolarComplex":
@@ -173,7 +174,11 @@ class PolarComplex:
     def __mul__(self, other: "PolarComplex") -> "PolarComplex":
         if not isinstance(other, PolarComplex):
             return NotImplemented
-        return PolarComplex._trusted(self.rho * other.rho, self.turns + other.turns)
+        a, b, s, t = self.rho, other.rho, self.turns, other.turns
+        return PolarComplex._from_parts(
+            a.numerator * b.numerator, a.denominator * b.denominator,
+            s.numerator * t.denominator + t.numerator * s.denominator,
+            s.denominator * t.denominator)
 
     def pow_int(self, k: int) -> "PolarComplex":
         if isinstance(k, bool) or not isinstance(k, int):
@@ -182,7 +187,8 @@ class PolarComplex:
             if k < 1:
                 raise DomainError("0 cannot be raised to a nonpositive power")
             return self
-        return PolarComplex._trusted(_capped_pow(self.rho, k), self.turns * k)
+        n, d = _capped_pow(self.rho.numerator, self.rho.denominator, k)
+        return PolarComplex._from_parts(n, d, self.turns.numerator * k, self.turns.denominator)
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
@@ -192,8 +198,10 @@ class PolarComplex:
             raise DomainError(f"branch must be an integer in [0, {q}), got {branch!r}")
         if self.rho == 0:
             return self
-        rho = Fraction(_exact_root(self.rho.numerator, q), _exact_root(self.rho.denominator, q))
-        return PolarComplex._trusted(rho, (self.turns + branch) / q)
+        t = self.turns
+        return PolarComplex._from_parts(
+            _exact_root(self.rho.numerator, q), _exact_root(self.rho.denominator, q),
+            t.numerator + branch * t.denominator, t.denominator * q)
 
     def __str__(self) -> str:
         return f"rho={self.rho} turns={self.turns}"
@@ -291,7 +299,7 @@ def phi(a: ProfiniteInt) -> SolenoidPoint:
     The image has trivial base coordinate: its level-M turn is a/M, which
     powers to a whole number of turns at level 1.
     """
-    return SolenoidPoint(a.level, PolarComplex._trusted(_ONE, Fraction(a.residue, a.level)))
+    return SolenoidPoint(a.level, PolarComplex._from_parts(1, 1, a.residue, a.level))
 
 
 def nu(theta_turns, level: int = 1) -> SolenoidPoint:
@@ -299,7 +307,7 @@ def nu(theta_turns, level: int = 1) -> SolenoidPoint:
     at the working level by dividing the angle."""
     t = _as_fraction(theta_turns)
     _check_level(level)
-    return SolenoidPoint(level, PolarComplex._trusted(_ONE, t / level))
+    return SolenoidPoint(level, PolarComplex._from_parts(1, 1, t.numerator, t.denominator * level))
 
 
 def sol_exp(a: ProfiniteInt, theta_turns) -> SolenoidPoint:

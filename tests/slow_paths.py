@@ -56,11 +56,15 @@ order.  ``slow_discriminant_scan`` is the primitive-collection scan from
 before it read ray masks: hash lookups of every F + (j,) and its facets
 in the set of cones.  ``slow_integer_root`` finds every root, square roots too, by
 bisection over the root's bits, as ``solenoid._integer_root`` did before
-squares went to ``math.isqrt``.  ``slow_act`` is the torus action from
-before it took one pass per coordinate: one ``pow_int`` per nonzero charge
-entry, and each product built by the validating ``PolarComplex``
-constructor, and the point by the validating ``HomogeneousPoint``, as
-``slow_power_map`` builds its powers.  ``slow_bareiss`` is ``intlinalg._bareiss`` from before small
+squares went to ``math.isqrt``.  ``slow_act``, ``slow_power_map``,
+``slow_check_equivariance`` and ``slow_pow_int`` are the torus action, the
+power map, the equivariance check and ``PolarComplex.pow_int`` from before
+they ran on integer parts: ``Fraction`` products and sums, each power
+capped by ``slow_capped_pow`` on the ``Fraction`` modulus, and every result
+built by the validating constructors.  ``slow_act_per_entry`` is the action
+from before it took one pass per coordinate: one ``slow_pow_int`` per
+nonzero charge entry, and each product built by the validating
+``PolarComplex`` constructor.  ``slow_bareiss`` is ``intlinalg._bareiss`` from before small
 square inputs took the cofactor formula and the elimination stopped
 copying rows: every row below a pivot is rewritten.
 """
@@ -99,6 +103,7 @@ from toriq.intlinalg import (
     _negate_row,
     _row_sub,
     _swap_rows,
+    _trusted,
     dot,
     primitive,
     smith_normal_form,
@@ -120,7 +125,7 @@ from toriq.quotient import (
     discriminant_locus,
     group_structure,
 )
-from toriq.solenoid import PolarComplex
+from toriq.solenoid import _POW_BITS_CAP, PolarComplex
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -568,9 +573,9 @@ def slow_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
         t += 1
 
     return (
-        IntMatrix._trusted(tuple(map(tuple, U)), m),
-        IntMatrix._trusted(tuple(map(tuple, A)), n),
-        IntMatrix._trusted(tuple(zip(*Vt)), n),
+        _trusted(IntMatrix, entries=tuple(map(tuple, U)), cols=m),
+        _trusted(IntMatrix, entries=tuple(map(tuple, A)), cols=n),
+        _trusted(IntMatrix, entries=tuple(zip(*Vt)), cols=n),
     )
 
 
@@ -612,7 +617,7 @@ def slow_row_hermite_form(a: IntMatrix) -> IntMatrix:
             r += 1
             if r == m:
                 break
-    return IntMatrix._trusted(tuple(map(tuple, A[:r])), n)
+    return _trusted(IntMatrix, entries=tuple(map(tuple, A[:r])), cols=n)
 
 
 def slow_clear_column(A, T, t, c):
@@ -679,8 +684,8 @@ def hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     _hermite(A)
     r = len([row for row in A if any(row[:n])])
     return (
-        IntMatrix._trusted(tuple([tuple(row[:n]) for row in A[:r]]), n),
-        IntMatrix._trusted(tuple([tuple(row[n:]) for row in A[r:]]), a.rows),
+        _trusted(IntMatrix, entries=tuple([tuple(row[:n]) for row in A[:r]]), cols=n),
+        _trusted(IntMatrix, entries=tuple([tuple(row[n:]) for row in A[r:]]), cols=a.rows),
     )
 
 
@@ -694,8 +699,8 @@ def slow_hermite_and_left_kernel(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     K = T[r:]
     slow_hermite(K, [[] for _ in K])
     return (
-        IntMatrix._trusted(tuple(map(tuple, A[:r])), a.cols),
-        IntMatrix._trusted(tuple(map(tuple, K)), m),
+        _trusted(IntMatrix, entries=tuple(map(tuple, A[:r])), cols=a.cols),
+        _trusted(IntMatrix, entries=tuple(map(tuple, K)), cols=m),
     )
 
 
@@ -739,7 +744,7 @@ def _smith_kernel(d: IntMatrix, v: IntMatrix) -> IntMatrix:
     rank = sum(1 for i in range(min(d.rows, n)) if d.entries[i][i] != 0)
     K = [list(col) for col in zip(*v.entries)][rank:]
     _hermite(K)
-    return IntMatrix._trusted(tuple(zip(*K)) if K else ((),) * n, n - rank)
+    return _trusted(IntMatrix, entries=tuple(zip(*K)) if K else ((),) * n, cols=n - rank)
 
 
 def slow_integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -1091,7 +1096,50 @@ def slow_integer_root(n: int, q: int) -> int | None:
     return lo if lo ** q == n else None
 
 
+def slow_capped_pow(rho: Fraction, k: int) -> Fraction:
+    """``rho ** k`` for a nonzero modulus (``rho`` itself for k = 1), refused
+    past ``_POW_BITS_CAP``."""
+    num, den = rho.numerator.bit_length(), rho.denominator.bit_length()
+    if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
+        raise ResourceLimitError(
+            f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
+            f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
+    return rho if k == 1 else rho ** k
+
+
+def slow_pow_int(c: PolarComplex, k: int) -> PolarComplex:
+    """``c.pow_int(k)`` on ``Fraction`` fields, rebuilt by the validating
+    constructor."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise DomainError("exponent must be an integer")
+    if c.rho == 0:
+        if k < 1:
+            raise DomainError("0 cannot be raised to a nonpositive power")
+        return c
+    return PolarComplex(slow_capped_pow(c.rho, k), c.turns * k)
+
+
 def slow_act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
+    """Scale coordinate i by the product of t_j to the power Q[i][j], one
+    pass per coordinate on ``Fraction``s, each power capped as in
+    ``pow_int``."""
+    if t.level != z.level:
+        raise LevelMismatchError("torus element and point live at different levels")
+    q = charge_matrix(z.fan).matrix
+    if len(t.params) != q.cols:
+        raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
+    new_coords = []
+    for c, row in zip(z.coords, q.entries):
+        rho, turns = c.rho, c.turns
+        for e, p in zip(row, t.params):
+            if e:
+                rho *= slow_capped_pow(p.rho, e)
+                turns += p.turns * e
+        new_coords.append(PolarComplex(rho, turns))
+    return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
+
+
+def slow_act_per_entry(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
     """Scale coordinate i by t_j ** Q[i][j], one validated product per
     nonzero charge entry."""
     if t.level != z.level:
@@ -1104,7 +1152,7 @@ def slow_act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
         for j, p in enumerate(t.params):
             e = q.entries[i][j]
             if e:
-                power = p.pow_int(e)
+                power = slow_pow_int(p, e)
                 c = PolarComplex(c.rho * power.rho, c.turns + power.turns)
         new_coords.append(c)
     return HomogeneousPoint(z.fan, z.level, tuple(new_coords))
@@ -1112,4 +1160,16 @@ def slow_act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
 
 def slow_power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power, rebuilt by the validating constructor."""
-    return HomogeneousPoint(z.fan, z.level, tuple(c.pow_int(l) for c in z.coords))
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        raise DomainError("power map exponent must be a positive integer")
+    return HomogeneousPoint(z.fan, z.level, tuple(slow_pow_int(c, l) for c in z.coords))
+
+
+def slow_check_equivariance(fan, t: TorusElement, z: HomogeneousPoint, l: int) -> bool:
+    """power_map(l, t . z) == (t^l) . power_map(l, z), each side built."""
+    if z.fan != fan:
+        raise DomainError("point does not belong to the given fan")
+    left = slow_power_map(l, slow_act(t, z))
+    t_l = TorusElement(t.level, tuple(slow_pow_int(p, l) for p in t.params))
+    right = slow_act(t_l, slow_power_map(l, z))
+    return left.coords == right.coords

@@ -34,6 +34,7 @@ from toriq.cones import (
 from toriq.errors import DomainError
 from toriq.intlinalg import (
     IntMatrix,
+    _trusted,
     integer_kernel,
     inverse_unimodular,
     primitive,
@@ -230,7 +231,7 @@ def _assert_plain(m):
 def _assert_plain_cone(c):
     """Equal to, hashing and printing like the validated rebuild of its
     generators, whatever lineality basis it carries."""
-    _assert_plain(IntMatrix._trusted(c.generators, c.ambient_rank))
+    _assert_plain(_trusted(IntMatrix, entries=c.generators, cols=c.ambient_rank))
     rebuilt = RationalCone.from_generators(c.ambient_rank, list(map(list, c.generators)))
     assert c == rebuilt and hash(c) == hash(rebuilt) and repr(c) == repr(rebuilt)
 
@@ -255,7 +256,7 @@ def test_internal_results_match_validated_rebuilds(a):
         _assert_plain(m)
     gens = [row for row in a.entries if any(row)]
     cone = RationalCone.from_generators(a.cols, gens)
-    _assert_plain(IntMatrix._trusted(cone.generators, cone.ambient_rank))
+    _assert_plain(_trusted(IntMatrix, entries=cone.generators, cols=cone.ambient_rank))
     dual = dual_cone(cone)
     _assert_plain_cone(dual)
     for q in _quotient_cones(cone) + _quotient_cones(dual):

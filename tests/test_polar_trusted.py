@@ -4,8 +4,8 @@
 (``HomogeneousPoint._trusted``, ``TorusElement._trusted``); ``act`` takes
 one pass per coordinate.
 
-Checked against the per-entry action it replaced (``slow_paths.slow_act``)
-and against rebuilds through the validating constructor; the ``pow_int``
+Checked against the ``Fraction`` action (``slow_paths.slow_act``) and
+against rebuilds through the validating constructor; the ``pow_int``
 cap still trips inside ``act``; and a count of ``__post_init__`` calls keeps
 re-validation out of the action, the power maps and the solenoid maps.
 """
