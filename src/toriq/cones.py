@@ -11,7 +11,7 @@ dual of one, every quotient cone below), each independent generator owns
 one ray, and one Smith form of the generators gives every ray.  Any other
 cone falls back to scanning all corank-one subsets.  The dual carries its
 lineality basis, the generators' canonical kernel read off their lex-last
-basis (``intlinalg._basis_kernel``), so ``lineality_basis`` need not
+basis (``intlinalg._kernel_columns``), so ``lineality_basis`` need not
 recompute it.
 
 Hilbert bases.  A pointed cone in rank 2 with two generators is walked
@@ -51,9 +51,9 @@ from .fans import _CACHE_SIZE, Fan
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    _basis_kernel,
+    _bareiss,
     _hermite,
-    _lex_last_basis,
+    _kernel_columns,
     _trusted,
     dot,
     inverse_unimodular,
@@ -121,13 +121,6 @@ class HilbertBasis:
     @property
     def rank_r(self) -> int:
         return len(self.generators)
-
-
-def _kernel_columns(rows: list[IntVector], rank: int) -> list[IntVector]:
-    """Canonical saturated kernel basis of the row system: the left kernel
-    of the transpose, which is Z^rank when there are no rows."""
-    columns = list(zip(*rows)) or [()] * rank
-    return _basis_kernel(rank, *_lex_last_basis(columns, len(rows)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -203,7 +196,7 @@ def _scanned_rays(gens, rho, rank):
     """Dual rays found by scanning all C(len(gens), rho - 1) subsets."""
     rays = []
     for rows in combinations(gens, rho - 1):
-        if rows and _trusted(IntMatrix, entries=rows, cols=rank).rank() != rho - 1:
+        if rows and _bareiss(rows, rank)[0] != rho - 1:
             continue
         # the kernel is the lineality space plus one direction; a basis
         # vector is off the lineality space iff some generator sees it
@@ -304,7 +297,7 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     gens, rank = cone.generators, cone.ambient_rank
     if not gens:
         return []
-    rho = _trusted(IntMatrix, entries=gens, cols=rank).rank()
+    rho = _bareiss(gens, rank)[0]
     if rho == len(gens) == rank == 2:
         return _rank2_hilbert_basis(*gens)
     parallelepipeds = [_parallelepiped(list(s), rank) for s in combinations(gens, rho)]

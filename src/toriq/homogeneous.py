@@ -11,10 +11,10 @@ built.  Nonzero parameters keep a point's zero pattern, so the images under
 ``act`` and ``power_map`` and the powers and products of torus elements are
 built by the shared ``_trusted`` helper without the checks.
 
-The action, the power maps and the orbit test run on the integer parts of
-each polar value, ``(n, d, tn, td)`` for modulus n / d and turns tn / td:
-moduli multiply as numerator and denominator products, turns add over a
-common denominator, and each coordinate is normalized once, at the end.
+The action and the orbit test read the integer parts ``(n, d, tn, td)``
+that each ``PolarComplex`` stores: moduli multiply as numerator and
+denominator products, turns add over a common denominator, and each
+coordinate is normalized once, at the end, by ``PolarComplex._from_parts``.
 """
 
 from __future__ import annotations
@@ -99,64 +99,6 @@ class TorusElement:
                         params=tuple(a * b for a, b in zip(self.params, other.params)))
 
 
-def _parts(c: PolarComplex) -> tuple[int, int, int, int]:
-    return c.rho.numerator, c.rho.denominator, c.turns.numerator, c.turns.denominator
-
-
-def _reduced(n: int, d: int, tn: int, td: int) -> tuple[int, int, int, int]:
-    """The parts of ``PolarComplex._from_parts(n, d, tn, td)``, in lowest
-    terms, without building it."""
-    if not n:
-        return 0, 1, 0, 1
-    g = gcd(n, d)
-    tn %= td
-    h = gcd(tn, td)
-    return n // g, d // g, tn // h, td // h
-
-
-def _power(parts: tuple[int, int, int, int], k: int) -> tuple[int, int, int, int]:
-    """The parts of ``PolarComplex.pow_int(k)`` for k >= 1, from reduced
-    parts: zero stays zero, and the modulus parts stay coprime."""
-    n, d, tn, td = parts
-    if not n:
-        return parts
-    n, d = _capped_pow(n, d, k)
-    tn = tn * k % td
-    h = gcd(tn, td)
-    return n, d, tn // h, td // h
-
-
-def _charge_rows(t: TorusElement, z: HomogeneousPoint) -> tuple[tuple[int, ...], ...]:
-    if t.level != z.level:
-        raise LevelMismatchError("torus element and point live at different levels")
-    q = charge_matrix(z.fan).matrix
-    if len(t.params) != q.cols:
-        raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
-    return q.entries
-
-
-def _act_parts(rows, params, coords) -> list[tuple[int, int, int, int]]:
-    """Unreduced parts of each coordinate times the product of the params
-    to the powers of its charge row, each factor's power capped as in
-    ``pow_int``."""
-    out = []
-    for (n, d, tn, td), row in zip(coords, rows):
-        for e, (a, b, pn, pd) in zip(row, params):
-            if e:
-                a, b = _capped_pow(a, b, e)
-                n *= a
-                d *= b
-                tn = tn * pd + pn * e * td
-                td *= pd
-        out.append((n, d, tn, td))
-    return out
-
-
-def _check_exponent(l) -> None:
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
-        raise DomainError("power map exponent must be a positive integer")
-
-
 def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
     """Scale coordinate i by the product of t_j to the power Q[i][j].
 
@@ -165,37 +107,42 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
     two, and the turns add over a common denominator, each factor's power
     capped as in ``pow_int``.  One ``PolarComplex`` is built at the end.
     """
-    rows = _charge_rows(t, z)
-    image = _act_parts(rows, [_parts(p) for p in t.params], [_parts(c) for c in z.coords])
+    if t.level != z.level:
+        raise LevelMismatchError("torus element and point live at different levels")
+    q = charge_matrix(z.fan).matrix
+    if len(t.params) != q.cols:
+        raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
+    params = [p.parts for p in t.params]
+    coords = []
+    for c, row in zip(z.coords, q.entries):
+        n, d, tn, td = c.parts
+        for e, (a, b, pn, pd) in zip(row, params):
+            if e:
+                a, b = _capped_pow(a, b, e)
+                n *= a
+                d *= b
+                tn = tn * pd + pn * e * td
+                td *= pd
+        coords.append(PolarComplex._from_parts(n, d, tn, td))
     # nonzero parameters keep the zero pattern, so the image is valid too
-    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
-                    coords=tuple(PolarComplex._from_parts(*x) for x in image))
+    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level, coords=tuple(coords))
 
 
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power; zero patterns are unchanged."""
-    _check_exponent(l)
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        raise DomainError("power map exponent must be a positive integer")
     return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
                     coords=tuple(c.pow_int(l) for c in z.coords))
 
 
 def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -> bool:
     """Exact check that powering intertwines the action with its l-fold
-    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z).
-
-    Both sides are compared as reduced integer parts, with the powers
-    formed, and capped, in the order the two compositions form them.
-    """
+    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z),
+    each side built, so the powers are formed and capped in that order."""
     if z.fan != fan:
         raise DomainError("point does not belong to the given fan")
-    rows = _charge_rows(t, z)
-    params = [_parts(p) for p in t.params]
-    coords = [_parts(c) for c in z.coords]
-    image = _act_parts(rows, params, coords)
-    _check_exponent(l)
-    left = [_power(_reduced(*x), l) for x in image]
-    right = _act_parts(rows, [_power(p, l) for p in params], [_power(c, l) for c in coords])
-    return left == [_reduced(*x) for x in right]
+    return power_map(l, act(t, z)).coords == act(t.pow_int(l), power_map(l, z)).coords
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -245,9 +192,9 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
         raise DomainError("points belong to different fans")
     if z.level != z2.level:
         raise LevelMismatchError("points live at different levels")
-    if z.zero_pattern != z2.zero_pattern:
+    rows = [i for i, c in enumerate(z.coords) if c.parts[0]]
+    if rows != [i for i, c in enumerate(z2.coords) if c.parts[0]]:
         return False
-    rows = sorted(set(range(z.fan.n_rays)) - z.zero_pattern)
     if not rows:
         return True
     q = charge_matrix(z.fan).matrix
@@ -257,12 +204,12 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     sub = _trusted(IntMatrix, entries=tuple(q.entries[i] for i in rows), cols=s)
     u, d, _ = smith_normal_form(sub)
     diag = [d.entries[i][i] if i < min(len(rows), s) else 0 for i in range(len(rows))]
+    pairs = [(z.coords[i].parts, z2.coords[i].parts) for i in rows]
 
     # each modulus ratio z2 / z in lowest terms, by one gcd of cross products
     ratios = []
-    for i in rows:
-        r, r2 = z.coords[i].rho, z2.coords[i].rho
-        num, den = r2.numerator * r.denominator, r2.denominator * r.numerator
+    for (a, b, _, _), (a2, b2, _, _) in pairs:
+        num, den = a2 * b, b2 * a
         g = gcd(num, den)
         ratios.append((num // g, den // g))
     for b in _coprime_base([x for ratio in ratios for x in ratio]):
@@ -277,10 +224,9 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
             return False
 
     # the turn differences as numerators over one common denominator
-    turns = [(z.coords[i].turns, z2.coords[i].turns) for i in rows]
-    common = lcm(*(x.denominator for pair in turns for x in pair))
-    delta = [t2.numerator * (common // t2.denominator) - t.numerator * (common // t.denominator)
-             for t, t2 in turns]
+    common = lcm(*(x[3] for pair in pairs for x in pair))
+    delta = [tn2 * (common // td2) - tn * (common // td)
+             for (_, _, tn, td), (_, _, tn2, td2) in pairs]
     for di, row in zip(diag, u.entries):
         if di == 0 and sum(uij * dj for uij, dj in zip(row, delta)) % common:
             return False

@@ -20,10 +20,11 @@ Every canonical kernel takes one route: ``_lex_last_basis`` finds the
 lex-last basis among the rows by one fraction-free Gauss-Jordan pass, and
 ``_basis_kernel`` reads the left kernel's Hermite form off it, reducing
 modulo the basis determinant (``_relations_mod``) when that is not +-1.
-A fan's rays (``spanning_lattice``), ``integer_kernel`` and the cone
-kernels of ``cones`` all use it.  The Hermite form of a saturated lattice
-is unique, so the augmented pass over ``[a | I]`` that it replaced, kept
-in ``tests/slow_paths.py``, is its differential oracle.
+A fan's rays (``spanning_lattice``) and, through ``_kernel_columns``,
+``integer_kernel`` and the cone kernels of ``cones`` all use it.  The
+Hermite form of a saturated lattice is unique, so the augmented pass over
+``[a | I]`` that it replaced, kept in ``tests/slow_paths.py``, is its
+differential oracle.
 """
 
 from __future__ import annotations
@@ -468,14 +469,21 @@ def spanning_lattice(rows, cols: int) -> tuple[IntMatrix, IntMatrix] | None:
             _trusted(IntMatrix, entries=tuple(kernel), cols=len(rows)))
 
 
+def _kernel_columns(rows, cols: int) -> list[IntVector]:
+    """Canonical saturated basis of ``{c : rows @ c = 0}``: the left kernel
+    of the transpose (``_basis_kernel`` of the columns), which is Z^cols
+    when there are no rows."""
+    columns = list(zip(*rows)) or [()] * cols
+    return _basis_kernel(cols, *_lex_last_basis(columns, len(rows)))
+
+
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Saturated integer basis of ``{c : a @ c = 0}``, as matrix columns:
-    the canonical left kernel of the transpose (``_basis_kernel`` of a's
-    columns), so repeated runs are bit-identical.
+    ``_kernel_columns`` of a's rows, so repeated runs are bit-identical.
     """
     if a.is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
-    kernel = _basis_kernel(a.cols, *_lex_last_basis(a.columns(), a.rows))
+    kernel = _kernel_columns(a.entries, a.cols)
     return _trusted(IntMatrix, entries=tuple(kernel), cols=a.cols).transpose()
 
 

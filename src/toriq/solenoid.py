@@ -10,20 +10,22 @@ Moduli under root extraction are kept exact by accepting only perfect
 powers; anything else raises rather than rounding.
 
 Input is validated once, at the public boundary: ``PolarComplex(...)``
-converts and checks its fields, which take numbers only (no text and no
-``bool``), and ``SolenoidPoint`` accepts only a ``PolarComplex``.  The
-package's own exact arithmetic (products, powers and roots, ``phi``, ``nu``
-and the torus action of ``homogeneous``) runs on the integer numerators and
-denominators of the two fields and builds its results by
-``PolarComplex._from_parts``, which only normalizes: one ``Fraction(n, d)``
-for the modulus, and one for the turns after a ``% 1``.
+converts and checks its modulus and turns, which take numbers only (no text
+and no ``bool``), and ``SolenoidPoint`` accepts only a ``PolarComplex``.  A
+polar value is stored as one tuple of integer parts, ``(n, d, tn, td)`` for
+modulus n / d and turns tn / td in lowest terms; ``rho`` and ``turns`` are
+``Fraction``s built from them on request.  The package's own exact
+arithmetic (products, powers and roots, ``phi``, ``nu`` and the torus action
+of ``homogeneous``) runs on those parts and builds its results by
+``PolarComplex._from_parts``, which only normalizes: one ``gcd`` for the
+modulus, and one for the turns after a ``%``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError, LevelMismatchError, ResourceLimitError
 from .intlinalg import _trusted
@@ -33,7 +35,7 @@ from .intlinalg import _trusted
 # power; tests and benchmark workloads stay below 600.
 _POW_BITS_CAP = 1 << 20
 
-_ZERO = Fraction(0)
+_ZERO_PARTS = (0, 1, 0, 1)
 
 
 def _capped_pow(n: int, d: int, k: int) -> tuple[int, int]:
@@ -48,6 +50,18 @@ def _capped_pow(n: int, d: int, k: int) -> tuple[int, int]:
     if k < 0:
         n, d, k = d, n, -k
     return (n, d) if k == 1 else (n ** k, d ** k)
+
+
+def _reduced(n: int, d: int, tn: int, td: int) -> tuple[int, int, int, int]:
+    """The parts of modulus n / d and turns tn / td in lowest terms, with
+    the turns in [0, 1) and forced to 0 when n is 0.  ``n >= 0``, ``d > 0``
+    and ``td > 0``."""
+    if not n:
+        return _ZERO_PARTS
+    g = gcd(n, d)
+    tn %= td
+    h = gcd(tn, td)
+    return n // g, d // g, tn // h, td // h
 
 
 def _as_fraction(x) -> Fraction:
@@ -120,75 +134,77 @@ class ProfiniteInt:
         return f"{self.residue} mod {self.level}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolarComplex:
     """Exact polar form rho * e^(2*pi*i*turns): rational modulus and turns.
 
-    turns is normalized into [0, 1) and forced to 0 when the modulus is 0,
-    so equality of values is equality of fields.  The constructor converts
-    both fields to ``Fraction`` and rejects floats, non-rationals and a
-    negative modulus; ``_from_parts`` builds the results of exact
-    arithmetic on values that already passed it.
+    The one field, ``parts = (n, d, tn, td)``, holds rho = n / d and
+    turns = tn / td in lowest terms, turns in [0, 1) and ``(0, 1, 0, 1)``
+    at modulus 0, so equality of values is equality of parts.  The
+    constructor converts both arguments to ``Fraction`` and rejects floats,
+    non-rationals and a negative modulus; ``_from_parts`` builds the results
+    of exact arithmetic on values that already passed it.
     """
 
-    rho: Fraction
-    turns: Fraction = Fraction(0)
+    parts: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        rho = _as_fraction(self.rho)
-        turns = _as_fraction(self.turns)
+    def __init__(self, rho, turns=0):
+        rho = _as_fraction(rho)
+        turns = _as_fraction(turns)
         if rho < 0:
             raise DomainError("modulus must be nonnegative")
-        turns = turns - (turns.numerator // turns.denominator)
-        if rho == 0:
-            turns = Fraction(0)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "turns", turns)
+        object.__setattr__(self, "parts", _reduced(
+            rho.numerator, rho.denominator, turns.numerator, turns.denominator))
 
     @classmethod
     def _from_parts(cls, n: int, d: int, tn: int, td: int) -> "PolarComplex":
         """The value of modulus n / d and turns tn / td, from integer parts
         that need not be in lowest terms, built without conversion or the
         sign check: for results of this package's exact arithmetic.
+        ``n >= 0``, ``d > 0`` and ``td > 0``."""
+        return _trusted(cls, parts=_reduced(n, d, tn, td))
 
-        ``n >= 0``, ``d > 0`` and ``td > 0``.  The turns are reduced into
-        [0, 1) and forced to 0 when n is 0, so the result equals, and hashes
-        as, ``PolarComplex(Fraction(n, d), Fraction(tn, td))``.
-        """
-        if not n:
-            return _trusted(cls, rho=_ZERO, turns=_ZERO)
-        return _trusted(cls, rho=Fraction(n, d), turns=Fraction(tn % td, td))
+    @property
+    def rho(self) -> Fraction:
+        return Fraction(self.parts[0], self.parts[1])
+
+    @property
+    def turns(self) -> Fraction:
+        return Fraction(self.parts[2], self.parts[3])
 
     @classmethod
     def one(cls) -> "PolarComplex":
-        return cls(Fraction(1), Fraction(0))
+        return cls(1)
 
     @classmethod
     def zero(cls) -> "PolarComplex":
-        return cls(Fraction(0), Fraction(0))
+        return cls(0)
 
     @property
     def is_zero(self) -> bool:
-        return self.rho == 0
+        return not self.parts[0]
 
     def __mul__(self, other: "PolarComplex") -> "PolarComplex":
         if not isinstance(other, PolarComplex):
             return NotImplemented
-        a, b, s, t = self.rho, other.rho, self.turns, other.turns
-        return PolarComplex._from_parts(
-            a.numerator * b.numerator, a.denominator * b.denominator,
-            s.numerator * t.denominator + t.numerator * s.denominator,
-            s.denominator * t.denominator)
+        n, d, tn, td = self.parts
+        m, e, sn, sd = other.parts
+        return PolarComplex._from_parts(n * m, d * e, tn * sd + sn * td, td * sd)
 
     def pow_int(self, k: int) -> "PolarComplex":
+        """The k-th power: the modulus parts by ``_capped_pow``, which keeps
+        them coprime, so only the turns are reduced."""
         if isinstance(k, bool) or not isinstance(k, int):
             raise DomainError("exponent must be an integer")
-        if self.rho == 0:
+        n, d, tn, td = self.parts
+        if not n:
             if k < 1:
                 raise DomainError("0 cannot be raised to a nonpositive power")
             return self
-        n, d = _capped_pow(self.rho.numerator, self.rho.denominator, k)
-        return PolarComplex._from_parts(n, d, self.turns.numerator * k, self.turns.denominator)
+        n, d = _capped_pow(n, d, k)
+        tn = tn * k % td
+        h = gcd(tn, td)
+        return _trusted(PolarComplex, parts=(n, d, tn // h, td // h))
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
@@ -196,12 +212,14 @@ class PolarComplex:
             raise DomainError(f"root degree must be a positive integer, got {q!r}")
         if isinstance(branch, bool) or not isinstance(branch, int) or not 0 <= branch < q:
             raise DomainError(f"branch must be an integer in [0, {q}), got {branch!r}")
-        if self.rho == 0:
+        n, d, tn, td = self.parts
+        if not n:
             return self
-        t = self.turns
         return PolarComplex._from_parts(
-            _exact_root(self.rho.numerator, q), _exact_root(self.rho.denominator, q),
-            t.numerator + branch * t.denominator, t.denominator * q)
+            _exact_root(n, q), _exact_root(d, q), tn + branch * td, td * q)
+
+    def __repr__(self) -> str:
+        return f"PolarComplex(rho={self.rho!r}, turns={self.turns!r})"
 
     def __str__(self) -> str:
         return f"rho={self.rho} turns={self.turns}"

@@ -493,6 +493,7 @@ def test_smooth_fans_take_no_lattice_work(monkeypatch):
     monkeypatch.setattr(cones_module, "_hermite", refuse)
     monkeypatch.setattr(cones_module, "hilbert_basis", refuse)
     monkeypatch.setattr(intlinalg, "_bareiss", refuse)
+    monkeypatch.setattr(cones_module, "_bareiss", refuse)
     faces = 0
     for fan in fans:
         n = fan.lattice_rank

@@ -1,9 +1,15 @@
-"""``src/toriq`` never rounds and builds ``Fraction``s only in public ways.
+"""``src/toriq`` never rounds, builds ``Fraction``s only in public ways,
+and keeps one representation of a polar value.
 
 No float literal, no ``float(`` call and no float-valued ``math`` function
 appears outside ``moment.delzant_svg``, which draws with floats by design.
 No private ``Fraction`` attribute is touched anywhere: ``_normalize`` is
 gone in Python 3.12, and the other private names may go the same way.
+No module but ``solenoid`` reads a ``.rho`` or ``.turns``: the rest of the
+package works on the integer ``parts`` that ``PolarComplex`` stores, so a
+second, ``Fraction``-valued copy of its arithmetic cannot grow back.  The
+CLI's ``args.rho`` and ``args.turns``, its ``--rho`` and ``--turns``
+options, are the one exception.
 """
 
 import ast
@@ -22,6 +28,9 @@ FLOAT_MATH = {
 }
 PRIVATE_FRACTION = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 FLOAT_EXEMPT = {("moment.py", "delzant_svg")}
+POLAR_FIELDS = {"rho", "turns"}
+POLAR_MODULE = "solenoid.py"
+POLAR_FIELD_EXEMPT = {("cli.py", "args")}
 
 
 class _Guard(ast.NodeVisitor):
@@ -78,6 +87,10 @@ class _Guard(ast.NodeVisitor):
         if node.attr in PRIVATE_FRACTION or (
                 owner in self.fraction_names and node.attr.startswith("_")):
             self.report(node, f"private Fraction attribute {node.attr}", floats=False)
+        if (node.attr in POLAR_FIELDS and isinstance(node.ctx, ast.Load)
+                and self.filename != POLAR_MODULE
+                and (self.filename, owner) not in POLAR_FIELD_EXEMPT):
+            self.report(node, f"reads .{node.attr}", floats=False)
         self.generic_visit(node)
 
 
@@ -120,3 +133,19 @@ def delzant_svg(x):
     ]
     # outside moment.py delzant_svg's hypot, float literal and float( count too
     assert len(violations(source, "solenoid.py")) == len(found) + 3
+
+
+def test_guard_reports_polar_field_reads_outside_solenoid():
+    """A ``.rho`` or ``.turns`` read is found in any module but
+    ``solenoid``; the CLI's argument namespace is exempt, and only there."""
+    source = '''
+def f(z, args, pairs):
+    n = z.coords[0].rho.numerator
+    t = [c.turns for c in pairs]
+    return n, t, args.rho, args.turns, z.parts
+'''
+    found = [v.split(": ", 1)[1] for v in violations(source, "homogeneous.py")]
+    assert found == ["reads .rho", "reads .turns", "reads .rho", "reads .turns"]
+    found = [v.split(": ", 1)[1] for v in violations(source, "cli.py")]
+    assert found == ["reads .rho", "reads .turns"]
+    assert violations(source, "solenoid.py") == []

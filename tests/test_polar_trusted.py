@@ -1,13 +1,14 @@
 """Results of polar arithmetic are built without re-validation
-(``PolarComplex._trusted``), and so are the points that ``act`` and
-``power_map`` return and the torus elements of ``pow_int`` and ``*``
-(``HomogeneousPoint._trusted``, ``TorusElement._trusted``); ``act`` takes
-one pass per coordinate.
+(``PolarComplex._from_parts`` and ``pow_int`` store through the shared
+``intlinalg._trusted`` helper), and so are the points that ``act`` and
+``power_map`` return and the torus elements of ``pow_int`` and ``*``;
+``act`` takes one pass per coordinate.
 
 Checked against the ``Fraction`` action (``slow_paths.slow_act``) and
 against rebuilds through the validating constructor; the ``pow_int``
-cap still trips inside ``act``; and a count of ``__post_init__`` calls keeps
-re-validation out of the action, the power maps and the solenoid maps.
+cap still trips inside ``act``; and a count of the validating
+``PolarComplex.__init__`` and ``__post_init__`` calls keeps re-validation
+out of the action, the power maps and the solenoid maps.
 """
 
 import time
@@ -66,6 +67,7 @@ def assert_canonical(x):
     y = PolarComplex(x.rho, x.turns)
     assert (x.rho, x.turns) == (y.rho, y.turns)
     assert x == y and hash(x) == hash(y)
+    assert repr(x) == f"PolarComplex(rho={x.rho!r}, turns={x.turns!r})"
 
 
 def assert_matches(x, rho, turns):
@@ -176,17 +178,19 @@ def test_pow_int_cap_holds_inside_act():
 
 def test_no_revalidation_inside_action_powers_or_solenoid_maps(monkeypatch):
     """Only the caller's own ``PolarComplex(...)``, ``HomogeneousPoint(...)``
-    and ``TorusElement(...)`` calls run the validating ``__post_init__``."""
+    and ``TorusElement(...)`` calls run the validating ``__init__`` or
+    ``__post_init__``."""
     fan = catalog.hirzebruch(2)
     z = HomogeneousPoint(fan, 2, (PolarComplex(F(3, 2), F(9, 4)), PolarComplex.zero(),
                                   PolarComplex(F(5), F(-1, 3)), PolarComplex(F(2, 7))))
     t = TorusElement(2, (PolarComplex(F(4, 9), F(7, 5)), PolarComplex(F(6), F(-2, 3))))
     base = SolenoidPoint(3, PolarComplex(F(16, 81), F(2, 3)))
     calls = []
-    for cls in PolarComplex, HomogeneousPoint, TorusElement:
-        original = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, original=original: calls.append(self) or original(self))
+    for cls, name in ((PolarComplex, "__init__"), (HomogeneousPoint, "__post_init__"),
+                      (TorusElement, "__post_init__")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, original=original, **kwargs:
+                            calls.append(self) or original(self, *args, **kwargs))
     PolarComplex(F(2), F(5, 4))
     HomogeneousPoint(fan, 2, z.coords)
     TorusElement(2, t.params)
