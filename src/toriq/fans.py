@@ -70,6 +70,7 @@ class Fan:
     name: str | None = field(default=None, compare=False)
     _cones = None  # not a field; see cones
     _lattice = None  # not a field; see ray_lattice
+    _orbit_plans = None  # not a field; see homogeneous._orbit_plan
 
     def __post_init__(self):
         rays = tuple(tuple(v) for v in self.rays)

@@ -15,6 +15,12 @@ The action and the orbit test read the integer parts ``(n, d, tn, td)``
 that each ``PolarComplex`` stores: moduli multiply as numerator and
 denominator products, turns add over a common denominator, and each
 coordinate is normalized once, at the end, by ``PolarComplex._from_parts``.
+
+``same_orbit`` needs one Smith form of the charge rows of the nonzero
+coordinates.  It depends only on the fan and the nonzero pattern, so each
+fan instance keeps the rows of U and the d_i that constrain the test, one
+plan per pattern and so at most one per cone, beside its face list and its
+lattice.
 """
 
 from __future__ import annotations
@@ -30,11 +36,20 @@ from .solenoid import PolarComplex, _capped_pow, _check_level, _integer_root
 
 
 def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be an iterable of PolarComplex values, "
+                          f"got {values!r:.40}") from None
     for v in values:
         if not isinstance(v, PolarComplex):
             raise DomainError(f"{what} must be PolarComplex values, got {v!r:.40}")
     return values
+
+
+def _check_type(caller: str, name: str, value, cls) -> None:
+    if not isinstance(value, cls):
+        raise DomainError(f"{caller}: {name} must be a {cls.__name__}, got {value!r:.40}")
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
@@ -140,6 +155,8 @@ def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -
     """Exact check that powering intertwines the action with its l-fold
     reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z),
     each side built, so the powers are formed and capped in that order."""
+    _check_type("check_equivariance", "t", t, TorusElement)
+    _check_type("check_equivariance", "z", z, HomogeneousPoint)
     if z.fan != fan:
         raise DomainError("point does not belong to the given fan")
     return power_map(l, act(t, z)).coords == act(t.pow_int(l), power_map(l, z)).coords
@@ -174,36 +191,61 @@ def _multiplicity(b: int, n: int) -> int:
     return k
 
 
+def _orbit_plan(fan: Fan, rows: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The pairs ``(d_i, U[i])`` of one Smith form ``U @ sub @ V == D`` of
+    the charge rows ``sub`` of the nonzero coordinates ``rows``, for the
+    rows that constrain ``same_orbit``: d_i != 1 (a row with d_i == 1
+    admits every exponent and every turn).  Worked out once per fan
+    instance and pattern, in the fan's ``_orbit_plans``; each pattern's
+    zero rows form a cone of the fan, so there is at most one plan per cone.
+    """
+    plans = fan._orbit_plans
+    if plans is None:
+        plans = {}
+        object.__setattr__(fan, "_orbit_plans", plans)
+    plan = plans.get(rows)
+    if plan is None:
+        q = charge_matrix(fan).matrix
+        if q.cols:
+            u, d, _ = smith_normal_form(
+                _trusted(IntMatrix, entries=tuple(q.entries[i] for i in rows), cols=q.cols))
+            diag = [d.entries[i][i] if i < q.cols else 0 for i in range(len(rows))]
+            plan = tuple((di, row) for di, row in zip(diag, u.entries) if di != 1)
+        else:  # no torus: U is the identity and every d_i is 0
+            plan = tuple((0, tuple(int(i == j) for j in range(len(rows))))
+                         for i in range(len(rows)))
+        plans[rows] = plan
+    return plan
+
+
 def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     """Decide whether some torus element maps z to z2.
 
     One Smith form ``U @ sub @ V == D`` of the charge rows of the nonzero
-    coordinates decides both halves.  Turns: ``sub @ x == delta (mod 1)``
-    must be solvable over the rationals.  Moduli, without factoring: the
-    ratios' numerators and denominators refine by gcds into a pairwise
-    coprime base B.  A prime p divides one b in B, and its valuations over
-    the ratios are v_p(b) * E_b for b's exponent vector E_b.  ``m * E_b``
-    lies in the image of sub iff a_b divides m, where a_b is the lcm over
-    d_i != 0 of d_i / gcd(d_i, (U @ E_b)_i), and for no m if
-    (U @ E_b)_i != 0 at some d_i == 0.  So the moduli are solvable iff every
-    b is a perfect a_b-th power, a root test bounded by b's bit length.
+    coordinates decides both halves; its rows with d_i != 1 are kept on the
+    fan per nonzero pattern (``_orbit_plan``), so repeated calls take no
+    Smith form.  Turns: ``sub @ x == delta (mod 1)`` must be solvable over
+    the rationals, a condition on the rows with d_i == 0.  Moduli, without
+    factoring: the ratios' numerators and denominators refine by gcds into
+    a pairwise coprime base B.  A prime p divides one b in B, and its
+    valuations over the ratios are v_p(b) * E_b for b's exponent vector
+    E_b.  ``m * E_b`` lies in the image of sub iff a_b divides m, where a_b
+    is the lcm over d_i != 0 of d_i / gcd(d_i, (U @ E_b)_i), and for no m
+    if (U @ E_b)_i != 0 at some d_i == 0.  So the moduli are solvable iff
+    every b is a perfect a_b-th power, a root test bounded by b's bit length.
     """
+    _check_type("same_orbit", "z", z, HomogeneousPoint)
+    _check_type("same_orbit", "z2", z2, HomogeneousPoint)
     if z.fan != z2.fan:
         raise DomainError("points belong to different fans")
     if z.level != z2.level:
         raise LevelMismatchError("points live at different levels")
-    rows = [i for i, c in enumerate(z.coords) if c.parts[0]]
-    if rows != [i for i, c in enumerate(z2.coords) if c.parts[0]]:
+    rows = tuple(i for i, c in enumerate(z.coords) if c.parts[0])
+    if rows != tuple(i for i, c in enumerate(z2.coords) if c.parts[0]):
         return False
     if not rows:
         return True
-    q = charge_matrix(z.fan).matrix
-    s = q.cols
-    if s == 0:
-        return all(z.coords[i] == z2.coords[i] for i in rows)
-    sub = _trusted(IntMatrix, entries=tuple(q.entries[i] for i in rows), cols=s)
-    u, d, _ = smith_normal_form(sub)
-    diag = [d.entries[i][i] if i < min(len(rows), s) else 0 for i in range(len(rows))]
+    plan = _orbit_plan(z.fan, rows)
     pairs = [(z.coords[i].parts, z2.coords[i].parts) for i in rows]
 
     # each modulus ratio z2 / z in lowest terms, by one gcd of cross products
@@ -213,9 +255,10 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
         g = gcd(num, den)
         ratios.append((num // g, den // g))
     for b in _coprime_base([x for ratio in ratios for x in ratio]):
-        e = tuple(_multiplicity(b, num) - _multiplicity(b, den) for num, den in ratios)
+        e = [_multiplicity(b, num) - _multiplicity(b, den) for num, den in ratios]
         a = 1
-        for di, ci in zip(diag, u.mat_vec(e)):
+        for di, row in plan:
+            ci = sum(uij * ej for uij, ej in zip(row, e))
             if di:
                 a = lcm(a, di // gcd(di, ci))
             elif ci:
@@ -227,7 +270,7 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     common = lcm(*(x[3] for pair in pairs for x in pair))
     delta = [tn2 * (common // td2) - tn * (common // td)
              for (_, _, tn, td), (_, _, tn2, td2) in pairs]
-    for di, row in zip(diag, u.entries):
+    for di, row in plan:
         if di == 0 and sum(uij * dj for uij, dj in zip(row, delta)) % common:
             return False
     return True

@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, ExpressionError
@@ -30,24 +31,49 @@ from .solenoid import _as_fraction
 
 @dataclass(frozen=True)
 class FormalSum:
-    """Finite integer combination of monomials x^q, q rational."""
+    """Finite integer combination of monomials x^q, q rational.
+
+    The constructor takes any iterable of (exponent, coefficient) pairs: an
+    exponent is an exact rational, kept as given when it is a ``Fraction``
+    and converted otherwise; a coefficient is an ``int``.  Terms merge on
+    the exponent's (numerator, denominator), the first ``Fraction`` given
+    standing for its key, and are kept in increasing exponent order, sorted
+    on the integer numerators over the lcm of the denominators, with the
+    terms that cancel to zero dropped.
+    """
 
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        merged: dict[Fraction, int] = {}
-        for q, c in self.terms:
+        try:
+            terms = iter(self.terms)
+        except TypeError:
+            raise DomainError(f"terms must be an iterable of (exponent, coefficient) "
+                              f"pairs, got {self.terms!r:.40}") from None
+        merged: dict[tuple[int, int], list] = {}
+        for term in terms:
+            try:
+                q, c = term
+            except (TypeError, ValueError):
+                raise DomainError(f"terms: each term must be an (exponent, coefficient) "
+                                  f"pair, got {term!r:.40}") from None
             if type(q) is not Fraction:
                 q = _as_fraction(q)
             if isinstance(c, bool) or not isinstance(c, int):
                 raise DomainError("coefficients must be integers")
-            merged[q] = merged.get(q, 0) + c
-        cleaned = tuple(sorted((q, c) for q, c in merged.items() if c != 0))
-        object.__setattr__(self, "terms", cleaned)
+            key = q.numerator, q.denominator
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [q, c]
+            else:
+                entry[1] += c
+        den = lcm(*(d for _, d in merged))
+        kept = sorted((n * (den // d), q, c) for (n, d), (q, c) in merged.items() if c)
+        object.__setattr__(self, "terms", tuple((q, c) for _, q, c in kept))
 
     @classmethod
     def from_terms(cls, pairs) -> "FormalSum":
-        return cls(tuple((q, c) for q, c in pairs))
+        return cls(pairs)
 
     @classmethod
     def monomial(cls, q, c: int = 1) -> "FormalSum":
@@ -213,6 +239,23 @@ _TERM_RE = re.compile(
 )
 
 
+_NOT_PAREN = re.compile(r"[^()]+")
+_DEPTH_STEP = {"(": 1, ")": -1}
+
+
+def _balanced(text: str) -> bool:
+    """Do the parentheses of ``text`` balance?  Cancelling the adjacent
+    pairs ``()`` keeps the answer, and leaves nothing of well-formed text
+    in one pass; what is left, nesting or a stray parenthesis, is read for
+    a running depth that never drops below zero and ends at zero, in one
+    pass however deep the nesting."""
+    rest = _NOT_PAREN.sub("", text).replace("()", "")
+    if not rest:
+        return True
+    depths = list(accumulate(map(_DEPTH_STEP.__getitem__, rest)))
+    return min(depths) >= 0 and depths[-1] == 0
+
+
 def parse_expression(text: str) -> FormalSum:
     """Parse expressions such as ``3*x^(1/2) - x^(2/3) + 1``.
 
@@ -224,29 +267,24 @@ def parse_expression(text: str) -> FormalSum:
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    depth = 0
-    for ch in text:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            break
-    if depth:
+    if not _balanced(text):
         raise ExpressionError("unbalanced parentheses")
     terms: list[tuple[Fraction, int]] = []
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         pos = m.end()
-        term = m.group("term").strip()
-        if m.group("rest"):
+        signs, term, coeff, var, plain, num, den, rest = m.group(
+            "signs", "term", "coeff", "var", "plain", "num", "den", "rest")
+        term = term.strip()
+        if rest:
             raise ExpressionError(f"cannot parse term {term!r}")
         if not term:  # only signs were left
             continue
         # x^(num/den), x^plain, bare x (exponent 1) or a constant (exponent 0)
-        bare = "1" if m.group("var") else "0"
-        literals = (m.group("coeff") or "1", m.group("plain") or m.group("num") or bare,
-                    m.group("den") or "1")
         try:
-            coeff, num, den = map(int, literals)
+            coeff, num, den = map(int, (coeff or "1", plain or num or ("1" if var else "0"),
+                                        den or "1"))
         except ValueError:  # a literal past sys.get_int_max_str_digits()
             raise ExpressionError(
                 f"term {term[:40]!r}... holds an integer literal past the limit of "
@@ -254,7 +292,7 @@ def parse_expression(text: str) -> FormalSum:
             ) from None
         if den == 0:
             raise ExpressionError(f"zero denominator in term {term!r}")
-        sign = -1 if m.group("signs").count("-") % 2 else 1
+        sign = -1 if signs.count("-") % 2 else 1
         terms.append((Fraction(num, den), sign * coeff))
     if not terms:
         raise ExpressionError("no terms found")

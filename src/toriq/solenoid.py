@@ -151,10 +151,13 @@ class PolarComplex:
     def __init__(self, rho, turns=0):
         rho = _as_fraction(rho)
         turns = _as_fraction(turns)
-        if rho < 0:
+        n = rho.numerator
+        if n < 0:
             raise DomainError("modulus must be nonnegative")
-        object.__setattr__(self, "parts", _reduced(
-            rho.numerator, rho.denominator, turns.numerator, turns.denominator))
+        # a Fraction is in lowest terms, and tn % td stays coprime to td
+        td = turns.denominator
+        object.__setattr__(self, "parts", (n, rho.denominator, turns.numerator % td, td)
+                           if n else _ZERO_PARTS)
 
     @classmethod
     def _from_parts(cls, n: int, d: int, tn: int, td: int) -> "PolarComplex":

@@ -22,8 +22,9 @@ of its dual, as every call did before dual cones carried it.
 ``slow_affine_fiber_rank`` builds the Hilbert basis of the dual of a fan
 cone and takes its length, where ``affine_fiber_rank`` counts from the rays.
 ``slow_same_orbit`` factors every modulus ratio by trial division and
-solves one integer system per prime.  ``slow_smith_normal_form`` and
-``slow_row_hermite_form`` are the normal forms from before they shared one
+solves one integer system per prime, with new Smith forms on every call,
+where ``same_orbit`` keeps one per fan and nonzero pattern.
+``slow_smith_normal_form`` and ``slow_row_hermite_form`` are the normal forms from before they shared one
 gcd step: each clears columns with its own loop, and Smith's column
 operations run over every row.  ``slow_clear_column``, ``slow_hermite`` and
 ``slow_hermite_and_left_kernel`` are that gcd step and Hermite pass from
@@ -67,6 +68,14 @@ nonzero charge entry, and each product built by the validating
 ``PolarComplex`` constructor.  ``slow_bareiss`` is ``intlinalg._bareiss`` from before small
 square inputs took the cofactor formula and the elimination stopped
 copying rows: every row below a pivot is rewritten.
+``slow_formal_sum_terms`` is the body of ``FormalSum.__post_init__`` from
+before terms merged on integer (numerator, denominator) keys: it hashes and
+sorts the ``Fraction`` exponents themselves.  ``slow_balanced`` is the
+per-character depth loop that ``parse_expression`` ran before it cancelled
+adjacent ``()`` pairs, and ``slow_polar_parts`` the ``PolarComplex``
+constructor from before it read its parts off the ``Fraction`` arguments,
+which are already in lowest terms: a ``Fraction`` sign test and the two
+gcds of ``_reduced``.
 """
 
 from __future__ import annotations
@@ -125,7 +134,7 @@ from toriq.quotient import (
     discriminant_locus,
     group_structure,
 )
-from toriq.solenoid import _POW_BITS_CAP, PolarComplex
+from toriq.solenoid import _POW_BITS_CAP, PolarComplex, _as_fraction, _reduced
 
 
 def _direction_outside(kernel, lineality, rank):
@@ -1173,3 +1182,40 @@ def slow_check_equivariance(fan, t: TorusElement, z: HomogeneousPoint, l: int) -
     t_l = TorusElement(t.level, tuple(slow_pow_int(p, l) for p in t.params))
     right = slow_act(t_l, slow_power_map(l, z))
     return left.coords == right.coords
+
+
+def slow_formal_sum_terms(terms) -> tuple:
+    """The terms ``FormalSum.__post_init__`` kept before it merged on
+    integer keys: a dict keyed on the ``Fraction`` exponents, then a sort
+    that compares them."""
+    merged: dict[Fraction, int] = {}
+    for q, c in terms:
+        if type(q) is not Fraction:
+            q = _as_fraction(q)
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise DomainError("coefficients must be integers")
+        merged[q] = merged.get(q, 0) + c
+    cleaned = tuple(sorted((q, c) for q, c in merged.items() if c != 0))
+    return cleaned
+
+
+def slow_balanced(text: str) -> bool:
+    """The parenthesis check of ``parse_expression`` before it cancelled
+    adjacent pairs: a running depth, one character at a time."""
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    return depth == 0
+
+
+def slow_polar_parts(rho, turns=0) -> tuple[int, int, int, int]:
+    """The parts ``PolarComplex(rho, turns)`` stored before it read them off
+    its ``Fraction`` arguments: a ``Fraction`` sign test, then ``_reduced``
+    with its two gcds."""
+    rho = _as_fraction(rho)
+    turns = _as_fraction(turns)
+    if rho < 0:
+        raise DomainError("modulus must be nonnegative")
+    return _reduced(rho.numerator, rho.denominator, turns.numerator, turns.denominator)

@@ -8,6 +8,7 @@ import pytest
 from toriq import catalog
 from toriq.errors import DomainError, LevelMismatchError
 from toriq.fans import build_fan
+from toriq.kring import FormalSum
 from toriq.homogeneous import (
     HomogeneousPoint,
     TorusElement,
@@ -69,6 +70,24 @@ def test_points_and_torus_elements_reject_non_polar_input():
     for bad in ((2,), (polar(2), F(3)), ((1, 0),)):
         with pytest.raises(DomainError, match="torus parameters must be PolarComplex"):
             TorusElement(1, bad)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: FormalSum((1, 2)), "terms: each term must be"),
+    (lambda: FormalSum(None), "terms must be"),
+    (lambda: FormalSum(((F(1), 2, 3),)), "terms: each term must be"),
+    (lambda: HomogeneousPoint(CP2, 1, None), "coordinates must be"),
+    (lambda: TorusElement(1, 3), "torus parameters must be"),
+    (lambda: same_orbit(1, 2), "same_orbit: z must be"),
+    (lambda: same_orbit(HomogeneousPoint(CP2, 1, (polar(1),) * 3), 2), "same_orbit: z2 must be"),
+    (lambda: check_equivariance(CP2, 1, 2, 3), "check_equivariance: t must be"),
+    (lambda: check_equivariance(CP2, TorusElement(1, (polar(2),)), 2, 3),
+     "check_equivariance: z must be"),
+])
+def test_malformed_arguments_raise_named_domain_errors(call, named):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value).startswith(named)
 
 
 def test_torus_pow_int_rejects_a_non_integer_exponent():

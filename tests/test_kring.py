@@ -1,19 +1,23 @@
 """K-ring normal forms, the rewriting oracle, levels, and the parser, the
-last also against the sign-splitting parser it replaced (``slow_paths.py``)."""
+last also against the sign-splitting parser it replaced (``slow_paths.py``);
+formal sums merged and ordered on integer keys, and the parenthesis check,
+against the ``Fraction``-keyed merge and the depth loop they replaced."""
 
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slow_paths import slow_parse_expression
+from slow_paths import slow_balanced, slow_formal_sum_terms, slow_parse_expression
 from toriq.errors import DomainError, ExpressionError
 from toriq.kring import (
     FormalSum,
     KRingElement,
+    _balanced,
     in_level_image,
     oracle_reduce,
     parse_expression,
@@ -227,3 +231,62 @@ def test_formal_sum_keeps_fraction_exponents_and_converts_the_rest():
     for bad in (0.5, "1/3", True):
         with pytest.raises(DomainError):
             FormalSum.from_terms([(bad, 1)])
+
+
+def _exponent(rng):
+    """A rational exponent, negative half the time, with a denominator up
+    to 10^6, given as an int, a Fraction or a Decimal when it is one."""
+    den = rng.choice((1, 2, 3, 12, rng.randint(1, 60), rng.randint(1, 10 ** 6)))
+    q = F(rng.randint(-5 * den, 5 * den), den)
+    forms = [q]
+    if q.denominator == 1:
+        forms.append(q.numerator)
+    if 10 ** 6 % q.denominator == 0:
+        forms.append(Decimal(q.numerator) / Decimal(q.denominator))
+    return rng.choice(forms)
+
+
+def test_formal_sum_matches_fraction_keyed_merge():
+    """Terms, their order and their types as the ``Fraction``-keyed merge
+    gave them, over equal exponents given as int, Fraction and Decimal,
+    coefficients that cancel, and denominators up to 10^6."""
+    rng = random.Random(20261019)
+    cancelled = mixed = 0
+    for _ in range(2000):
+        terms = [(_exponent(rng), rng.randint(-9, 9)) for _ in range(rng.randint(0, 8))]
+        for q, c in list(terms):
+            if rng.random() < 0.3:
+                # the same exponent in another form, cancelling half the time
+                other = q.numerator if isinstance(q, F) and q.denominator == 1 else F(q)
+                terms.insert(rng.randrange(len(terms) + 1), (other, rng.choice((-c, 1))))
+        rng.shuffle(terms)
+        got = FormalSum(tuple(terms)).terms
+        want = slow_formal_sum_terms(terms)
+        assert got == want, terms
+        assert [(type(q), type(c)) for q, c in got] == [(type(q), type(c)) for q, c in want]
+        cancelled += len(want) < len({F(q) for q, _ in terms})
+        mixed += len({type(q) for q, _ in terms}) == 3
+    assert cancelled > 200 and mixed > 200
+    for bad in ([(F(1), 1), (F(1, 2), True)], [(F(1), 1.0)], [(0.5, 1)], [("1/2", 1)]):
+        with pytest.raises(DomainError) as fast:
+            FormalSum(tuple(bad))
+        with pytest.raises(DomainError) as slow:
+            slow_formal_sum_terms(bad)
+        assert str(fast.value) == str(slow.value)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.text(alphabet="()x^1 ", max_size=30))
+def test_paren_check_matches_depth_loop(text):
+    assert _balanced(text) is slow_balanced(text)
+
+
+def test_paren_check_is_linear_in_nesting_depth():
+    """Cancelling pairs takes one pass per level of nesting; the depth scan
+    of what is left keeps a deeply nested text to one pass."""
+    deep = "(" * 200_000 + ")" * 200_000
+    for text, want in ((deep, True), (deep + ")", False), ("(" + deep, False)):
+        started = time.perf_counter()
+        assert _balanced(text) is want
+        assert time.perf_counter() - started < 1.0
+        assert slow_balanced(text) is want

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slow_paths import slow_integer_root
+from slow_paths import slow_integer_root, slow_polar_parts
 from toriq.cones import RationalCone, cone_contains
 from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
 from toriq.kring import FormalSum, KRingElement
@@ -81,6 +81,35 @@ def test_polar_normalization_and_zero():
         PolarComplex(F(-1), F(0))
     with pytest.raises(DomainError):
         PolarComplex(0.5, F(0))
+
+
+def test_polar_parts_match_reduced_conversion():
+    """The parts read off the ``Fraction`` arguments equal ``_reduced`` of
+    the old conversion, for ints, Fractions and Decimals, turns below 0 or
+    at least 1, and modulus 0 under nonzero turns; refused input raises
+    the same error with the same text."""
+    rng = random.Random(20261019)
+
+    def number(lo, hi):
+        den = rng.choice((1, 2, 4, 5, 10, 12, 1000, rng.randint(1, 10 ** 6)))
+        q = F(rng.randint(lo * den, hi * den), den)
+        forms = [q, Decimal(q.numerator) / Decimal(q.denominator)] if 10 ** 6 % den == 0 else [q]
+        return rng.choice(forms + [q.numerator] if q.denominator == 1 else forms)
+
+    kinds = set()
+    for _ in range(3000):
+        rho = 0 if rng.random() < 0.1 else number(0, 50)
+        turns = number(-7, 7)
+        kinds.add((type(rho), type(turns), rho == 0, turns < 0, turns >= 1))
+        assert PolarComplex(rho, turns).parts == slow_polar_parts(rho, turns), (rho, turns)
+    assert len(kinds) > 20
+    for bad in ((-1, 0), (F(-1, 2), F(1, 3)), (Decimal("-0.5"), 0), (0.5, 0), (1, 0.25),
+                ("1/2", 0), (1, "1/3"), (True, 0), (1, False), (-1, 0.5)):
+        with pytest.raises(DomainError) as fast:
+            PolarComplex(*bad)
+        with pytest.raises(DomainError) as slow:
+            slow_polar_parts(*bad)
+        assert type(fast.value) is type(slow.value) and str(fast.value) == str(slow.value)
 
 
 @pytest.mark.parametrize("make", [
