@@ -8,23 +8,20 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .errors import DomainError
-from .fans import Fan, build_fan, load_fan
-
-
-def _check_parameter(value, least: int, message: str) -> None:
-    """Raise ``DomainError(message)`` unless value is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DomainError(message)
+from .errors import ResourceLimitError, _check_int, _shown
+from .fans import _FACE_CAP, Fan, build_fan, load_fan
 
 
 def projective_space(m: int) -> Fan:
     """Standard complete fan of m-dimensional projective space.
 
     Rays are the unit vectors plus the negative of their sum; maximal cones
-    are all m-subsets of the m + 1 rays.
+    are all m-subsets of the m + 1 rays.  Past m = 1023 those cones list
+    more than 2^20 ray indices, and it raises ``ResourceLimitError``.
     """
-    _check_parameter(m, 1, "projective_space needs m >= 1")
+    if _check_int(m, "projective_space needs m >= 1", 1) * (m + 1) > _FACE_CAP:
+        raise ResourceLimitError(f"projective_space: m = {_shown(m)} is past 1023: the maximal "
+                                 f"cones would list more than {_FACE_CAP} ray indices")
     rays = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
     rays.append(tuple(-1 for _ in range(m)))
     cones = [
@@ -55,10 +52,10 @@ def weighted_plane(n: int) -> Fan:
     Ray order realizes the relation v1 + v2 + n*v3 = 0, so the charge
     matrix is the column (1, 1, n).
     """
-    _check_parameter(n, 1, "weighted_plane needs n >= 1")
+    _check_int(n, "weighted_plane needs n >= 1", 1)
     rays = [(1, 0), (-1, n), (0, -1)]
     cones = [[0, 1], [1, 2], [0, 2]]
-    return build_fan(2, rays, cones, complete=True, name=f"cp11_{n}")
+    return build_fan(2, rays, cones, complete=True, name=f"cp11_{_shown(n)}")
 
 
 def hirzebruch(n: int) -> Fan:
@@ -66,10 +63,10 @@ def hirzebruch(n: int) -> Fan:
 
     Ray order realizes v3 + v4 = 0 and v1 + v2 - n*v4 = 0.
     """
-    _check_parameter(n, 0, "hirzebruch needs n >= 0")
+    _check_int(n, "hirzebruch needs n >= 0", 0)
     rays = [(1, 0), (-1, n), (0, -1), (0, 1)]
     cones = [[0, 3], [1, 3], [1, 2], [0, 2]]
-    return build_fan(2, rays, cones, complete=True, name=f"hirzebruch_{n}")
+    return build_fan(2, rays, cones, complete=True, name=f"hirzebruch_{_shown(n)}")
 
 
 def fan_path(name: str) -> Path:

@@ -46,7 +46,7 @@ from itertools import combinations, islice, product
 from math import prod
 from operator import le, mul
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _check_int, _shown
 from .fans import _CACHE_SIZE, Fan
 from .intlinalg import (
     IntMatrix,
@@ -82,13 +82,12 @@ class RationalCone:
     _lineality = None  # not a field; see lineality_basis
 
     def __post_init__(self):
-        if self.ambient_rank < 1:
-            raise DomainError("ambient rank must be positive")
+        _check_int(self.ambient_rank, "ambient rank must be positive", 1)
         gens = []
         for v in self.generators:
             v = tuple(v)
             if len(v) != self.ambient_rank:
-                raise DomainError(f"generator {v} has wrong length")
+                raise DomainError(f"generator {_shown(v)} has wrong length")
             gens.append(primitive(v))
         object.__setattr__(
             self, "generators", tuple(sorted(set(gens), key=_grlex_key))
@@ -304,7 +303,7 @@ def _pointed_hilbert_basis(cone: RationalCone) -> list[IntVector]:
     size = sum(n for n, _ in parallelepipeds)
     if size > _POINT_CAP:
         raise ResourceLimitError(
-            f"hilbert_basis: the cone spanned by {', '.join(map(str, gens))} has {size} "
+            f"hilbert_basis: the cone spanned by {', '.join(map(_shown, gens))} has {_shown(size)} "
             f"candidates in the parallelepipeds of its {rho}-generator subsets, past the cap of {_POINT_CAP}"
         )
     dual_gens = dual_cone(cone).generators
@@ -381,8 +380,8 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     size = _rank2_count(p, q)
     if size > _POINT_CAP:
         raise ResourceLimitError(
-            f"hilbert_basis: the rank-2 cone spanned by {u} and {w} has {size} "
-            f"basis elements, past the cap of {_POINT_CAP}"
+            f"hilbert_basis: the rank-2 cone spanned by {_shown(u)} and {_shown(w)} "
+            f"has {_shown(size)} basis elements, past the cap of {_POINT_CAP}"
         )
     out = [u, e]
     prev, cur = u, e
@@ -426,7 +425,7 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
             except ResourceLimitError as exc:
                 # name the caller's cone, not only the quotient coordinates
                 raise ResourceLimitError(
-                    f"hilbert_basis: the cone spanned by {', '.join(map(str, cone.generators))} "
+                    f"hilbert_basis: the cone spanned by {', '.join(map(_shown, cone.generators))} "
                     f"has a pointed quotient by its lineality space where "
                     f"{str(exc).removeprefix('hilbert_basis: ')}"
                 ) from None

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one integer check.
 
 Two broad families matter to callers (and fix the CLI exit codes):
 ``InputError`` for malformed user input, ``DomainError`` for structurally
-valid data that violates an operation's precondition.
+valid data that violates an operation's precondition.  ``_check_int``
+decides what an integer argument is (an ``int``, never a ``bool``, at least
+a bound if given) and ``_shown`` how a caller's value shows in a message:
+no number is cut, and none too long to print is printed.
 """
 
 
@@ -42,3 +45,23 @@ class ResourceLimitError(DomainError):
 
 class LevelMismatchError(DomainError):
     """Two truncated values live at different levels; refine explicitly first."""
+
+
+def _shown(x) -> str:
+    """``repr(x)`` cut to 40 characters; an ``int`` with a longer repr as
+    ``a [negative ]N-bit integer``, a value whose repr raises by its type."""
+    if type(x) is int and not -10**39 < x < 10**40:
+        return f"a {'negative ' if x < 0 else ''}{x.bit_length()}-bit integer"
+    try:
+        return repr(x)[:40]
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        return f"a {type(x).__name__} too long to print"
+
+
+def _check_int(x, message: str, least: int | None = None, error=DomainError) -> int:
+    """``x`` if it is an ``int``, not a ``bool``, and at least ``least`` when
+    given; else raise ``error(message)``, its ``{}`` filled by ``_shown(x)``."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or (
+            least is not None and x < least):
+        raise error(message.format(_shown(x)))
+    return x

@@ -52,7 +52,8 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
-from .errors import DomainError, FanValidationError, ResourceLimitError, TorusFactorError
+from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
+                     _check_int, _shown)
 from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
@@ -78,8 +79,7 @@ class Fan:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "maximal_cones", cones)
         rank = self.lattice_rank
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-            raise FanValidationError("lattice_rank must be a positive integer")
+        _check_int(rank, "lattice_rank must be a positive integer", 1, FanValidationError)
         if not rays:
             raise FanValidationError("rays: at least one ray is required")
         # rays of exact ints only need any(v) and gcd(*v) == 1; primitive()
@@ -88,7 +88,7 @@ class Fan:
         for k, v in enumerate(rays):
             if len(v) != rank:
                 raise FanValidationError(
-                    f"rays[{k + 1}]: expected {rank} coordinates, got {len(v)}"
+                    f"rays[{k + 1}]: expected {_shown(rank)} coordinates, got {len(v)}"
                 )
             if not (exact and any(v)):
                 try:
@@ -96,7 +96,7 @@ class Fan:
                 except DomainError as exc:
                     raise FanValidationError(f"rays[{k + 1}]: {exc}") from None
             if gcd(*v) != 1:
-                raise FanValidationError(f"rays[{k + 1}]: ray {v} is not primitive")
+                raise FanValidationError(f"rays[{k + 1}]: ray {_shown(v)} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanValidationError("rays: duplicate ray")
         if not cones:
@@ -203,10 +203,10 @@ class Fan:
         n, star, last, ordered = len(self.rays), self._star, -1, True
         mask = (1 << len(self.maximal_cones)) - 1
         for i in idx:
-            if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
-                raise FanValidationError(f"ray index {i!r} is not an integer")
+            if type(i) is not int:
+                _check_int(i, "ray index {} is not an integer", error=FanValidationError)
             if not (0 <= i < n):
-                raise FanValidationError(f"ray index {i + 1} out of range")
+                raise FanValidationError(f"ray index {_shown(i + 1)} out of range")
             mask &= star[i]
             ordered, last = ordered and i > last, i
         if not ordered:
@@ -255,8 +255,8 @@ def _int_indices(k: int, cone) -> tuple:
     on the first, cheapest test."""
     cone = tuple(cone)
     for i in cone:
-        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
-            raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be integers")
+        if type(i) is not int:
+            _check_int(i, f"maximal_cones[{k + 1}]: indices must be integers", error=FanValidationError)
     return cone
 
 
@@ -268,7 +268,7 @@ def _check_indices(k: int, cone: tuple, n: int) -> None:
         raise FanValidationError(f"maximal_cones[{k + 1}]: indices must be sorted and distinct")
     for i in cone:
         if not (0 <= i < n):
-            raise FanValidationError(f"maximal_cones[{k + 1}]: ray index {i + 1} out of range")
+            raise FanValidationError(f"maximal_cones[{k + 1}]: ray index {_shown(i + 1)} out of range")
 
 
 def _one_based(cone) -> list[int]:
@@ -295,15 +295,13 @@ def fan_from_dict(data) -> Fan:
         if key not in data:
             raise FanValidationError(f"{key}: missing field")
     rank = data["lattice_rank"]
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        raise FanValidationError("lattice_rank: expected an integer")
+    _check_int(rank, "lattice_rank: expected an integer", error=FanValidationError)
     rays = data["rays"]
     if not isinstance(rays, list) or not all(isinstance(v, list) for v in rays):
         raise FanValidationError("rays: expected a list of integer vectors")
     for k, v in enumerate(rays):
         for x in v:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise FanValidationError(f"rays[{k + 1}]: entries must be integers")
+            _check_int(x, f"rays[{k + 1}]: entries must be integers", error=FanValidationError)
     cones_raw = data["maximal_cones"]
     if not isinstance(cones_raw, list) or not all(isinstance(c, list) for c in cones_raw):
         raise FanValidationError("maximal_cones: expected a list of index lists")
@@ -312,7 +310,7 @@ def fan_from_dict(data) -> Fan:
         for i in _int_indices(k, c):
             if i < 1:
                 raise FanValidationError(
-                    f"maximal_cones[{k + 1}]: ray indices are 1-based, got {i}"
+                    f"maximal_cones[{k + 1}]: ray indices are 1-based, got {_shown(i)}"
                 )
         cones.append([i - 1 for i in c])
     complete = data.get("complete", False)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import DomainError, LevelMismatchError
+from .errors import DomainError, LevelMismatchError, _check_int, _shown
 from .fans import Fan
 from .intlinalg import IntMatrix, _trusted, smith_normal_form
 from .quotient import charge_matrix
@@ -40,16 +40,16 @@ def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
         values = tuple(values)
     except TypeError:
         raise DomainError(f"{what} must be an iterable of PolarComplex values, "
-                          f"got {values!r:.40}") from None
+                          f"got {_shown(values)}") from None
     for v in values:
         if not isinstance(v, PolarComplex):
-            raise DomainError(f"{what} must be PolarComplex values, got {v!r:.40}")
+            raise DomainError(f"{what} must be PolarComplex values, got {_shown(v)}")
     return values
 
 
 def _check_type(caller: str, name: str, value, cls) -> None:
     if not isinstance(value, cls):
-        raise DomainError(f"{caller}: {name} must be a {cls.__name__}, got {value!r:.40}")
+        raise DomainError(f"{caller}: {name} must be a {cls.__name__}, got {_shown(value)}")
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
@@ -75,6 +75,7 @@ class HomogeneousPoint:
     coords: tuple[PolarComplex, ...]
 
     def __post_init__(self):
+        _check_type("HomogeneousPoint", "fan", self.fan, Fan)
         _check_level(self.level)
         object.__setattr__(self, "coords", _polar_tuple(self.coords, "coordinates"))
         if in_discriminant(self.fan, self.coords):
@@ -99,8 +100,7 @@ class TorusElement:
             raise DomainError("torus parameters must be nonzero")
 
     def pow_int(self, k: int) -> "TorusElement":
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise DomainError("exponent must be an integer")
+        _check_int(k, "exponent must be an integer")
         # powers of nonzero parameters are nonzero
         return _trusted(TorusElement, level=self.level,
                         params=tuple(p.pow_int(k) for p in self.params))
@@ -122,6 +122,8 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
     two, and the turns add over a common denominator, each factor's power
     capped as in ``pow_int``.  One ``PolarComplex`` is built at the end.
     """
+    _check_type("act", "t", t, TorusElement)
+    _check_type("act", "z", z, HomogeneousPoint)
     if t.level != z.level:
         raise LevelMismatchError("torus element and point live at different levels")
     q = charge_matrix(z.fan).matrix
@@ -145,8 +147,8 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
 
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power; zero patterns are unchanged."""
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
-        raise DomainError("power map exponent must be a positive integer")
+    _check_int(l, "power map exponent must be a positive integer", 1)
+    _check_type("power_map", "z", z, HomogeneousPoint)
     return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
                     coords=tuple(c.pow_int(l) for c in z.coords))
 

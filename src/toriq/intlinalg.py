@@ -4,7 +4,7 @@ kernels, unimodular inverses.
 Everything runs on Python's arbitrary-precision integers.  No floating
 point is used anywhere: normal-form intermediates can exceed any fixed
 width, and a silent overflow would corrupt every invariant built on top of
-this module.
+this module.  Entries given are checked by ``errors._check_int``.
 
 Both normal forms clear columns with one gcd step, ``_clear_column``, and
 carry a row transform as identity columns: reducing the rows of ``[a | I]``
@@ -32,15 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 
 IntVector = tuple[int, ...]
-
-
-def _check_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise DomainError(f"exact integer expected, got {x!r}")
-    return x
 
 
 def _trusted(cls, **fields):
@@ -73,7 +67,7 @@ def primitive(v) -> IntVector:
     The result generates the same ray (it is ``v / g`` with ``g > 0``) and
     has coprime entries.  The zero vector has no primitive representative.
     """
-    vec = tuple(_check_int(x) for x in v)
+    vec = tuple(_check_int(x, "exact integer expected, got {}") for x in v)
     if not any(vec):
         raise DomainError("the zero vector has no primitive representative")
     g = gcd(*vec)
@@ -92,13 +86,10 @@ class IntMatrix:
     cols: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(_check_int(x) for x in row) for row in self.entries),
-        )
-        if self.cols < 0:
-            raise DomainError("column count must be nonnegative")
+        entries = tuple(tuple(_check_int(x, "exact integer expected, got {}") for x in row)
+                        for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        _check_int(self.cols, "column count must be nonnegative", 0)
         for row in self.entries:
             if len(row) != self.cols:
                 raise DomainError("ragged rows in matrix")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import DomainError, ExpressionError
+from .errors import DomainError, ExpressionError, _check_int, _shown
 from .solenoid import _as_fraction
 
 
@@ -49,18 +49,17 @@ class FormalSum:
             terms = iter(self.terms)
         except TypeError:
             raise DomainError(f"terms must be an iterable of (exponent, coefficient) "
-                              f"pairs, got {self.terms!r:.40}") from None
+                              f"pairs, got {_shown(self.terms)}") from None
         merged: dict[tuple[int, int], list] = {}
         for term in terms:
             try:
                 q, c = term
             except (TypeError, ValueError):
                 raise DomainError(f"terms: each term must be an (exponent, coefficient) "
-                                  f"pair, got {term!r:.40}") from None
+                                  f"pair, got {_shown(term)}") from None
             if type(q) is not Fraction:
                 q = _as_fraction(q)
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise DomainError("coefficients must be integers")
+            _check_int(c, "coefficients must be integers")
             key = q.numerator, q.denominator
             entry = merged.get(key)
             if entry is None:
@@ -112,8 +111,7 @@ class KRingElement:
     class_part: Fraction
 
     def __post_init__(self):
-        if isinstance(self.rank_part, bool) or not isinstance(self.rank_part, int):
-            raise DomainError("rank part must be an integer")
+        _check_int(self.rank_part, "rank part must be an integer")
         object.__setattr__(self, "class_part", _as_fraction(self.class_part))
 
     def __add__(self, other: "KRingElement") -> "KRingElement":
@@ -148,8 +146,7 @@ def reduce(s: FormalSum) -> KRingElement:
 def in_level_image(e: KRingElement, n: int) -> bool:
     """Is the element in the image of the level-n covering, i.e. is the class
     part a multiple of 1/n?"""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError("level must be a positive integer")
+    _check_int(n, "level must be a positive integer", 1)
     return (e.class_part * n).denominator == 1
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, LevelMismatchError, ResourceLimitError
+from .errors import DomainError, LevelMismatchError, ResourceLimitError, _check_int, _shown
 from .intlinalg import _trusted
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
@@ -45,7 +45,7 @@ def _capped_pow(n: int, d: int, k: int) -> tuple[int, int]:
     num, den = n.bit_length(), d.bit_length()
     if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
         raise ResourceLimitError(
-            f"pow_int: exponent {k} on a modulus of {num}/{den} bits (numerator/"
+            f"pow_int: exponent {_shown(k)} on a modulus of {num}/{den} bits (numerator/"
             f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
     if k < 0:
         n, d, k = d, n, -k
@@ -76,17 +76,15 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise DomainError("floating point input rejected; pass Fraction or int")
     if isinstance(x, (str, bool)):
-        raise DomainError(f"exact rational expected, got {x!r:.40}")
+        raise DomainError(f"exact rational expected, got {_shown(x)}")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise DomainError(f"exact rational expected, got {x!r:.40}") from None
+        raise DomainError(f"exact rational expected, got {_shown(x)}") from None
 
 
 def _check_level(m) -> int:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise DomainError(f"level must be a positive integer, got {m!r}")
-    return m
+    return _check_int(m, "level must be a positive integer, got {}", 1)
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,19 @@ class ProfiniteInt:
 
     def __post_init__(self):
         _check_level(self.level)
-        if isinstance(self.residue, bool) or not isinstance(self.residue, int):
-            raise DomainError("residue must be an integer")
+        _check_int(self.residue, "residue must be an integer")
         object.__setattr__(self, "residue", self.residue % self.level)
 
     @classmethod
     def from_int(cls, n: int, level: int) -> "ProfiniteInt":
         """Canonical inclusion of an integer at the given level."""
-        return cls(level, n % _check_level(level))
+        return cls(level, n)
 
     def project(self, d: int) -> int:
         """Residue mod a divisor d of the level."""
         _check_level(d)
         if self.level % d != 0:
-            raise DomainError(f"{d} does not divide the level {self.level}")
+            raise DomainError(f"{_shown(d)} does not divide the level {_shown(self.level)}")
         return self.residue % d
 
     def __add__(self, other: "ProfiniteInt") -> "ProfiniteInt":
@@ -119,7 +116,7 @@ class ProfiniteInt:
             return NotImplemented
         if self.level != other.level:
             raise LevelMismatchError(
-                f"cannot add residues at levels {self.level} and {other.level}; "
+                f"cannot add residues at levels {_shown(self.level)} and {_shown(other.level)}; "
                 "lift both to a common level first"
             )
         return ProfiniteInt(self.level, self.residue + other.residue)
@@ -197,8 +194,7 @@ class PolarComplex:
     def pow_int(self, k: int) -> "PolarComplex":
         """The k-th power: the modulus parts by ``_capped_pow``, which keeps
         them coprime, so only the turns are reduced."""
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise DomainError("exponent must be an integer")
+        _check_int(k, "exponent must be an integer")
         n, d, tn, td = self.parts
         if not n:
             if k < 1:
@@ -211,10 +207,10 @@ class PolarComplex:
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
-        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-            raise DomainError(f"root degree must be a positive integer, got {q!r}")
-        if isinstance(branch, bool) or not isinstance(branch, int) or not 0 <= branch < q:
-            raise DomainError(f"branch must be an integer in [0, {q}), got {branch!r}")
+        _check_int(q, "root degree must be a positive integer, got {}", 1)
+        message = f"branch must be an integer in [0, {_shown(q)}), got {{}}"
+        if _check_int(branch, message, 0) >= q:
+            raise DomainError(message.format(_shown(branch)))
         n, d, tn, td = self.parts
         if not n:
             return self
@@ -260,7 +256,7 @@ def _exact_root(n: int, q: int) -> int:
     root = _integer_root(n, q)
     if root is None:
         raise DomainError(
-            f"{n} is not a perfect {q}-th power; refine only along exact radicals"
+            f"{_shown(n)} is not a perfect {_shown(q)}-th power; refine only along exact radicals"
         )
     return root
 
@@ -271,7 +267,7 @@ def cover_map(n: int, m: int, z: PolarComplex) -> PolarComplex:
     _check_level(n)
     _check_level(m)
     if m % n != 0:
-        raise DomainError(f"cover map needs n | m, got n={n}, m={m}")
+        raise DomainError(f"cover map needs n | m, got n={_shown(n)}, m={_shown(m)}")
     return z.pow_int(m // n)
 
 
@@ -289,12 +285,12 @@ class SolenoidPoint:
     def __post_init__(self):
         _check_level(self.level)
         if not isinstance(self.top, PolarComplex):
-            raise DomainError(f"top coordinate must be a PolarComplex, got {self.top!r:.40}")
+            raise DomainError(f"top coordinate must be a PolarComplex, got {_shown(self.top)}")
 
     def coordinate(self, d: int) -> PolarComplex:
         _check_level(d)
         if self.level % d != 0:
-            raise DomainError(f"{d} does not divide the level {self.level}")
+            raise DomainError(f"{_shown(d)} does not divide the level {_shown(self.level)}")
         return self.top.pow_int(self.level // d)
 
     def base_coordinate(self) -> PolarComplex:
@@ -306,7 +302,7 @@ class SolenoidPoint:
             return NotImplemented
         if self.level != other.level:
             raise LevelMismatchError(
-                f"cannot multiply points at levels {self.level} and {other.level}"
+                f"cannot multiply points at levels {_shown(self.level)} and {_shown(other.level)}"
             )
         return SolenoidPoint(self.level, self.top * other.top)
 
@@ -344,7 +340,7 @@ def refine(z: SolenoidPoint, new_level: int, branch: int) -> SolenoidPoint:
     _check_level(new_level)
     if new_level % z.level != 0:
         raise DomainError(
-            f"refinement level {new_level} must be a multiple of {z.level}"
+            f"refinement level {_shown(new_level)} must be a multiple of {_shown(z.level)}"
         )
     q = new_level // z.level
     return SolenoidPoint(new_level, z.top.root(q, branch))
