@@ -208,9 +208,10 @@ class PolarComplex:
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""
         _check_int(q, "root degree must be a positive integer, got {}", 1)
-        message = f"branch must be an integer in [0, {_shown(q)}), got {{}}"
-        if _check_int(branch, message, 0) >= q:
-            raise DomainError(message.format(_shown(branch)))
+        if type(branch) is not int or not 0 <= branch < q:  # message built on failure only
+            message = f"branch must be an integer in [0, {_shown(q)}), got {{}}"
+            if _check_int(branch, message, 0) >= q:
+                raise DomainError(message.format(_shown(branch)))
         n, d, tn, td = self.parts
         if not n:
             return self
