@@ -18,10 +18,11 @@ from toriq.moment import cusp_count, delzant_svg, face_lattice
 # edges with one-dimensional fibers, full-rank fiber over the interior.
 lattice = face_lattice(catalog.projective_plane())
 print("cp2 f-vector (faces by dimension):", lattice.f_vector)
-for node in lattice.nodes:
-    cone = [i + 1 for i in node.cone] or "interior"
-    kind = "cusp" if node.is_cusp else f"fiber rank {node.fiber_rank}"
-    print(f"   face of dim {node.face_dim} over cone {cone}: {kind}")
+for m, block in enumerate(lattice.faces):
+    for cone in block:
+        label = [i + 1 for i in cone] or "interior"
+        kind = "cusp" if m == 0 else f"fiber rank {m}"
+        print(f"   face of dim {m} over cone {label}: {kind}")
 
 # Cusps count the full-dimensional cones, i.e. the polytope vertices.
 print("\ncusp counts:")
@@ -40,5 +41,5 @@ for m in (1, 2, 3, 4):
 
 # A schematic picture for rank-2 fans (combinatorics exact, geometry not).
 out = Path("delzant_cp2.svg")
-out.write_text(delzant_svg(catalog.projective_plane()))
+out.write_text(delzant_svg(catalog.projective_plane()), encoding="utf-8")
 print(f"\nwrote {out} (open in a browser)")

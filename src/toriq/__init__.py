@@ -39,7 +39,7 @@ from .homogeneous import (
     same_orbit,
 )
 from .intlinalg import IntMatrix, integer_kernel, primitive, smith_normal_form
-from .moment import FaceLattice, FaceNode, cusp_count, delzant_report, face_lattice
+from .moment import FaceLattice, cusp_count, delzant_report, face_lattice
 from .quotient import (
     AutPresentation,
     ChargeMatrix,
@@ -72,7 +72,6 @@ __all__ = [
     "DiscriminantAntichain",
     "DomainError",
     "FaceLattice",
-    "FaceNode",
     "Fan",
     "FanSymmetryGroup",
     "HilbertBasis",

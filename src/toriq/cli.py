@@ -93,7 +93,7 @@ def cmd_delzant(args) -> int:
     report = delzant_report(fan)
     report["name"] = fan.name or "fan"
     if args.svg:
-        with open(args.svg, "w") as fh:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(delzant_svg(fan))
         report["svg"] = args.svg
     _print(args, report)

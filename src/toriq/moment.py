@@ -15,36 +15,31 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, IncompleteFanError
+from .errors import DomainError, IncompleteFanError, _shown
 from .fans import _CACHE_SIZE, ConeRef, Fan
 
 
 @dataclass(frozen=True)
-class FaceNode:
-    cone: ConeRef
-    face_dim: int
-    fiber_rank: int
-    is_cusp: bool
-
-
-@dataclass(frozen=True)
 class FaceLattice:
-    """Faces of the Delzant polytope, ordered by reversed cone inclusion."""
+    """Faces of the Delzant polytope, ordered by reversed cone inclusion:
+    ``faces[m]`` holds the cones with ``lattice_rank - m`` rays, the
+    m-dimensional faces, each with an m-dimensional fiber."""
 
     lattice_rank: int
-    nodes: tuple[FaceNode, ...]
-    f_vector: tuple[int, ...]
+    faces: tuple[tuple[ConeRef, ...], ...]
 
     @property
-    def cusps(self) -> tuple[FaceNode, ...]:
-        return tuple(node for node in self.nodes if node.is_cusp)
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(map(len, self.faces))
 
     @property
-    def top(self) -> FaceNode:
-        return self.nodes[-1]
+    def cusps(self) -> tuple[ConeRef, ...]:
+        return self.faces[0]
 
 
 def _require_complete(fan: Fan, what: str):
+    if not isinstance(fan, Fan):
+        raise DomainError(f"{what}: fan must be a Fan, got {_shown(fan)}")
     if not fan.complete:
         raise IncompleteFanError(
             f"{what} requires a complete fan (the moment-map picture needs a "
@@ -62,9 +57,7 @@ def face_lattice(fan: Fan) -> FaceLattice:
     # cones come by dimension, then lexicographically: the d-ray cones are
     # the block cones[ends[d]:ends[d + 1]], and face dimension m takes d = n - m
     ends = [bisect_left(cones, d, key=len) for d in range(n + 2)]
-    nodes = tuple(FaceNode(cone, m, m, m == 0)
-                  for m in range(n + 1) for cone in cones[ends[n - m]:ends[n - m + 1]])
-    return FaceLattice(n, nodes, tuple(ends[d + 1] - ends[d] for d in reversed(range(n + 1))))
+    return FaceLattice(n, tuple(cones[ends[n - m]:ends[n - m + 1]] for m in range(n + 1)))
 
 
 def cusp_count(fan: Fan) -> int:
@@ -75,17 +68,19 @@ def cusp_count(fan: Fan) -> int:
 
 def delzant_report(fan: Fan) -> dict:
     """JSON-ready face listing; ray indices 1-based, keys fixed."""
+    _require_complete(fan, "face lattice")  # before the cache hashes ``fan``
     lattice = face_lattice(fan)
     return {
         "f_vector": list(lattice.f_vector),
         "cusps": len(lattice.cusps),
         "faces": [
             {
-                "cone": [i + 1 for i in node.cone],
-                "dim": node.face_dim,
-                "fiber_rank": node.fiber_rank,
+                "cone": [i + 1 for i in cone],
+                "dim": m,
+                "fiber_rank": m,
             }
-            for node in lattice.nodes
+            for m, block in enumerate(lattice.faces)
+            for cone in block
         ],
     }
 
@@ -101,6 +96,8 @@ def delzant_svg(fan: Fan) -> str:
     _require_complete(fan, "polytope drawing")
     if fan.lattice_rank != 2:
         raise DomainError("SVG output is implemented for rank-2 fans only")
+    from html import escape  # here, not at import: kept off start-up
+
     size, radius = 420.0, 150.0
     cx = cy = size / 2
 
@@ -129,7 +126,7 @@ def delzant_svg(fan: Fan) -> str:
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    title = fan.name or "fan"
+    title = escape(fan.name or "fan", quote=False)
     parts.append(
         f'<text x="{cx:.1f}" y="24" text-anchor="middle" font-size="15" '
         f'font-family="sans-serif">{title}: cusps at vertices, rank-1 fibers on edges</text>'

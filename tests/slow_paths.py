@@ -52,8 +52,8 @@ is ``kring.oracle_reduce`` from before it split the largest exponent
 first: each step rebuilds the pending list from the whole table and
 splits a random entry of it, so an exponent can be split, rebuilt by a
 later split and split again.  ``slow_face_lattice``
-sorts the face nodes that ``moment.face_lattice`` now takes in face-list
-order.  ``slow_discriminant_scan`` is the primitive-collection scan from
+sorts and counts the cones that ``moment.face_lattice`` now slices from the
+face list.  ``slow_discriminant_scan`` is the primitive-collection scan from
 before it read ray masks: hash lookups of every F + (j,) and its facets
 in the set of cones.  ``slow_integer_root`` finds every root, square roots too, by
 bisection over the root's bits, as ``solenoid._integer_root`` did before
@@ -118,7 +118,7 @@ from toriq.intlinalg import (
     smith_normal_form,
 )
 from toriq.kring import FormalSum, KRingElement, _common_grid
-from toriq.moment import FaceLattice, FaceNode
+from toriq.moment import FaceLattice
 from toriq.quotient import (
     _ENUMERATION_CAP,
     ChargeMatrix,
@@ -818,18 +818,20 @@ def slow_discriminant_scan(fan) -> tuple:
 
 
 def slow_face_lattice(fan) -> FaceLattice:
-    """``moment.face_lattice`` from before it bucketed the face list: the
-    nodes sorted by (face dimension, cone), then counted for the f-vector."""
+    """``moment.face_lattice`` from before it sliced the face list: the
+    cones sorted by (face dimension, cone), counted by face dimension, then
+    cut into blocks of those counts."""
     n = fan.lattice_rank
-    nodes = []
-    for cone in fan.cones():
-        m = n - len(cone)  # simplicial: a cone's rays are independent
-        nodes.append(FaceNode(cone=cone, face_dim=m, fiber_rank=m, is_cusp=(m == 0)))
-    nodes.sort(key=lambda node: (node.face_dim, node.cone))
-    f_vector = [0] * (n + 1)
-    for node in nodes:
-        f_vector[node.face_dim] += 1
-    return FaceLattice(n, tuple(nodes), tuple(f_vector))
+    # simplicial: a cone with d independent rays has a face of dimension n - d
+    cones = sorted(fan.cones(), key=lambda cone: (n - len(cone), cone))
+    counts = [0] * (n + 1)
+    for cone in cones:
+        counts[n - len(cone)] += 1
+    faces, start = [], 0
+    for count in counts:
+        faces.append(tuple(cones[start:start + count]))
+        start += count
+    return FaceLattice(n, tuple(faces))
 
 
 def _prime_factors(n: int) -> dict[int, int]:

@@ -86,9 +86,10 @@ def test_moment_structure():
     try:
         lattice = face_lattice(catalog.projective_plane())
         assert lattice.f_vector == (3, 3, 1)
-        assert sorted({node.fiber_rank for node in lattice.nodes}) == [0, 1, 2]
-        for node in lattice.nodes:
-            assert node.fiber_rank == 2 - len(node.cone)
+        # faces[m] holds the faces of fiber rank m, each over a (2 - m)-ray cone
+        assert [m for m, block in enumerate(lattice.faces) if block] == [0, 1, 2]
+        for m, block in enumerate(lattice.faces):
+            assert all(m == 2 - len(cone) for cone in block)
         expected_cusps = {
             "cp1": 2,
             "cp2": 3,

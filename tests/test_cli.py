@@ -9,9 +9,11 @@ import sys
 import time
 from itertools import combinations
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
+from test_demos import STRICT_ENCODING
 from test_discriminant_fastpath import cp3_blowup
 from toriq.catalog import fan_path, projective_space, weighted_plane
 from toriq.cli import main
@@ -123,6 +125,27 @@ def test_delzant_svg_output(capsys, tmp_path):
     assert code == 0
     assert target.exists() and "<svg" in target.read_text()
     assert json.loads(out)["svg"] == str(target)
+
+
+def test_delzant_svg_is_utf8_whatever_the_locale(tmp_path):
+    """``toriq delzant --svg`` on a fan with a non-ASCII name, run with a
+    file opened in the locale's encoding made an error: it exits 0, and
+    the SVG parses as UTF-8 with the name as its title."""
+    name = "\u2119\u00b2 \u00e0 la Delzant"
+    fan = dict(fan_to_dict(projective_space(2)), name=name)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, *STRICT_ENCODING, "-m", "toriq", "delzant", str(path),
+                           "--svg", "out.svg"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["name"] == name
+    title = minidom.parse(str(tmp_path / "out.svg")).getElementsByTagName("text")[0]
+    assert title.firstChild.data.startswith(f"{name}: ")
 
 
 def test_delzant_incomplete_fan_is_domain_error(capsys, tmp_path):

@@ -16,7 +16,7 @@ from toriq import catalog, quotient
 from toriq.cli import main
 from toriq.errors import DomainError, ResourceLimitError
 from toriq.fans import build_fan, fan_to_dict
-from toriq.moment import face_lattice
+from toriq.moment import delzant_report, face_lattice
 from toriq.quotient import discriminant_locus, fan_symmetry
 
 SEED = 20261019
@@ -197,16 +197,34 @@ def _order_corpus():
     return fans
 
 
+def _report_from(lattice) -> dict:
+    """The ``toriq delzant`` report of a face lattice: every face dimension
+    and fiber rank read off its cone's size, not its block."""
+    n = lattice.lattice_rank
+    cones = [cone for block in lattice.faces for cone in block]
+    return {
+        "f_vector": [len(block) for block in lattice.faces],
+        "cusps": sum(1 for cone in cones if len(cone) == n),
+        "faces": [{"cone": [i + 1 for i in cone], "dim": n - len(cone),
+                   "fiber_rank": n - len(cone)} for cone in cones],
+    }
+
+
 def test_face_lattice_and_discriminant_keep_face_list_order():
-    """``face_lattice`` buckets the face list by face dimension and
+    """``face_lattice`` slices the face list by face dimension and
     ``discriminant_locus`` keeps its scan order, with no sort: both equal
-    the sorted outputs, on ``_order_corpus``."""
+    the sorted outputs, on ``_order_corpus``.  ``delzant_report``, whose
+    bytes no golden pins above rank 2, equals the report of the sorted
+    lattice."""
     fans = _order_corpus()
     complete = [fan for fan in fans if fan.complete]
     assert len(fans) == 882 and len(complete) >= 600
+    assert {fan.lattice_rank for fan in complete} == {1, 2, 3, 4, 5}
     face_lattice.cache_clear()
     for fan in complete:
-        assert face_lattice(fan) == slow_face_lattice(fan), fan
+        slow = slow_face_lattice(fan)
+        assert face_lattice(fan) == slow, fan
+        assert delzant_report(fan) == _report_from(slow), fan
     discriminant_locus.cache_clear()
     for fan in fans:
         minimal = discriminant_locus(fan).minimal_subsets
