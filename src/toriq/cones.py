@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, islice, product
 from math import prod
 from operator import le, mul
 
 from .errors import DomainError, ResourceLimitError, _check_int, _shown
-from .fans import _CACHE_SIZE, Fan
+from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -122,7 +121,7 @@ class HilbertBasis:
         return len(self.generators)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(RationalCone)
 def dual_cone(sigma: RationalCone) -> RationalCone:
     """Generators of ``{m : <m, v> >= 0 for every generator v of sigma}``.
 
@@ -393,7 +392,7 @@ def _rank2_hilbert_basis(u: IntVector, w: IntVector) -> list[IntVector]:
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(RationalCone)
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Minimal generating set of the semigroup of lattice points of a cone.
 

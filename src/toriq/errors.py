@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and its one integer check.
+"""Exception hierarchy shared across the package, and its argument checks.
 
 Two broad families matter to callers (and fix the CLI exit codes):
 ``InputError`` for malformed user input, ``DomainError`` for structurally
 valid data that violates an operation's precondition.  ``_check_int``
 decides what an integer argument is (an ``int``, never a ``bool``, at least
-a bound if given) and ``_shown`` how a caller's value shows in a message:
-no number is cut, and none too long to print is printed.
+a bound if given), ``_check_type`` what an object argument is (an instance
+of the class asked for), and ``_shown`` how a caller's value shows in a
+message: no number is cut, and none too long to print is printed.
 """
 
 
@@ -63,5 +64,12 @@ def _check_int(x, message: str, least: int | None = None, error=DomainError) -> 
     given; else raise ``error(message)``, its ``{}`` filled by ``_shown(x)``."""
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or (
             least is not None and x < least):
+        raise error(message.format(_shown(x)))
+    return x
+
+
+def _check_type(x, cls, message: str, error=DomainError):
+    """``x`` if an instance of ``cls``, else raise ``error(message)``, ``{}`` filled by ``_shown(x)``."""
+    if not isinstance(x, cls):
         raise error(message.format(_shown(x)))
     return x

@@ -48,18 +48,33 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _shown)
+                     _check_int, _check_type, _shown)
 from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
 
 _FACE_CAP = 2**20  # most cones Fan.cones lists: all of cp1^9 or P^19, not a 21-ray cone's
 _CACHE_SIZE = 128  # entries of each lru_cache keyed on a fan or a cone
+
+
+def _cached(cls, name: str | None = None):
+    """``lru_cache`` of ``_CACHE_SIZE`` entries on a function of one argument,
+    checked to be a ``cls`` (``_check_type``) before the cache hashes it."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=_CACHE_SIZE)(fn)
+        message = f"{name or fn.__name__}: {fn.__code__.co_varnames[0]} must be a {cls.__name__}, got {{}}"
+        @wraps(fn)  # and __wrapped__ is the uncached fn
+        def lookup(key):
+            return cached(_check_type(key, cls, message))
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        return lookup
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -289,22 +304,21 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def fan_from_dict(data) -> Fan:
-    if not isinstance(data, dict):
-        raise FanValidationError("fan file must contain a JSON object")
+    _check_type(data, dict, "fan file must contain a JSON object", FanValidationError)
     for key in ("lattice_rank", "rays", "maximal_cones"):
         if key not in data:
             raise FanValidationError(f"{key}: missing field")
     rank = data["lattice_rank"]
     _check_int(rank, "lattice_rank: expected an integer", error=FanValidationError)
-    rays = data["rays"]
-    if not isinstance(rays, list) or not all(isinstance(v, list) for v in rays):
-        raise FanValidationError("rays: expected a list of integer vectors")
+    rays, message = data["rays"], "rays: expected a list of integer vectors"
+    for v in _check_type(rays, list, message, FanValidationError):
+        _check_type(v, list, message, FanValidationError)
     for k, v in enumerate(rays):
         for x in v:
             _check_int(x, f"rays[{k + 1}]: entries must be integers", error=FanValidationError)
-    cones_raw = data["maximal_cones"]
-    if not isinstance(cones_raw, list) or not all(isinstance(c, list) for c in cones_raw):
-        raise FanValidationError("maximal_cones: expected a list of index lists")
+    cones_raw, message = data["maximal_cones"], "maximal_cones: expected a list of index lists"
+    for c in _check_type(cones_raw, list, message, FanValidationError):
+        _check_type(c, list, message, FanValidationError)
     cones = []
     for k, c in enumerate(cones_raw):
         for i in _int_indices(k, c):
@@ -313,12 +327,10 @@ def fan_from_dict(data) -> Fan:
                     f"maximal_cones[{k + 1}]: ray indices are 1-based, got {_shown(i)}"
                 )
         cones.append([i - 1 for i in c])
-    complete = data.get("complete", False)
-    if not isinstance(complete, bool):
-        raise FanValidationError("complete: expected true or false")
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise FanValidationError("name: expected a string")
+    complete, name = data.get("complete", False), data.get("name")
+    _check_type(complete, bool, "complete: expected true or false", FanValidationError)
+    if name is not None:
+        _check_type(name, str, "name: expected a string", FanValidationError)
     return build_fan(rank, rays, cones, complete, name)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import DomainError, LevelMismatchError, _check_int, _shown
+from .errors import DomainError, LevelMismatchError, _check_int, _check_type, _shown
 from .fans import Fan
 from .intlinalg import IntMatrix, _trusted, smith_normal_form
 from .quotient import charge_matrix
@@ -42,14 +42,8 @@ def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
         raise DomainError(f"{what} must be an iterable of PolarComplex values, "
                           f"got {_shown(values)}") from None
     for v in values:
-        if not isinstance(v, PolarComplex):
-            raise DomainError(f"{what} must be PolarComplex values, got {_shown(v)}")
+        _check_type(v, PolarComplex, what + " must be PolarComplex values, got {}")
     return values
-
-
-def _check_type(caller: str, name: str, value, cls) -> None:
-    if not isinstance(value, cls):
-        raise DomainError(f"{caller}: {name} must be a {cls.__name__}, got {_shown(value)}")
 
 
 def in_discriminant(fan: Fan, coords) -> bool:
@@ -75,7 +69,7 @@ class HomogeneousPoint:
     coords: tuple[PolarComplex, ...]
 
     def __post_init__(self):
-        _check_type("HomogeneousPoint", "fan", self.fan, Fan)
+        _check_type(self.fan, Fan, "HomogeneousPoint: fan must be a Fan, got {}")
         _check_level(self.level)
         object.__setattr__(self, "coords", _polar_tuple(self.coords, "coordinates"))
         if in_discriminant(self.fan, self.coords):
@@ -122,8 +116,8 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
     two, and the turns add over a common denominator, each factor's power
     capped as in ``pow_int``.  One ``PolarComplex`` is built at the end.
     """
-    _check_type("act", "t", t, TorusElement)
-    _check_type("act", "z", z, HomogeneousPoint)
+    _check_type(t, TorusElement, "act: t must be a TorusElement, got {}")
+    _check_type(z, HomogeneousPoint, "act: z must be a HomogeneousPoint, got {}")
     if t.level != z.level:
         raise LevelMismatchError("torus element and point live at different levels")
     q = charge_matrix(z.fan).matrix
@@ -148,7 +142,7 @@ def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
     """Coordinatewise l-th power; zero patterns are unchanged."""
     _check_int(l, "power map exponent must be a positive integer", 1)
-    _check_type("power_map", "z", z, HomogeneousPoint)
+    _check_type(z, HomogeneousPoint, "power_map: z must be a HomogeneousPoint, got {}")
     return _trusted(HomogeneousPoint, fan=z.fan, level=z.level,
                     coords=tuple(c.pow_int(l) for c in z.coords))
 
@@ -157,8 +151,8 @@ def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -
     """Exact check that powering intertwines the action with its l-fold
     reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z),
     each side built, so the powers are formed and capped in that order."""
-    _check_type("check_equivariance", "t", t, TorusElement)
-    _check_type("check_equivariance", "z", z, HomogeneousPoint)
+    _check_type(t, TorusElement, "check_equivariance: t must be a TorusElement, got {}")
+    _check_type(z, HomogeneousPoint, "check_equivariance: z must be a HomogeneousPoint, got {}")
     if z.fan != fan:
         raise DomainError("point does not belong to the given fan")
     return power_map(l, act(t, z)).coords == act(t.pow_int(l), power_map(l, z)).coords
@@ -236,8 +230,8 @@ def same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     if (U @ E_b)_i != 0 at some d_i == 0.  So the moduli are solvable iff
     every b is a perfect a_b-th power, a root test bounded by b's bit length.
     """
-    _check_type("same_orbit", "z", z, HomogeneousPoint)
-    _check_type("same_orbit", "z2", z2, HomogeneousPoint)
+    _check_type(z, HomogeneousPoint, "same_orbit: z must be a HomogeneousPoint, got {}")
+    _check_type(z2, HomogeneousPoint, "same_orbit: z2 must be a HomogeneousPoint, got {}")
     if z.fan != z2.fan:
         raise DomainError("points belong to different fans")
     if z.level != z2.level:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import DomainError, IncompleteFanError, _shown
-from .fans import _CACHE_SIZE, ConeRef, Fan
+from .errors import DomainError, IncompleteFanError, _check_type
+from .fans import ConeRef, Fan, _cached
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,14 @@ class FaceLattice:
 
 
 def _require_complete(fan: Fan, what: str):
-    if not isinstance(fan, Fan):
-        raise DomainError(f"{what}: fan must be a Fan, got {_shown(fan)}")
-    if not fan.complete:
+    if not _check_type(fan, Fan, what + ": fan must be a Fan, got {}").complete:
         raise IncompleteFanError(
             f"{what} requires a complete fan (the moment-map picture needs a "
             "projective toric variety)"
         )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan, "face lattice")
 def face_lattice(fan: Fan) -> FaceLattice:
     """Invert the cone poset: each cone of dimension d becomes a face of
     dimension ``lattice_rank - d`` with fiber rank equal to its dimension."""
@@ -68,20 +65,12 @@ def cusp_count(fan: Fan) -> int:
 
 def delzant_report(fan: Fan) -> dict:
     """JSON-ready face listing; ray indices 1-based, keys fixed."""
-    _require_complete(fan, "face lattice")  # before the cache hashes ``fan``
     lattice = face_lattice(fan)
     return {
         "f_vector": list(lattice.f_vector),
         "cusps": len(lattice.cusps),
-        "faces": [
-            {
-                "cone": [i + 1 for i in cone],
-                "dim": m,
-                "fiber_rank": m,
-            }
-            for m, block in enumerate(lattice.faces)
-            for cone in block
-        ],
+        "faces": [{"cone": [i + 1 for i in cone], "dim": m, "fiber_rank": m}
+                  for m, block in enumerate(lattice.faces) for cone in block],
     }
 
 

@@ -33,12 +33,11 @@ the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
 from .errors import IncompleteFanError, ResourceLimitError
-from .fans import _CACHE_SIZE, Fan
+from .fans import Fan, _cached
 from .intlinalg import IntMatrix, smith_normal_form
 
 Permutation = tuple[int, ...]  # one-line form: i -> perm[i]
@@ -111,13 +110,13 @@ class AutPresentation:
         return f"{self.finite_part.structure_name} x| (C*_Q)^{self.solenoidal_torus_rank}"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan)
 def charge_matrix(fan: Fan) -> ChargeMatrix:
     """Canonical relation matrix among the primitive ray generators."""
     return ChargeMatrix(fan.ray_lattice()[1].transpose())
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan)
 def group_structure(fan: Fan) -> QuotientGroupStructure:
     """Free rank and invariant factors of the quotient group: none when the
     rays span the lattice (H = I), else the Smith form of the square H."""
@@ -129,7 +128,7 @@ def group_structure(fan: Fan) -> QuotientGroupStructure:
     return QuotientGroupStructure(fan.n_rays - fan.lattice_rank, torsion)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan)
 def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
     """Primitive collections: the minimal ray subsets generating no cone.
 
@@ -233,7 +232,7 @@ def _preserves_cones(perm: Permutation, fan: Fan) -> bool:
     return all(fan._holders([perm[i] for i in c]) for c in fan.maximal_cones)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan)
 def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
     """Ray permutations fixing the charge matrix row-wise and preserving
     the cones.
@@ -318,7 +317,7 @@ def _product_of_factorials(sizes) -> int:
     return prod(map(factorial, sizes))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_cached(Fan)
 def aut_presentation(fan: Fan) -> AutPresentation:
     """Finite fan symmetry extended by the residual solenoidal torus.
 

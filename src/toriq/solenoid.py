@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, LevelMismatchError, ResourceLimitError, _check_int, _shown
+from .errors import DomainError, LevelMismatchError, ResourceLimitError, _check_int, _check_type, _shown
 from .intlinalg import _trusted
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
@@ -285,8 +285,7 @@ class SolenoidPoint:
 
     def __post_init__(self):
         _check_level(self.level)
-        if not isinstance(self.top, PolarComplex):
-            raise DomainError(f"top coordinate must be a PolarComplex, got {_shown(self.top)}")
+        _check_type(self.top, PolarComplex, "top coordinate must be a PolarComplex, got {}")
 
     def coordinate(self, d: int) -> PolarComplex:
         _check_level(d)
