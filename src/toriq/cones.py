@@ -45,7 +45,7 @@ from itertools import combinations, islice, product
 from math import prod
 from operator import le, mul
 
-from .errors import DomainError, ResourceLimitError, _check_int, _shown
+from .errors import DomainError, ResourceLimitError, _check_int, _check_rows, _check_type, _shown
 from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
@@ -83,8 +83,8 @@ class RationalCone:
     def __post_init__(self):
         _check_int(self.ambient_rank, "ambient rank must be positive", 1)
         gens = []
-        for v in self.generators:
-            v = tuple(v)
+        for v in _check_rows(self.generators, "RationalCone: generators must be an iterable of "
+                                              "integer vectors, got {}"):
             if len(v) != self.ambient_rank:
                 raise DomainError(f"generator {_shown(v)} has wrong length")
             gens.append(primitive(v))
@@ -94,7 +94,7 @@ class RationalCone:
 
     @classmethod
     def from_generators(cls, ambient_rank, generators) -> "RationalCone":
-        return cls(ambient_rank, tuple(tuple(v) for v in generators))
+        return cls(ambient_rank, generators)
 
     @classmethod
     def _carrying(cls, ambient_rank: int, generators, lineality) -> "RationalCone":
@@ -236,7 +236,12 @@ def lineality_basis(cone: RationalCone) -> list[IntVector]:
 def cone_contains(cone: RationalCone, point) -> bool:
     """Exact membership via the dual description.  Coordinates are integers
     or ``Fraction``s; a float or a non-rational one raises ``DomainError``."""
-    p = tuple(x if type(x) is int else _as_fraction(x) for x in point)
+    _check_type(cone, RationalCone, "cone_contains: cone must be a RationalCone, got {}")
+    try:
+        p = tuple(x if type(x) is int else _as_fraction(x) for x in point)
+    except TypeError:
+        raise DomainError(f"cone_contains: point must be an iterable of rationals, "
+                          f"got {_shown(point)}") from None
     if len(p) != cone.ambient_rank:
         raise DomainError("point has wrong length")
     return all(dot(d, p) >= 0 for d in dual_cone(cone).generators)
@@ -432,9 +437,16 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
-def _fan_cone_indices(fan: Fan, indices) -> tuple[tuple[int, ...], int]:
+def _fan_cone_indices(fan: Fan, indices, caller: str) -> tuple[tuple[int, ...], int]:
     """The sorted ray indices of a fan cone and the mask of the maximal
-    cones holding it; a ray set that is no cone raises ``DomainError``."""
+    cones holding it; a ray set that is no cone raises ``DomainError``, as
+    do a non-``Fan`` and non-iterable indices, naming ``caller``."""
+    _check_type(fan, Fan, caller + ": fan must be a Fan, got {}")
+    try:
+        indices = tuple(indices)
+    except TypeError:
+        raise DomainError(f"{caller}: indices must be an iterable of ray indices, "
+                          f"got {_shown(indices)}") from None
     idx, holders = fan._cone_indices(indices)
     if not holders:
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
@@ -444,7 +456,7 @@ def _fan_cone_indices(fan: Fan, indices) -> tuple[tuple[int, ...], int]:
 def fan_cone(fan: Fan, indices) -> RationalCone:
     """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
     # fan rays are primitive and fan cones simplicial, hence pointed
-    idx = _fan_cone_indices(fan, indices)[0]
+    idx = _fan_cone_indices(fan, indices, "fan_cone")[0]
     return RationalCone._carrying(fan.lattice_rank, [fan.rays[i] for i in idx], ())
 
 
@@ -469,7 +481,7 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     when n = 2), which ``_rank2_count`` counts in O(log det) steps.  A
     singular cone with k >= 3 builds the Hilbert basis of its dual.
     """
-    idx, holders = _fan_cone_indices(fan, indices)
+    idx, holders = _fan_cone_indices(fan, indices, "affine_fiber_rank")
     n, k = fan.lattice_rank, len(idx)
     if k <= 1 or holders & fan._unimodular:
         return 2 * n - k

@@ -5,8 +5,9 @@ Two broad families matter to callers (and fix the CLI exit codes):
 valid data that violates an operation's precondition.  ``_check_int``
 decides what an integer argument is (an ``int``, never a ``bool``, at least
 a bound if given), ``_check_type`` what an object argument is (an instance
-of the class asked for), and ``_shown`` how a caller's value shows in a
-message: no number is cut, and none too long to print is printed.
+of the class asked for), ``_check_rows`` what a vector list is (an iterable
+of iterables), and ``_shown`` how a caller's value shows in a message: no
+number is cut, and none too long to print is printed.
 """
 
 
@@ -73,3 +74,12 @@ def _check_type(x, cls, message: str, error=DomainError):
     if not isinstance(x, cls):
         raise error(message.format(_shown(x)))
     return x
+
+
+def _check_rows(x, message: str, error=DomainError) -> tuple:
+    """``x`` as a tuple of tuples if it and its items are iterable; else
+    raise ``error(message)``, its ``{}`` filled by ``_shown(x)``."""
+    try:
+        return tuple(map(tuple, x))
+    except TypeError:
+        raise error(message.format(_shown(x))) from None

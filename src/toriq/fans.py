@@ -51,10 +51,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import combinations
 from math import gcd
+from os import PathLike
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _check_type, _shown)
+                     _check_int, _check_rows, _check_type, _shown)
 from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
@@ -89,12 +90,15 @@ class Fan:
     _orbit_plans = None  # not a field; see homogeneous._orbit_plan
 
     def __post_init__(self):
-        rays = tuple(tuple(v) for v in self.rays)
-        cones = tuple(tuple(c) for c in self.maximal_cones)
+        rays = _check_rows(self.rays, "Fan: rays must be an iterable of integer vectors, got {}",
+                           FanValidationError)
+        cones = _check_rows(self.maximal_cones, "Fan: maximal_cones must be an iterable of index "
+                            "lists, got {}", FanValidationError)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "maximal_cones", cones)
         rank = self.lattice_rank
         _check_int(rank, "lattice_rank must be a positive integer", 1, FanValidationError)
+        _check_type(self.complete, bool, "Fan: complete must be a bool, got {}", FanValidationError)
         if not rays:
             raise FanValidationError("rays: at least one ray is required")
         # rays of exact ints only need any(v) and gcd(*v) == 1; primitive()
@@ -256,8 +260,10 @@ class Fan:
 
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:
     """Validate and normalize fan data (cones sorted, duplicates rejected)."""
-    rays = tuple(tuple(v) for v in rays)
-    cones = [tuple(c) for c in maximal_cones]
+    rays = _check_rows(rays, "build_fan: rays must be an iterable of integer vectors, got {}",
+                       FanValidationError)
+    cones = _check_rows(maximal_cones, "build_fan: maximal_cones must be an iterable of index "
+                        "lists, got {}", FanValidationError)
     if not {type(i) for c in cones for i in c} <= {int}:
         cones = [_int_indices(k, c) for k, c in enumerate(cones)]
     cones = sorted(tuple(sorted(set(c))) for c in cones)
@@ -292,6 +298,7 @@ def _one_based(cone) -> list[int]:
 
 def fan_to_dict(fan: Fan) -> dict:
     """JSON-ready description; ray indices are 1-based in files."""
+    _check_type(fan, Fan, "fan_to_dict: fan must be a Fan, got {}")
     out = {
         "lattice_rank": fan.lattice_rank,
         "rays": [list(v) for v in fan.rays],
@@ -339,6 +346,7 @@ def load_fan(path) -> Fan:
     format.  A file that is not UTF-8 or holds an integer past
     ``sys.get_int_max_str_digits()`` raises ``FanValidationError`` naming
     it; a path that cannot be read raises the ``OSError``."""
+    _check_type(path, (str, PathLike), "load_fan: path must be a str or a PathLike, got {}")
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw.decode())

@@ -52,11 +52,14 @@ def in_discriminant(fan: Fan, coords) -> bool:
     Cones are closed under subsets, so it does exactly when the pattern is
     no cone itself.
     """
-    coords = tuple(coords)
+    _check_type(fan, Fan, "in_discriminant: fan must be a Fan, got {}")
+    return _in_discriminant(fan, _polar_tuple(coords, "in_discriminant: coords"))
+
+
+def _in_discriminant(fan: Fan, coords: tuple[PolarComplex, ...]) -> bool:
+    """``in_discriminant`` on a ``Fan`` and a tuple of ``PolarComplex``."""
     if len(coords) != fan.n_rays:
-        raise DomainError(
-            f"expected {fan.n_rays} coordinates, got {len(coords)}"
-        )
+        raise DomainError(f"expected {fan.n_rays} coordinates, got {len(coords)}")
     return not fan.is_cone(i for i, c in enumerate(coords) if c.is_zero)
 
 
@@ -72,7 +75,7 @@ class HomogeneousPoint:
         _check_type(self.fan, Fan, "HomogeneousPoint: fan must be a Fan, got {}")
         _check_level(self.level)
         object.__setattr__(self, "coords", _polar_tuple(self.coords, "coordinates"))
-        if in_discriminant(self.fan, self.coords):
+        if _in_discriminant(self.fan, self.coords):
             raise DomainError("point lies in the discriminant locus")
 
     @property
@@ -180,10 +183,25 @@ def _coprime_base(numbers) -> list[int]:
 
 
 def _multiplicity(b: int, n: int) -> int:
-    k = 0
-    while n % b == 0:
-        n //= b
-        k += 1
+    """The exponent of b >= 2 in n != 0: one ``%`` when b does not divide
+    n, the trailing zeros of n when b is 2, else divisions by b, b^2, b^4,
+    ... while they are exact, then by the same powers back down, so an
+    exponent v takes O(log v) divisions, not v."""
+    if n % b:
+        return 0
+    if b == 2:
+        return (n & -n).bit_length() - 1
+    powers, k = [b], 0
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n, k = q, k + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+    for i in reversed(range(len(powers) - 1)):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n, k = q, k + (1 << i)
     return k
 
 

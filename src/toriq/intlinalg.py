@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import DomainError, _check_int
+from .errors import DomainError, _check_int, _check_rows, _check_type, _shown
 
 IntVector = tuple[int, ...]
 
@@ -67,7 +67,10 @@ def primitive(v) -> IntVector:
     The result generates the same ray (it is ``v / g`` with ``g > 0``) and
     has coprime entries.  The zero vector has no primitive representative.
     """
-    vec = tuple(_check_int(x, "exact integer expected, got {}") for x in v)
+    try:
+        vec = tuple(_check_int(x, "exact integer expected, got {}") for x in v)
+    except TypeError:
+        raise DomainError(f"primitive: v must be an iterable of integers, got {_shown(v)}") from None
     if not any(vec):
         raise DomainError("the zero vector has no primitive representative")
     g = gcd(*vec)
@@ -86,8 +89,9 @@ class IntMatrix:
     cols: int
 
     def __post_init__(self):
+        rows = _check_rows(self.entries, "IntMatrix: entries must be an iterable of rows, got {}")
         entries = tuple(tuple(_check_int(x, "exact integer expected, got {}") for x in row)
-                        for row in self.entries)
+                        for row in rows)
         object.__setattr__(self, "entries", entries)
         _check_int(self.cols, "column count must be nonnegative", 0)
         for row in self.entries:
@@ -96,7 +100,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(r) for r in rows)
+        rows = _check_rows(rows, "IntMatrix.from_rows: rows must be an iterable of rows, got {}")
         if cols is None:
             if not rows:
                 raise DomainError("cannot infer column count of an empty matrix")
@@ -240,7 +244,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry the pivot fails to divide.  U rides in the identity columns of
     ``[a | I]``.  Deterministic pivot choice keeps results reproducible.
     """
-    if a.is_empty:
+    if _check_type(a, IntMatrix, "smith_normal_form: a must be an IntMatrix, got {}").is_empty:
         raise DomainError("smith_normal_form requires a nonempty matrix")
     m, n = a.rows, a.cols
     A = _augmented(a.entries)
@@ -472,7 +476,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Saturated integer basis of ``{c : a @ c = 0}``, as matrix columns:
     ``_kernel_columns`` of a's rows, so repeated runs are bit-identical.
     """
-    if a.is_empty:
+    if _check_type(a, IntMatrix, "integer_kernel: a must be an IntMatrix, got {}").is_empty:
         raise DomainError("integer_kernel requires a nonempty matrix")
     kernel = _kernel_columns(a.entries, a.cols)
     return _trusted(IntMatrix, entries=tuple(kernel), cols=a.cols).transpose()
@@ -486,6 +490,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     its pivots multiply to ``|det a|``, so ``a`` is unimodular exactly when
     every pivot is 1, and then T is the inverse.
     """
+    _check_type(a, IntMatrix, "inverse_unimodular: a must be an IntMatrix, got {}")
     if a.rows != a.cols:
         raise DomainError("inverse of a non-square matrix")
     n = a.rows

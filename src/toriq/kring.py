@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import DomainError, ExpressionError, _check_int, _shown
+from .errors import DomainError, ExpressionError, _check_int, _check_type, _shown
 from .solenoid import _as_fraction
 
 
@@ -137,6 +137,7 @@ def reduce(s: FormalSum) -> KRingElement:
 
     The weighted sum adds integer numerators over the lcm of the exponents'
     denominators and is normalized once."""
+    _check_type(s, FormalSum, "reduce: s must be a FormalSum, got {}")
     a = sum(c for _, c in s.terms)
     den = lcm(*(q.denominator for q, _ in s.terms))
     r = Fraction(sum(c * q.numerator * (den // q.denominator) for q, c in s.terms), den)
@@ -146,6 +147,7 @@ def reduce(s: FormalSum) -> KRingElement:
 def in_level_image(e: KRingElement, n: int) -> bool:
     """Is the element in the image of the level-n covering, i.e. is the class
     part a multiple of 1/n?"""
+    _check_type(e, KRingElement, "in_level_image: e must be a KRingElement, got {}")
     _check_int(n, "level must be a positive integer", 1)
     return (e.class_part * n).denominator == 1
 
@@ -262,7 +264,7 @@ def parse_expression(text: str) -> FormalSum:
     signs before a term multiplies out; signs after the last term are
     ignored.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not _check_type(text, str, "empty expression", ExpressionError).strip():
         raise ExpressionError("empty expression")
     if not _balanced(text):
         raise ExpressionError("unbalanced parentheses")

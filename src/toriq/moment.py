@@ -58,9 +58,10 @@ def face_lattice(fan: Fan) -> FaceLattice:
 
 
 def cusp_count(fan: Fan) -> int:
-    """Number of full-dimensional maximal cones (vertices of the polytope)."""
+    """Number of vertices of the polytope: the maximal cones, all of them
+    full-dimensional in a fan declared complete."""
     _require_complete(fan, "cusp count")
-    return sum(1 for c in fan.maximal_cones if len(c) == fan.lattice_rank)
+    return len(fan.maximal_cones)
 
 
 def delzant_report(fan: Fan) -> dict:

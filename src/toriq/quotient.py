@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
-from .errors import IncompleteFanError, ResourceLimitError
+from .errors import IncompleteFanError, ResourceLimitError, _check_type
 from .fans import Fan, _cached
 from .intlinalg import IntMatrix, smith_normal_form
 
@@ -351,7 +351,7 @@ def symmetry_report(fan: Fan) -> dict:
 
 def quotient_report(fan: Fan) -> dict:
     """JSON-ready quotient data; ray indices 1-based, keys fixed."""
-    q = charge_matrix(fan)
+    q = charge_matrix(_check_type(fan, Fan, "quotient_report: fan must be a Fan, got {}"))
     structure = group_structure(fan)
     disc = discriminant_locus(fan)
     report = {

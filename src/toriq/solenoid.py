@@ -267,6 +267,7 @@ def cover_map(n: int, m: int, z: PolarComplex) -> PolarComplex:
     level-n one by raising to the power m/n (requires n | m)."""
     _check_level(n)
     _check_level(m)
+    _check_type(z, PolarComplex, "cover_map: z must be a PolarComplex, got {}")
     if m % n != 0:
         raise DomainError(f"cover map needs n | m, got n={_shown(n)}, m={_shown(m)}")
     return z.pow_int(m // n)
@@ -316,6 +317,7 @@ def phi(a: ProfiniteInt) -> SolenoidPoint:
     The image has trivial base coordinate: its level-M turn is a/M, which
     powers to a whole number of turns at level 1.
     """
+    _check_type(a, ProfiniteInt, "phi: a must be a ProfiniteInt, got {}")
     return SolenoidPoint(a.level, PolarComplex._from_parts(1, 1, a.residue, a.level))
 
 
@@ -329,6 +331,7 @@ def nu(theta_turns, level: int = 1) -> SolenoidPoint:
 
 def sol_exp(a: ProfiniteInt, theta_turns) -> SolenoidPoint:
     """Group exponential: the product phi(a) * nu(theta) at a's level."""
+    _check_type(a, ProfiniteInt, "sol_exp: a must be a ProfiniteInt, got {}")
     return phi(a) * nu(theta_turns, a.level)
 
 
@@ -337,6 +340,7 @@ def refine(z: SolenoidPoint, new_level: int, branch: int) -> SolenoidPoint:
 
     The result projects back to z under the cover map, for every branch.
     """
+    _check_type(z, SolenoidPoint, "refine: z must be a SolenoidPoint, got {}")
     _check_level(new_level)
     if new_level % z.level != 0:
         raise DomainError(

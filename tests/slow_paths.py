@@ -75,7 +75,9 @@ per-character depth loop that ``parse_expression`` ran before it cancelled
 adjacent ``()`` pairs, and ``slow_polar_parts`` the ``PolarComplex``
 constructor from before it read its parts off the ``Fraction`` arguments,
 which are already in lowest terms: a ``Fraction`` sign test and the two
-gcds of ``_reduced``.
+gcds of ``_reduced``.  ``slow_multiplicity`` is
+``homogeneous._multiplicity`` from before it divided by repeated squares
+of the base: one division by b per unit of the exponent.
 """
 
 from __future__ import annotations
@@ -875,6 +877,14 @@ def solve_integer(a: IntMatrix, b) -> tuple | None:
                 return None
             y[i] = c[i] // di
     return v.mat_vec(tuple(y))
+
+
+def slow_multiplicity(b: int, n: int) -> int:
+    k = 0
+    while n % b == 0:
+        n //= b
+        k += 1
+    return k
 
 
 def slow_same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
