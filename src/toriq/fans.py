@@ -99,6 +99,8 @@ class Fan:
         rank = self.lattice_rank
         _check_int(rank, "lattice_rank must be a positive integer", 1, FanValidationError)
         _check_type(self.complete, bool, "Fan: complete must be a bool, got {}", FanValidationError)
+        if self.name is not None:
+            _check_type(self.name, str, "Fan: name must be a str, got {}", FanValidationError)
         if not rays:
             raise FanValidationError("rays: at least one ray is required")
         # rays of exact ints only need any(v) and gcd(*v) == 1; primitive()

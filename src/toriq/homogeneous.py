@@ -184,21 +184,23 @@ def _coprime_base(numbers) -> list[int]:
 
 def _multiplicity(b: int, n: int) -> int:
     """The exponent of b >= 2 in n != 0: one ``%`` when b does not divide
-    n, the trailing zeros of n when b is 2, else divisions by b, b^2, b^4,
-    ... while they are exact, then by the same powers back down, so an
-    exponent v takes O(log v) divisions, not v."""
+    n, the trailing zeros of n when b is 2.  Else, past the first division,
+    divisions by b, b^2, b^4, ... while they are exact, then by the same
+    powers back down, so an exponent v takes O(log v) divisions, not v."""
     if n % b:
         return 0
     if b == 2:
         return (n & -n).bit_length() - 1
-    powers, k = [b], 0
+    n //= b
+    k, p, powers = 1, b, []
     while True:
-        q, r = divmod(n, powers[-1])
+        q, r = divmod(n, p)
         if r:
             break
-        n, k = q, k + (1 << (len(powers) - 1))
-        powers.append(powers[-1] * powers[-1])
-    for i in reversed(range(len(powers) - 1)):
+        n, k = q, k + (1 << len(powers))
+        powers.append(p)
+        p *= p
+    for i in reversed(range(len(powers))):
         q, r = divmod(n, powers[i])
         if not r:
             n, k = q, k + (1 << i)

@@ -3,8 +3,8 @@
 Every object argument of the public names (a fan, a cone, a matrix, a
 point, a polar value, a profinite integer, a K-ring element, or an iterable
 of vectors or indices) is checked by ``errors._check_type``, or, for an
-iterable, by a ``try`` around the ``tuple`` the function builds anyway, so
-that a wrong type raises a named ``ToriqError`` whose message names the
+iterable, where the function turns it into tuples (``errors._check_rows``
+or a ``try`` around the ``tuple`` it builds anyway), so that a wrong type raises a named ``ToriqError`` whose message names the
 function and shows the caller's value.  The eight ``lru_cache``s keyed on
 a fan or a cone run the check before the cache hashes the key
 (``fans._cached``).  The integer twin of this file is
@@ -65,6 +65,9 @@ CALLS = [
      "IntMatrix.from_rows: rows must be an iterable of rows, got 5"),
     (lambda: toriq.build_fan(2, 5, []),
      "build_fan: rays must be an iterable of integer vectors, got 5"),
+    (lambda: toriq.Fan(2, CP2.rays, CP2.maximal_cones, [1]), "Fan: complete must be a bool, got [1]"),
+    (lambda: toriq.build_fan(2, CP2.rays, CP2.maximal_cones, True, 5),
+     "Fan: name must be a str, got 5"),
 ]
 # the eight cached names, the name their messages use and what they take
 CACHED = [
@@ -83,7 +86,7 @@ CALLS += [((lambda f=f, x=x: f(x)), f"{name}: {arg} must be a {cls}, got {x!r}")
 
 @pytest.mark.parametrize("call, message", CALLS, ids=[m for _, m in CALLS])
 def test_an_object_argument_of_the_wrong_type_raises_a_named_error(call, message):
-    error = FanValidationError if message.startswith("build_fan") else DomainError
+    error = FanValidationError if message.startswith(("build_fan", "Fan:")) else DomainError
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
