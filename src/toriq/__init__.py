@@ -18,102 +18,44 @@ combinatorial and group-theoretic data of its solenoidal completion:
 * ``cli``: the ``toriq`` command.
 """
 
-from .cones import (
-    HilbertBasis,
-    RationalCone,
-    affine_fiber_rank,
-    cone_contains,
-    dual_cone,
-    fan_cone,
-    hilbert_basis,
-)
-from .errors import DomainError, InputError, ToriqError
-from .fans import Fan, build_fan, fan_from_dict, fan_to_dict, load_fan
-from .homogeneous import (
-    HomogeneousPoint,
-    TorusElement,
-    act,
-    check_equivariance,
-    in_discriminant,
-    power_map,
-    same_orbit,
-)
-from .intlinalg import IntMatrix, integer_kernel, primitive, smith_normal_form
-from .moment import FaceLattice, cusp_count, delzant_report, face_lattice
-from .quotient import (
-    AutPresentation,
-    ChargeMatrix,
-    DiscriminantAntichain,
-    FanSymmetryGroup,
-    QuotientGroupStructure,
-    aut_presentation,
-    charge_matrix,
-    discriminant_locus,
-    fan_symmetry,
-    group_structure,
-    quotient_report,
-)
-from .solenoid import (
-    PolarComplex,
-    ProfiniteInt,
-    SolenoidPoint,
-    cover_map,
-    nu,
-    phi,
-    refine,
-    sol_exp,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutPresentation",
-    "ChargeMatrix",
-    "DiscriminantAntichain",
-    "DomainError",
-    "FaceLattice",
-    "Fan",
-    "FanSymmetryGroup",
-    "HilbertBasis",
-    "HomogeneousPoint",
-    "InputError",
-    "IntMatrix",
-    "PolarComplex",
-    "ProfiniteInt",
-    "QuotientGroupStructure",
-    "RationalCone",
-    "SolenoidPoint",
-    "ToriqError",
-    "TorusElement",
-    "act",
-    "affine_fiber_rank",
-    "aut_presentation",
-    "build_fan",
-    "charge_matrix",
-    "check_equivariance",
-    "cone_contains",
-    "cover_map",
-    "cusp_count",
-    "delzant_report",
-    "discriminant_locus",
-    "dual_cone",
-    "face_lattice",
-    "fan_cone",
-    "fan_from_dict",
-    "fan_symmetry",
-    "fan_to_dict",
-    "group_structure",
-    "hilbert_basis",
-    "in_discriminant",
-    "integer_kernel",
-    "load_fan",
-    "nu",
-    "phi",
-    "power_map",
-    "primitive",
-    "quotient_report",
-    "refine",
-    "same_orbit",
-    "smith_normal_form",
-    "sol_exp",
-]
+# each public name once, under its home module; ``__getattr__`` imports the
+# module on first access, so ``import toriq`` itself loads none of them
+_PUBLIC = {
+    "cones": ("HilbertBasis", "RationalCone", "affine_fiber_rank", "cone_contains", "dual_cone",
+              "fan_cone", "hilbert_basis"),
+    "errors": ("DomainError", "InputError", "ToriqError"),
+    "fans": ("Fan", "build_fan", "fan_from_dict", "fan_to_dict", "load_fan"),
+    "homogeneous": ("HomogeneousPoint", "TorusElement", "act", "check_equivariance",
+                    "in_discriminant", "power_map", "same_orbit"),
+    "intlinalg": ("IntMatrix", "integer_kernel", "primitive", "smith_normal_form"),
+    "moment": ("FaceLattice", "cusp_count", "delzant_report", "face_lattice"),
+    "quotient": ("AutPresentation", "ChargeMatrix", "DiscriminantAntichain", "FanSymmetryGroup",
+                 "QuotientGroupStructure", "aut_presentation", "charge_matrix",
+                 "discriminant_locus", "fan_symmetry", "group_structure", "quotient_report"),
+    "solenoid": ("PolarComplex", "ProfiniteInt", "SolenoidPoint", "cover_map", "nu", "phi",
+                 "refine", "sol_exp"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name, or one of the modules that home them, imported on
+    first access and then kept in the package namespace."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _PUBLIC:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PUBLIC})

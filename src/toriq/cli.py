@@ -3,7 +3,8 @@
 Reports are JSON with sorted keys, printed to stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 domain error (an operation's
 precondition failed), 2 malformed input.  Human-readable output is just
-the JSON itself, so two runs on the same input are byte-identical.
+the JSON itself, so two runs on the same input are byte-identical.  Each
+``cmd_*`` imports the modules it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
 
-from .cones import affine_fiber_rank, dual_cone, fan_cone, hilbert_basis
 from .errors import DomainError, InputError, ResourceLimitError
-from .fans import Fan, load_fan
-from .kring import in_level_image, parse_expression, reduce
-from .moment import delzant_report, delzant_svg, face_lattice
-from .quotient import quotient_report
-from .solenoid import PolarComplex, ProfiniteInt, cover_map, refine, sol_exp, SolenoidPoint
 
 
 def _max_bits(x) -> int:
@@ -57,7 +52,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InputError(f"{what}: expected a rational like 3/4, got {text!r}") from None
 
 
-def _parse_cone_arg(fan: Fan, text: str) -> tuple[int, ...]:
+def _parse_cone_arg(fan, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "0", "-"):
         return ()
@@ -72,6 +67,10 @@ def _parse_cone_arg(fan: Fan, text: str) -> tuple[int, ...]:
 
 
 def cmd_analyze(args) -> int:
+    from .cones import affine_fiber_rank
+    from .fans import load_fan
+    from .moment import face_lattice
+    from .quotient import quotient_report
     fan = load_fan(args.fan)
     report = quotient_report(fan)
     report["name"] = fan.name or "fan"
@@ -89,6 +88,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_delzant(args) -> int:
+    from .fans import load_fan
+    from .moment import delzant_report, delzant_svg
     fan = load_fan(args.fan)
     report = delzant_report(fan)
     report["name"] = fan.name or "fan"
@@ -101,6 +102,8 @@ def cmd_delzant(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .cones import dual_cone, fan_cone, hilbert_basis
+    from .fans import load_fan
     fan = load_fan(args.fan)
     indices = _parse_cone_arg(fan, args.cone)
     sigma = fan_cone(fan, indices)
@@ -124,7 +127,8 @@ def _level(value: int, what: str) -> int:
     return value
 
 
-def _parse_profinite(args) -> ProfiniteInt:
+def _parse_profinite(args):
+    from .solenoid import ProfiniteInt
     text = args.a.strip()
     if "/" in text:
         res_text, level_text = text.split("/", 1)
@@ -146,6 +150,7 @@ def _parse_profinite(args) -> ProfiniteInt:
 
 
 def cmd_solenoid(args) -> int:
+    from .solenoid import PolarComplex, SolenoidPoint, cover_map, refine, sol_exp
     if args.action == "exp":
         a = _parse_profinite(args)
         turns = _parse_fraction(args.turns, "--turns")
@@ -164,6 +169,7 @@ def cmd_solenoid(args) -> int:
 
 
 def cmd_kring(args) -> int:
+    from .kring import in_level_image, parse_expression, reduce
     if args.action == "reduce":
         _print(args, reduce(parse_expression(args.expr[0])))
     elif args.action == "mul":

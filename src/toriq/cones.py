@@ -45,7 +45,8 @@ from itertools import combinations, islice, product
 from math import prod
 from operator import le, mul
 
-from .errors import DomainError, ResourceLimitError, _check_int, _check_rows, _check_type, _shown
+from .errors import (DomainError, ResourceLimitError, _as_fraction, _check_int, _check_rows,
+                     _check_type, _shown)
 from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
@@ -59,7 +60,6 @@ from .intlinalg import (
     primitive,
     smith_normal_form,
 )
-from .solenoid import _as_fraction
 
 
 def _grlex_key(v: IntVector):

@@ -4,11 +4,16 @@ Two broad families matter to callers (and fix the CLI exit codes):
 ``InputError`` for malformed user input, ``DomainError`` for structurally
 valid data that violates an operation's precondition.  ``_check_int``
 decides what an integer argument is (an ``int``, never a ``bool``, at least
-a bound if given), ``_check_type`` what an object argument is (an instance
-of the class asked for), ``_check_rows`` what a vector list is (an iterable
-of iterables), and ``_shown`` how a caller's value shows in a message: no
-number is cut, and none too long to print is printed.
+a bound if given), ``_as_fraction`` what a rational argument is (an
+``int``, a ``Fraction`` or another exact rational number, never a float, a
+string or a ``bool``), ``_check_type`` what an object argument is (an
+instance of the class asked for), ``_check_vector`` what an integer vector
+is (an iterable of integers), ``_check_rows`` what a vector list is (an
+iterable of iterables), and ``_shown`` how a caller's value shows in a
+message: no number is cut, and none too long to print is printed.
 """
+
+from fractions import Fraction
 
 
 class ToriqError(Exception):
@@ -60,13 +65,34 @@ def _shown(x) -> str:
         return f"a {type(x).__name__} too long to print"
 
 
-def _check_int(x, message: str, least: int | None = None, error=DomainError) -> int:
-    """``x`` if it is an ``int``, not a ``bool``, and at least ``least`` when
-    given; else raise ``error(message)``, its ``{}`` filled by ``_shown(x)``."""
+def _check_int(x, message: str, least: int | None = None, error=DomainError,
+               below: int | None = None) -> int:
+    """``x`` if it is an ``int``, not a ``bool``, at least ``least`` and below
+    ``below`` when given; else raise ``error(message)``, its ``{}`` filled by
+    ``_shown(x)``."""
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or (
-            least is not None and x < least):
+            least is not None and x < least) or (below is not None and x >= below):
         raise error(message.format(_shown(x)))
     return x
+
+
+def _as_fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``: an ``int`` or ``Fraction`` at once, another
+    exact rational number by ``Fraction(x)``.  A float, a string (which
+    ``Fraction`` would parse), a ``bool`` or a non-rational x raises
+    ``DomainError``."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, float):
+        raise DomainError("floating point input rejected; pass Fraction or int")
+    if isinstance(x, (str, bool)):
+        raise DomainError(f"exact rational expected, got {_shown(x)}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"exact rational expected, got {_shown(x)}") from None
 
 
 def _check_type(x, cls, message: str, error=DomainError):
@@ -74,6 +100,16 @@ def _check_type(x, cls, message: str, error=DomainError):
     if not isinstance(x, cls):
         raise error(message.format(_shown(x)))
     return x
+
+
+def _check_vector(x, message: str, error=DomainError) -> tuple:
+    """``x`` as a tuple if it is an iterable of integers, each as
+    ``_check_int`` takes it; else raise ``error(message)``, its ``{}`` filled
+    by ``_shown(x)``."""
+    try:
+        return tuple(_check_int(y, "", error=TypeError) for y in x)
+    except TypeError:
+        raise error(message.format(_shown(x))) from None
 
 
 def _check_rows(x, message: str, error=DomainError) -> tuple:

@@ -236,6 +236,11 @@ class Fan:
 
     def is_cone(self, indices) -> bool:
         """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
+        try:
+            indices = tuple(indices)
+        except TypeError:
+            raise FanValidationError(f"Fan.is_cone: indices must be an iterable of ray indices, "
+                                     f"got {_shown(indices)}") from None
         return self._cone_indices(indices)[1] != 0
 
     def cones(self) -> tuple[ConeRef, ...]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import DomainError, _check_int, _check_rows, _check_type, _shown
+from .errors import DomainError, _check_int, _check_rows, _check_type, _check_vector, _shown
 
 IntVector = tuple[int, ...]
 
@@ -116,9 +116,13 @@ class IntMatrix:
         return self.rows == 0 or self.cols == 0
 
     def row(self, i: int) -> IntVector:
+        _check_int(i, f"IntMatrix.row: i must be an integer in [0, {self.rows}), got {{}}", 0,
+                   below=self.rows)
         return self.entries[i]
 
     def column(self, j: int) -> IntVector:
+        _check_int(j, f"IntMatrix.column: j must be an integer in [0, {self.cols}), got {{}}", 0,
+                   below=self.cols)
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> tuple[IntVector, ...]:
@@ -129,6 +133,7 @@ class IntMatrix:
         return _trusted(IntMatrix, entries=self.columns(), cols=self.rows)
 
     def mat_vec(self, v) -> IntVector:
+        v = _check_vector(v, "IntMatrix.mat_vec: v must be an iterable of integers, got {}")
         if len(v) != self.cols:
             raise DomainError("matrix-vector shape mismatch")
         return tuple(dot(row, v) for row in self.entries)

@@ -25,8 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import DomainError, ExpressionError, _check_int, _check_type, _shown
-from .solenoid import _as_fraction
+from .errors import DomainError, ExpressionError, _as_fraction, _check_int, _check_type, _shown
 
 
 @dataclass(frozen=True)

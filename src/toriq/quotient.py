@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
-from .errors import IncompleteFanError, ResourceLimitError, _check_type
+from .errors import IncompleteFanError, ResourceLimitError, _check_int, _check_type
 from .fans import Fan, _cached
 from .intlinalg import IntMatrix, smith_normal_form
 
@@ -60,7 +60,9 @@ class ChargeMatrix:
         return self.matrix.cols
 
     def row(self, i: int):
-        return self.matrix.row(i)
+        _check_int(i, f"ChargeMatrix.row: i must be an integer in [0, {self.n_rays}), got {{}}", 0,
+                   below=self.n_rays)
+        return self.matrix.entries[i]
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,8 @@ def discriminant_locus(fan: Fan) -> DiscriminantAntichain:
 
 def _row_classes(q: IntMatrix) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(q.rows):
-        groups.setdefault(q.row(i), []).append(i)
+    for i, row in enumerate(q.entries):
+        groups.setdefault(row, []).append(i)
     return tuple(sorted((tuple(v) for v in groups.values()), key=lambda c: c[0]))
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, LevelMismatchError, ResourceLimitError, _check_int, _check_type, _shown
+from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _as_fraction,
+                     _check_int, _check_type, _shown)
 from .intlinalg import _trusted
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
@@ -62,25 +63,6 @@ def _reduced(n: int, d: int, tn: int, td: int) -> tuple[int, int, int, int]:
     tn %= td
     h = gcd(tn, td)
     return n // g, d // g, tn // h, td // h
-
-
-def _as_fraction(x) -> Fraction:
-    """``x`` as a ``Fraction``: an ``int`` or ``Fraction`` at once, another
-    exact rational number by ``Fraction(x)``.  A float, a string (which
-    ``Fraction`` would parse), a ``bool`` or a non-rational x raises
-    ``DomainError``."""
-    if type(x) is Fraction:
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, float):
-        raise DomainError("floating point input rejected; pass Fraction or int")
-    if isinstance(x, (str, bool)):
-        raise DomainError(f"exact rational expected, got {_shown(x)}")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise DomainError(f"exact rational expected, got {_shown(x)}") from None
 
 
 def _check_level(m) -> int:
@@ -209,9 +191,8 @@ class PolarComplex:
         """The branch-th of the q-th roots; modulus must be a perfect power."""
         _check_int(q, "root degree must be a positive integer, got {}", 1)
         if type(branch) is not int or not 0 <= branch < q:  # message built on failure only
-            message = f"branch must be an integer in [0, {_shown(q)}), got {{}}"
-            if _check_int(branch, message, 0) >= q:
-                raise DomainError(message.format(_shown(branch)))
+            _check_int(branch, f"branch must be an integer in [0, {_shown(q)}), got {{}}", 0,
+                       below=q)
         n, d, tn, td = self.parts
         if not n:
             return self

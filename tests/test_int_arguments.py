@@ -34,6 +34,7 @@ from toriq.fans import build_fan, fan_from_dict
 from toriq.homogeneous import HomogeneousPoint, TorusElement, act, check_equivariance, power_map
 from toriq.intlinalg import IntMatrix, primitive
 from toriq.kring import FormalSum, KRingElement, in_level_image
+from toriq.quotient import charge_matrix
 from toriq.solenoid import PolarComplex as P
 from toriq.solenoid import ProfiniteInt, SolenoidPoint, cover_map, nu, refine
 
@@ -104,6 +105,10 @@ SITES = {
     "primitive entry": (lambda x: primitive((x, 4)), 6),
     "IntMatrix entry": (lambda x: IntMatrix.from_rows([(1, x)]), 5),
     "IntMatrix column count": (lambda x: IntMatrix((), x), 3),
+    "IntMatrix.row index": (lambda x: IntMatrix.from_rows([(1, 2), (3, 4)]).row(x), 1),
+    "IntMatrix.column index": (lambda x: IntMatrix.from_rows([(1, 2), (3, 4)]).column(x), 0),
+    "IntMatrix.mat_vec entry": (lambda x: IntMatrix.from_rows([(1, 2)]).mat_vec((1, x)), -2),
+    "ChargeMatrix.row index": (lambda x: charge_matrix(CP2).row(x), 2),
     "catalog.projective_space m": (catalog.projective_space, 3),
     "catalog.weighted_plane n": (catalog.weighted_plane, 5),
     "catalog.hirzebruch n": (catalog.hirzebruch, 0),
@@ -171,6 +176,10 @@ def test_check_int_refuses_bools_and_fills_the_message_only_on_failure():
         _check_int("x", "no value", error=FanValidationError)
     with pytest.raises(DomainError, match=r"^got a 133-bit integer$"):
         _check_int(10 ** 40, "got {}", 10 ** 41)
+    assert _check_int(2, "{", 0, below=3) == 2 and _check_int(-9, "{", below=-8) == -9
+    for bad, least in ((3, 0), (-1, 0), (4, None), (True, 0)):
+        with pytest.raises(DomainError, match=r"^index: .+ not in \[0, 3\)$"):
+            _check_int(bad, "index: {} not in [0, 3)", least, below=3)
 
 
 @needs_digit_limit

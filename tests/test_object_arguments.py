@@ -23,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 import toriq
 from toriq import catalog
 from toriq.cones import dual_cone, hilbert_basis
-from toriq.errors import DomainError, FanValidationError, ToriqError, _check_rows, _check_type
+from toriq.errors import (DomainError, FanValidationError, ToriqError, _check_rows, _check_type,
+                          _check_vector, _shown)
 from toriq.intlinalg import inverse_unimodular
 from toriq.kring import in_level_image, reduce
 from toriq.moment import face_lattice
@@ -68,6 +69,21 @@ CALLS = [
     (lambda: toriq.Fan(2, CP2.rays, CP2.maximal_cones, [1]), "Fan: complete must be a bool, got [1]"),
     (lambda: toriq.build_fan(2, CP2.rays, CP2.maximal_cones, True, 5),
      "Fan: name must be a str, got 5"),
+    # public methods outside toriq.__all__: an iterable, an index, a vector
+    (lambda: CP2.is_cone(5), "Fan.is_cone: indices must be an iterable of ray indices, got 5"),
+    (lambda: MATRIX.row("a"), "IntMatrix.row: i must be an integer in [0, 2), got 'a'"),
+    (lambda: MATRIX.column(None), "IntMatrix.column: j must be an integer in [0, 2), got None"),
+    (lambda: MATRIX.row(5), "IntMatrix.row: i must be an integer in [0, 2), got 5"),
+    (lambda: MATRIX.column(7), "IntMatrix.column: j must be an integer in [0, 2), got 7"),
+    (lambda: charge_matrix(CP2).row(9),
+     "ChargeMatrix.row: i must be an integer in [0, 3), got 9"),
+    (lambda: MATRIX.row(-1), "IntMatrix.row: i must be an integer in [0, 2), got -1"),
+    (lambda: MATRIX.row(True), "IntMatrix.row: i must be an integer in [0, 2), got True"),
+    (lambda: MATRIX.mat_vec(5), "IntMatrix.mat_vec: v must be an iterable of integers, got 5"),
+    (lambda: MATRIX.mat_vec(("a", "b")),
+     "IntMatrix.mat_vec: v must be an iterable of integers, got ('a', 'b')"),
+    (lambda: MATRIX.mat_vec((0.5, 1)),
+     "IntMatrix.mat_vec: v must be an iterable of integers, got (0.5, 1)"),
 ]
 # the eight cached names, the name their messages use and what they take
 CACHED = [
@@ -86,7 +102,8 @@ CALLS += [((lambda f=f, x=x: f(x)), f"{name}: {arg} must be a {cls}, got {x!r}")
 
 @pytest.mark.parametrize("call, message", CALLS, ids=[m for _, m in CALLS])
 def test_an_object_argument_of_the_wrong_type_raises_a_named_error(call, message):
-    error = FanValidationError if message.startswith(("build_fan", "Fan:")) else DomainError
+    fan_data = message.startswith(("build_fan", "Fan:", "Fan.is_cone"))
+    error = FanValidationError if fan_data else DomainError
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
@@ -115,6 +132,24 @@ def test_check_type_and_check_rows_fill_the_message_only_on_failure():
     for bad in (5, None, [1, 2], [[1], None]):
         with pytest.raises(DomainError, match=r"^rows, got "):
             _check_rows(bad, "rows, got {}")
+    assert _check_vector([1, -2], "{") == (1, -2) and _check_vector(iter(()), "{") == ()
+    for bad in (5, None, [1, True], [0.5], [F(2)], ["1"], [[1]]):
+        with pytest.raises(FanValidationError, match=r"^vector, got "):
+            _check_vector(bad, "vector, got {}", FanValidationError)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-9, 9) | st.floats() | st.fractions() | st.booleans(), max_size=3))
+def test_mat_vec_returns_integers_or_raises_a_named_error(v):
+    """``IntMatrix.mat_vec`` never returns a float or a ``Fraction``."""
+    integers = all(type(x) is int for x in v)
+    try:
+        result = MATRIX.mat_vec(v)
+    except DomainError as exc:
+        wrong = f"IntMatrix.mat_vec: v must be an iterable of integers, got {_shown(v)}"
+        assert str(exc) == ("matrix-vector shape mismatch" if integers else wrong)
+    else:
+        assert integers and all(type(y) is int for y in result)
 
 
 # --- the sweep over toriq.__all__ -------------------------------------------
