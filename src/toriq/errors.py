@@ -3,8 +3,8 @@
 Two broad families matter to callers (and fix the CLI exit codes):
 ``InputError`` for malformed user input, ``DomainError`` for structurally
 valid data that violates an operation's precondition.  ``_check_int``
-decides what an integer argument is (an ``int``, never a ``bool``, at least
-a bound if given), ``_as_fraction`` what a rational argument is (an
+decides what an integer argument is (an ``int``, never a ``bool``, within
+the bounds if given), ``_as_fraction`` what a rational argument is (an
 ``int``, a ``Fraction`` or another exact rational number, never a float, a
 string or a ``bool``), ``_check_type`` what an object argument is (an
 instance of the class asked for), ``_check_vector`` what an integer vector
