@@ -11,10 +11,15 @@ built.  Nonzero parameters keep a point's zero pattern, so the images under
 ``act`` and ``power_map`` and the powers and products of torus elements are
 built by the shared ``_trusted`` helper without the checks.
 
-The action and the orbit test read the integer parts ``(n, d, tn, td)``
-that each ``PolarComplex`` stores: moduli multiply as numerator and
-denominator products, turns add over a common denominator, and each
-coordinate is normalized once, at the end, by ``PolarComplex._from_parts``.
+The action, the equivariance check and the orbit test read the integer
+parts ``(n, d, tn, td)`` that each ``PolarComplex`` stores.  One helper,
+``_scaled``, gives a coordinate of the action: moduli multiply as numerator
+and denominator products, turns add over a common denominator, and the
+coordinate is normalized once, at the end.  It caps each factor's power and
+then their sum, so a coordinate's size is bounded before any power is
+formed.  ``check_equivariance`` builds both sides of its identity on parts
+alone, the powers by ``solenoid._pow_parts``, in the order the built sides
+would form them.
 
 ``same_orbit`` needs one Smith form of the charge rows of the nonzero
 coordinates.  It depends only on the fan and the nonzero pattern, so each
@@ -28,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import DomainError, LevelMismatchError, _check_int, _check_type, _shown
+from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _check_int, _check_type,
+                     _shown)
 from .fans import Fan
 from .intlinalg import IntMatrix, _trusted, smith_normal_form
 from .quotient import charge_matrix
-from .solenoid import PolarComplex, _capped_pow, _check_level, _integer_root
+from .solenoid import (_POW_BITS_CAP, PolarComplex, _check_level, _integer_root, _pow_bits,
+                       _pow_parts, _reduced)
 
 
 def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
@@ -111,35 +118,64 @@ class TorusElement:
                         params=tuple(a * b for a, b in zip(self.params, other.params)))
 
 
-def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
-    """Scale coordinate i by the product of t_j to the power Q[i][j].
-
-    One pass per coordinate on integer parts: the moduli multiply as
-    numerator and denominator products, a negative exponent swapping the
-    two, and the turns add over a common denominator, each factor's power
-    capped as in ``pow_int``.  One ``PolarComplex`` is built at the end.
-    """
-    _check_type(t, TorusElement, "act: t must be a TorusElement, got {}")
-    _check_type(z, HomogeneousPoint, "act: z must be a HomogeneousPoint, got {}")
+def _charge_rows(t: TorusElement, z: HomogeneousPoint) -> tuple[tuple[int, ...], ...]:
+    """The charge rows of z's fan, once t and z are seen to match: the
+    same level, and one parameter per charge column."""
     if t.level != z.level:
         raise LevelMismatchError("torus element and point live at different levels")
     q = charge_matrix(z.fan).matrix
     if len(t.params) != q.cols:
         raise DomainError(f"expected {q.cols} torus parameters, got {len(t.params)}")
+    return q.entries
+
+
+def _scaled(i: int, parts, row, params) -> tuple[int, int, int, int]:
+    """The reduced parts of coordinate i, of parts ``parts``, times the
+    product of the parameters of parts ``params`` to the powers in its
+    charge ``row``: the moduli multiply as numerator and denominator
+    products, a negative exponent swapping the two, and the turns add over
+    a common denominator.  Before any power is formed, each factor's size
+    is capped as in ``pow_int`` (``_pow_bits``), in row order, and then
+    their sum, which bounds the size of the coordinate."""
+    bits = 0
+    for e, (a, b, _, _) in zip(row, params):
+        if e:
+            bits += _pow_bits(a, b, e)
+    if bits > _POW_BITS_CAP:
+        sizes = [_pow_bits(a, b, e) for e, (a, b, _, _) in zip(row, params) if e]
+        raise ResourceLimitError(
+            f"act: coordinate {i} takes {len(sizes)} factors of {bits} bits in all "
+            f"(the largest {max(sizes)} bits), past the cap of {_POW_BITS_CAP} bits "
+            f"on a coordinate")
+    n, d, tn, td = parts
+    for e, (a, b, pn, pd) in zip(row, params):
+        if e > 0:
+            n *= a ** e
+            d *= b ** e
+        elif e:
+            n *= b ** -e
+            d *= a ** -e
+        else:
+            continue
+        tn = tn * pd + pn * e * td
+        td *= pd
+    return _reduced(n, d, tn, td)
+
+
+def act(t: TorusElement, z: HomogeneousPoint) -> HomogeneousPoint:
+    """Scale coordinate i by the product of t_j to the power Q[i][j].
+
+    One pass per coordinate on integer parts (``_scaled``), each factor's
+    power and their sum capped; one ``PolarComplex`` is built at the end.
+    """
+    _check_type(t, TorusElement, "act: t must be a TorusElement, got {}")
+    _check_type(z, HomogeneousPoint, "act: z must be a HomogeneousPoint, got {}")
+    rows = _charge_rows(t, z)
     params = [p.parts for p in t.params]
-    coords = []
-    for c, row in zip(z.coords, q.entries):
-        n, d, tn, td = c.parts
-        for e, (a, b, pn, pd) in zip(row, params):
-            if e:
-                a, b = _capped_pow(a, b, e)
-                n *= a
-                d *= b
-                tn = tn * pd + pn * e * td
-                td *= pd
-        coords.append(PolarComplex._from_parts(n, d, tn, td))
     # nonzero parameters keep the zero pattern, so the image is valid too
-    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level, coords=tuple(coords))
+    return _trusted(HomogeneousPoint, fan=z.fan, level=z.level, coords=tuple(
+        _trusted(PolarComplex, parts=_scaled(i, c.parts, row, params))
+        for i, (c, row) in enumerate(zip(z.coords, rows))))
 
 
 def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
@@ -152,13 +188,28 @@ def power_map(l: int, z: HomogeneousPoint) -> HomogeneousPoint:
 
 def check_equivariance(fan: Fan, t: TorusElement, z: HomogeneousPoint, l: int) -> bool:
     """Exact check that powering intertwines the action with its l-fold
-    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z),
-    each side built, so the powers are formed and capped in that order."""
+    reparametrization: power_map(l, t . z) == (t^l) . power_map(l, z).
+
+    Both sides are worked out on integer parts, with no point, torus
+    element or polar value built between.  Every power that building the
+    sides would form is formed and capped, and errors come in the order
+    they would: the checks and caps of t . z, the check of l, the caps of
+    the powers of t . z, of t^l and of z^l, then those of (t^l) . z^l.
+    """
     _check_type(t, TorusElement, "check_equivariance: t must be a TorusElement, got {}")
     _check_type(z, HomogeneousPoint, "check_equivariance: z must be a HomogeneousPoint, got {}")
-    if z.fan != fan:
+    if z.fan is not fan and z.fan != fan:
         raise DomainError("point does not belong to the given fan")
-    return power_map(l, act(t, z)).coords == act(t.pow_int(l), power_map(l, z)).coords
+    rows = _charge_rows(t, z)
+    params = [p.parts for p in t.params]
+    coords = [c.parts for c in z.coords]
+    left = [_scaled(i, c, row, params) for i, (c, row) in enumerate(zip(coords, rows))]
+    _check_int(l, "power map exponent must be a positive integer", 1)
+    # a zero value's positive powers are zero
+    left = [_pow_parts(c, l) if c[0] else c for c in left]
+    t_l = [_pow_parts(p, l) for p in params]
+    z_l = [_pow_parts(c, l) if c[0] else c for c in coords]
+    return left == [_scaled(i, c, row, t_l) for i, (c, row) in enumerate(zip(z_l, rows))]
 
 
 def _coprime_base(numbers) -> list[int]:

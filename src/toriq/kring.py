@@ -10,8 +10,10 @@ derived, so the module also ships an independent brute-force reduction:
 rewrite x^(p+q) -> x^p + x^q - 1 at random split points on a shared term
 table, largest exponent magnitude first, so that each exponent is split
 once with its merged coefficient, until only the exponents {0, g} of the
-common grid survive.  The two must agree; tests and the acceptance suite
-gate the closed form on that agreement.
+common grid survive.  It runs on the integer multiples of g: int heap keys,
+one ``getrandbits`` draw per split and no ``Fraction`` until the result.
+The two must agree; tests and the acceptance suite gate the closed form on
+that agreement.
 """
 
 from __future__ import annotations
@@ -151,73 +153,75 @@ def in_level_image(e: KRingElement, n: int) -> bool:
     return (e.class_part * n).denominator == 1
 
 
-def _common_grid(s: FormalSum) -> Fraction:
-    return Fraction(1, lcm(*(q.denominator for q, _ in s.terms)))
-
-
 def oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
     """Brute-force normal form by exhaustive monomial splitting.
 
-    Exponents are put on the common grid g = 1/lcm(denominators) and every
-    monomial outside {0, g} is split by x^(a+b) -> x^a + x^b - 1 (applied
-    backwards for exponents below zero), with the split point chosen at
-    random, until only 1 and x^g survive.  Coefficients merge in a shared
-    table.  Every split yields exponents of smaller magnitude, so taking
-    the pending exponent of largest magnitude first splits each exponent
-    once, with its fully merged coefficient.  Any splitting order reaches
-    the same pair, which is the point of using it as an oracle for the
-    closed form in ``reduce``.
+    Exponents are put on the common grid g = 1/lcm(denominators), as the
+    integers k of x^(k*g), and every monomial outside {0, g} is split by
+    x^(a+b) -> x^a + x^b - 1 (applied backwards for exponents below zero),
+    with the split point chosen at random, until only 1 and x^g survive.
+    Coefficients merge in a shared table.  Every split yields exponents of
+    smaller magnitude, so taking the pending exponent of largest magnitude
+    first splits each exponent once, with its fully merged coefficient.
+    Any splitting order reaches the same pair, which is the point of using
+    it as an oracle for the closed form in ``reduce``.
+
+    The loop runs on integers alone: the pending exponents sit in a heap
+    of int keys, -(2|k| + 1) for k > 0 and -2|k| for k < 0, so the largest
+    magnitude pops first; each split takes one ``getrandbits`` draw; and
+    x^0, which is never split, keeps its coefficient in a local.
     """
     if not s.terms:
         return KRingElement(0, Fraction(0))
-    rng = random.Random(seed)
-    g = _common_grid(s)
-    table: dict[int, int] = {}
-    for q, c in s.terms:
-        k = q / g
-        assert k.denominator == 1
-        table[k.numerator] = table.get(k.numerator, 0) + c
-    # pending exponents keyed on -|k|; an entry whose exponent has left the
-    # table (split, or cancelled to zero) is skipped when popped
-    heap = [(-abs(k), k) for k in table if k not in (0, 1)]
+    den = lcm(*(q.denominator for q, _ in s.terms))
+    # the terms are merged, so each grid exponent appears once
+    table = {q.numerator * (den // q.denominator): c for q, c in s.terms}
+    a0 = table.pop(0, 0)
+    heap = [-2 * k - 1 if k > 0 else 2 * k for k in table if k != 1]
     heapq.heapify(heap)
-
-    def bump(k: int, c: int):
-        new = table.get(k, 0) + c
-        if new:
-            if k not in table and k not in (0, 1):
-                heapq.heappush(heap, (-abs(k), k))
-            table[k] = new
-        else:
-            table.pop(k, None)
-
+    get, pop, push = table.get, heapq.heappop, heapq.heappush
+    draw = random.Random(seed).getrandbits
     while heap:
-        k = heapq.heappop(heap)[1]
+        key = pop(heap)
+        m = -key >> 1
+        k = m if key & 1 else -m
         c = table.pop(k, 0)
-        if not c:
+        if not c:  # split already, or cancelled to zero
             continue
-        if k >= 2:
-            if k <= 32:
-                j = rng.randint(1, k - 1)
+        # a split point in [1, |k| - 1] (1 for k = -1), near the middle
+        # past 32; any point reaches the same pair
+        bound = m - 1 or 1
+        j = 1 + draw(5) % bound if bound < 32 else m // 2 - 3 + draw(3) % 7
+        if k > 0:  # x^k = x^(k-j) + x^j - 1
+            u, d = k - j, c
+            a0 -= c
+        else:  # x^k = x^(k+j) - x^j + 1
+            u, d = k + j, -c
+            a0 += c
+        # x^u gains c and x^j gains d; u is 0 only for k = -1
+        if u:
+            old = get(u)
+            if old is None:
+                table[u] = c
+                if u != 1:
+                    push(heap, -2 * u - 1 if u > 0 else 2 * u)
+            elif old + c:
+                table[u] = old + c
             else:
-                j = max(1, min(k - 1, k // 2 + rng.randint(-3, 3)))
-            bump(j, c)
-            bump(k - j, c)
-            bump(0, -c)
+                del table[u]
         else:
-            # k <= -1: x^k = x^(k+j) - x^j + 1, split point capped so both
-            # new exponents shrink in magnitude
-            bound = max(1, -k - 1)
-            if bound <= 32:
-                j = rng.randint(1, bound)
-            else:
-                j = max(1, min(bound, (-k) // 2 + rng.randint(-3, 3)))
-            bump(k + j, c)
-            bump(j, -c)
-            bump(0, c)
-    a0 = table.get(0, 0)
-    a1 = table.get(1, 0)
-    return KRingElement(a0 + a1, a1 * g)
+            a0 += c
+        old = get(j)
+        if old is None:
+            table[j] = d
+            if j != 1:
+                push(heap, -2 * j - 1)
+        elif old + d:
+            table[j] = old + d
+        else:
+            del table[j]
+    a1 = get(1, 0)
+    return KRingElement(a0 + a1, Fraction(a1, den))
 
 
 _TERM_RE = re.compile(

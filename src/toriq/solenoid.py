@@ -33,24 +33,38 @@ from .intlinalg import _trusted
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
 # power that pow_int or homogeneous.act forms, about the bit size of the
-# power; tests and benchmark workloads stay below 600.
+# power, and on the sum of those sizes over the factors of one coordinate of
+# homogeneous.act; tests and benchmark workloads stay below 600.
 _POW_BITS_CAP = 1 << 20
 
 _ZERO_PARTS = (0, 1, 0, 1)
 
 
-def _capped_pow(n: int, d: int, k: int) -> tuple[int, int]:
-    """The parts of ``(n / d) ** k`` for a nonzero modulus in lowest terms:
-    a negative k swaps n and d.  Powers of coprime parts stay coprime.
-    Refused past ``_POW_BITS_CAP``."""
-    num, den = n.bit_length(), d.bit_length()
-    if abs(k) * (max(num, den) - 1) > _POW_BITS_CAP:
+def _pow_bits(n: int, d: int, k: int) -> int:
+    """|k| * (bit length of the larger of n >= 0 and d > 0, less one): about
+    the bit size of ``(n / d) ** k``.  Refused past ``_POW_BITS_CAP``."""
+    bits = abs(k) * (max(n, d).bit_length() - 1)
+    if bits > _POW_BITS_CAP:
         raise ResourceLimitError(
-            f"pow_int: exponent {_shown(k)} on a modulus of {num}/{den} bits (numerator/"
-            f"denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
+            f"pow_int: exponent {_shown(k)} on a modulus of {n.bit_length()}/{d.bit_length()} "
+            f"bits (numerator/denominator) exceeds the cap of {_POW_BITS_CAP} bits on the power")
+    return bits
+
+
+def _pow_parts(parts: tuple[int, int, int, int], k: int) -> tuple[int, int, int, int]:
+    """The reduced parts of the k-th power of the nonzero value of reduced
+    ``parts``, refused past ``_POW_BITS_CAP`` (``_pow_bits``).  A negative
+    k swaps n and d, and powers of coprime parts stay coprime, so only the
+    turns are reduced."""
+    n, d, tn, td = parts
+    _pow_bits(n, d, k)
+    tn = tn * k % td
+    h = gcd(tn, td)
     if k < 0:
         n, d, k = d, n, -k
-    return (n, d) if k == 1 else (n ** k, d ** k)
+    if k != 1:
+        n, d = n ** k, d ** k
+    return n, d, tn // h, td // h
 
 
 def _reduced(n: int, d: int, tn: int, td: int) -> tuple[int, int, int, int]:
@@ -174,18 +188,13 @@ class PolarComplex:
         return PolarComplex._from_parts(n * m, d * e, tn * sd + sn * td, td * sd)
 
     def pow_int(self, k: int) -> "PolarComplex":
-        """The k-th power: the modulus parts by ``_capped_pow``, which keeps
-        them coprime, so only the turns are reduced."""
+        """The k-th power, by ``_pow_parts``."""
         _check_int(k, "exponent must be an integer")
-        n, d, tn, td = self.parts
-        if not n:
+        if not self.parts[0]:
             if k < 1:
                 raise DomainError("0 cannot be raised to a nonpositive power")
             return self
-        n, d = _capped_pow(n, d, k)
-        tn = tn * k % td
-        h = gcd(tn, td)
-        return _trusted(PolarComplex, parts=(n, d, tn // h, td // h))
+        return _trusted(PolarComplex, parts=_pow_parts(self.parts, k))
 
     def root(self, q: int, branch: int) -> "PolarComplex":
         """The branch-th of the q-th roots; modulus must be a perfect power."""

@@ -51,7 +51,11 @@ state machine, then one anchored match per chunk.  ``slow_oracle_reduce``
 is ``kring.oracle_reduce`` from before it split the largest exponent
 first: each step rebuilds the pending list from the whole table and
 splits a random entry of it, so an exponent can be split, rebuilt by a
-later split and split again.  ``slow_face_lattice``
+later split and split again.  ``slow_worklist_oracle_reduce`` is
+``kring.oracle_reduce`` from before it ran on integers alone: the same
+largest-first worklist on ``Fraction`` grid steps, with ``(-|k|, k)``
+heap tuples, a ``bump`` closure per new term, ``randint`` split points and
+the coefficient of x^0 in the table.  ``slow_face_lattice``
 sorts and counts the cones that ``moment.face_lattice`` now slices from the
 face list.  ``slow_discriminant_scan`` is the primitive-collection scan from
 before it read ray masks: hash lookups of every F + (j,) and its facets
@@ -62,7 +66,8 @@ squares went to ``math.isqrt``.  ``slow_act``, ``slow_power_map``,
 power map, the equivariance check and ``PolarComplex.pow_int`` from before
 they ran on integer parts: ``Fraction`` products and sums, each power
 capped by ``slow_capped_pow`` on the ``Fraction`` modulus, and every result
-built by the validating constructors.  ``slow_act_per_entry`` is the action
+built by the validating constructors; the equivariance check builds both
+sides, and the action has no cap on the sum of a coordinate's factor sizes.  ``slow_act_per_entry`` is the action
 from before it took one pass per coordinate: one ``slow_pow_int`` per
 nonzero charge entry, and each product built by the validating
 ``PolarComplex`` constructor.  ``slow_bareiss`` is ``intlinalg._bareiss`` from before small
@@ -82,11 +87,13 @@ of the base: one division by b per unit of the exponent.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from toriq.cones import (
     RationalCone,
@@ -119,7 +126,7 @@ from toriq.intlinalg import (
     primitive,
     smith_normal_form,
 )
-from toriq.kring import FormalSum, KRingElement, _common_grid
+from toriq.kring import FormalSum, KRingElement
 from toriq.moment import FaceLattice
 from toriq.quotient import (
     _ENUMERATION_CAP,
@@ -1050,6 +1057,66 @@ def slow_parse_expression(text: str) -> FormalSum:
             raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
         terms.append((Fraction(num, den), sgn * coeff))
     return FormalSum.from_terms(terms)
+
+
+def _common_grid(s: FormalSum) -> Fraction:
+    return Fraction(1, lcm(*(q.denominator for q, _ in s.terms)))
+
+
+def slow_worklist_oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:
+    """``oracle_reduce`` on ``Fraction`` grid steps, a heap of ``(-|k|, k)``
+    tuples, a ``bump`` helper per new term and ``randint`` split points:
+    the largest exponent first, each split once."""
+    if not s.terms:
+        return KRingElement(0, Fraction(0))
+    rng = random.Random(seed)
+    g = _common_grid(s)
+    table: dict[int, int] = {}
+    for q, c in s.terms:
+        k = q / g
+        assert k.denominator == 1
+        table[k.numerator] = table.get(k.numerator, 0) + c
+    # pending exponents keyed on -|k|; an entry whose exponent has left the
+    # table (split, or cancelled to zero) is skipped when popped
+    heap = [(-abs(k), k) for k in table if k not in (0, 1)]
+    heapq.heapify(heap)
+
+    def bump(k: int, c: int):
+        new = table.get(k, 0) + c
+        if new:
+            if k not in table and k not in (0, 1):
+                heapq.heappush(heap, (-abs(k), k))
+            table[k] = new
+        else:
+            table.pop(k, None)
+
+    while heap:
+        k = heapq.heappop(heap)[1]
+        c = table.pop(k, 0)
+        if not c:
+            continue
+        if k >= 2:
+            if k <= 32:
+                j = rng.randint(1, k - 1)
+            else:
+                j = max(1, min(k - 1, k // 2 + rng.randint(-3, 3)))
+            bump(j, c)
+            bump(k - j, c)
+            bump(0, -c)
+        else:
+            # k <= -1: x^k = x^(k+j) - x^j + 1, split point capped so both
+            # new exponents shrink in magnitude
+            bound = max(1, -k - 1)
+            if bound <= 32:
+                j = rng.randint(1, bound)
+            else:
+                j = max(1, min(bound, (-k) // 2 + rng.randint(-3, 3)))
+            bump(k + j, c)
+            bump(j, -c)
+            bump(0, c)
+    a0 = table.get(0, 0)
+    a1 = table.get(1, 0)
+    return KRingElement(a0 + a1, a1 * g)
 
 
 def slow_oracle_reduce(s: FormalSum, seed: int | None = None) -> KRingElement:

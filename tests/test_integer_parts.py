@@ -9,6 +9,7 @@ above 1 (weighted planes) and every level from 1 to 12 all occur.
 """
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from slow_paths import (
     slow_power_map,
     slow_same_orbit,
 )
+from test_orbit_fastpath import orbit_fans, polar as orbit_polar, random_point
 from toriq import catalog
 from toriq.errors import DomainError, LevelMismatchError, ResourceLimitError
 from toriq.homogeneous import (
@@ -31,6 +33,7 @@ from toriq.homogeneous import (
     power_map,
     same_orbit,
 )
+from toriq.intlinalg import _trusted
 from toriq.quotient import charge_matrix
 from toriq.solenoid import _POW_BITS_CAP, PolarComplex
 
@@ -188,3 +191,102 @@ def test_caps_and_errors_match_fraction_arithmetic():
         same_outcome(fast, slow)
     with pytest.raises(LevelMismatchError):
         act(TorusElement(4, (small,)), z)
+
+
+def test_check_equivariance_matches_slow_path_on_the_orbit_corpus():
+    """The corpus of the ``same_orbit`` differential test: points with zero
+    coordinates and moduli over 2, 3, 5 and 7 on eleven fans, at levels 1
+    to 12 and powers 1 to 12."""
+    rng = random.Random(SEED)
+    fans = orbit_fans()
+    for k in range(1200):
+        fan = fans[k % len(fans)]
+        level = 1 + k % 12
+        z = random_point(rng, fan)
+        z = HomogeneousPoint(fan, level, z.coords)
+        t = TorusElement(level, tuple(orbit_polar(rng)
+                                      for _ in range(charge_matrix(fan).torus_rank)))
+        l = rng.randint(1, 12)
+        assert same_outcome(lambda: check_equivariance(fan, t, z, l),
+                            lambda: slow_check_equivariance(fan, t, z, l)) is True
+
+
+def test_check_equivariance_raises_first_where_the_built_sides_would():
+    """One input for each step of building the two sides, built so that the
+    step trips first: the cap of t . z, the check of l, the cap of a power
+    of t . z, of t^l, of z^l, and of (t^l) . z^l.  The error class and
+    message match ``slow_check_equivariance``, and the message names the
+    exponent and the modulus that only that step powers."""
+    n = 5
+    fan = catalog.weighted_plane(n)  # charge rows (1,), (1,), (5,)
+    a = _POW_BITS_CAP // n  # n * a fits the cap, n * (a + 1) and 2 * n * a do not
+    one, zero = PolarComplex.one(), PolarComplex.zero()
+    small = PolarComplex(F(3, 2), F(1, 5))
+    t = TorusElement(2, (PolarComplex(2 ** a, F(1, 5)),))
+    # t . w is all ones, so the powers of t . w never trip
+    w = HomogeneousPoint(fan, 2, tuple(PolarComplex(F(1, 2 ** (e * a))) for e in (1, 1, n)))
+    big = 2 ** (_POW_BITS_CAP // 4 + 1) + 1
+    cases = [
+        # 1. t^5 inside t . z
+        (TorusElement(2, (PolarComplex(2 ** (a + 1)),)), HomogeneousPoint(fan, 2, (one,) * 3), 1,
+         f"pow_int: exponent {n} on a modulus of {a + 2}/1 bits"),
+        # 2. l = 0 is no power map exponent
+        (TorusElement(2, (small,)), HomogeneousPoint(fan, 2, (one,) * 3), 0,
+         "power map exponent must be a positive integer"),
+        # 3. (t . z)_0 = 3/2 * big to the 4th
+        (TorusElement(2, (small,)), HomogeneousPoint(fan, 2, (PolarComplex(big), one, one)), 4,
+         f"pow_int: exponent 4 on a modulus of {(3 * big).bit_length()}/2 bits"),
+        # 4. t^8, with t . w all ones
+        (t, w, 8, f"pow_int: exponent 8 on a modulus of {a + 1}/1 bits"),
+        # 5. w_2^4, after t^4 went through
+        (t, w, 4, f"pow_int: exponent 4 on a modulus of 1/{n * a + 1} bits"),
+        # 6. (t^2)^5 at the zero coordinate of (t^2) . z^2
+        (t, HomogeneousPoint(fan, 2, (one, one, zero)), 2,
+         f"pow_int: exponent {n} on a modulus of {2 * a + 1}/1 bits"),
+    ]
+    for t, z, l, message in cases:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            slow_check_equivariance(fan, t, z, l)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_equivariance(fan, t, z, l)
+        same_outcome(lambda: check_equivariance(fan, t, z, l),
+                     lambda: slow_check_equivariance(fan, t, z, l))
+
+
+class _CountedPowers(int):
+    """An int that counts the powers formed of it; each power is a plain int."""
+
+    powers = 0
+
+    def __pow__(self, k):
+        type(self).powers += 1
+        return int(self) ** k
+
+
+def test_act_refuses_a_coordinate_past_the_size_cap_before_forming_its_powers():
+    """Hirzebruch charge rows (1, 0), (1, 0), (0, 1) and (-m, 1): each
+    parameter alone fits the cap, but coordinate 3 multiplies both."""
+    size = _POW_BITS_CAP // 2 + 1  # each factor's size; two pass the cap
+    fan = catalog.hirzebruch(1)
+    z = HomogeneousPoint(fan, 1, (PolarComplex.one(),) * 4)
+    params = tuple(_trusted(PolarComplex, parts=(_CountedPowers(1 << size), 1, 0, 1))
+                   for _ in range(2))
+    _CountedPowers.powers = 0
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            f"act: coordinate 3 takes 2 factors of {2 * size} bits in all (the largest "
+            f"{size} bits), past the cap of {_POW_BITS_CAP} bits on a coordinate")):
+        act(TorusElement(1, params), z)
+    # the one power of each of coordinates 0, 1 and 2, none of coordinate 3
+    assert _CountedPowers.powers == 3
+    with pytest.raises(ResourceLimitError, match="act: coordinate 3"):
+        check_equivariance(fan, TorusElement(1, params), z, 1)
+
+    # a factor past the cap on its own is refused as in the Fraction path,
+    # though the coordinate's sum is past the cap too: t_0^-2 in row (-2, 1)
+    fan = catalog.hirzebruch(2)
+    z = HomogeneousPoint(fan, 1, (PolarComplex.one(),) * 4)
+    t = TorusElement(1, (PolarComplex(1 << size), PolarComplex(1 << size)))
+    same_outcome(lambda: act(t, z), lambda: slow_act(t, z))
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            f"pow_int: exponent -2 on a modulus of {size + 1}/1 bits")):
+        act(t, z)

@@ -1,17 +1,19 @@
-"""``kring.oracle_reduce`` splits the largest exponent first, each once: it
-must agree with the random-order rewrite it replaced (``slow_paths.py``)
-and with the closed form, and its split count is bounded by the number of
-exponents its table ever holds."""
+"""``kring.oracle_reduce`` splits the largest exponent first, each once, on
+integers alone: it must agree with the closed form, with the random-order
+rewrite and with the heap-and-``bump`` worklist on ``Fraction`` grid steps
+that it replaced (``slow_paths.py``), and its split count is bounded by the
+number of exponents its table ever holds."""
 
 import random
 import sys
 import time
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import slow_paths
 import toriq.kring as kring
-from slow_paths import slow_oracle_reduce
+from slow_paths import slow_oracle_reduce, slow_worklist_oracle_reduce
 from toriq.kring import FormalSum, KRingElement, oracle_reduce, reduce
 
 GRID_DENOMINATORS = (1, 2, 3, 4, 6, 8, 9, 12, 24, 35, 77, 360, 2520, 27720)
@@ -66,51 +68,91 @@ def test_worklist_oracle_matches_random_order_oracle_and_closed_form():
         closed = reduce(s)
         assert oracle_reduce(s, seed=seed) == closed, (str(s), seed)
         assert slow_oracle_reduce(s, seed=seed) == closed, (str(s), seed)
+        assert slow_worklist_oracle_reduce(s, seed=seed) == closed, (str(s), seed)
+
+
+def _orbit_sum(rng: random.Random) -> FormalSum:
+    """A sum of the kind the orbits benchmark reduces: 5 terms, each an
+    exponent of denominator at most 12 and magnitude at most 3 with a
+    coefficient of magnitude 1 to 9, so grids reach 1/27720."""
+    terms = []
+    for _ in range(5):
+        den = rng.randint(1, 12)
+        terms.append((F(rng.randint(-3 * den, 3 * den), den),
+                      rng.choice((-1, 1)) * rng.randint(1, 9)))
+    return FormalSum.from_terms(terms)
+
+
+def test_integer_oracle_matches_replaced_oracles_on_orbit_sums():
+    rng = random.Random(20261020)
+    grids = set()
+    for _ in range(3000):
+        s = _orbit_sum(rng)
+        seed = rng.randrange(1 << 30)
+        closed = reduce(s)
+        assert oracle_reduce(s, seed=seed) == closed, (str(s), seed)
+        assert slow_worklist_oracle_reduce(s, seed=seed) == closed, (str(s), seed)
+        assert slow_oracle_reduce(s, seed=seed) == closed, (str(s), seed)
+        grids.add(lcm(*(q.denominator for q, _ in s.terms)))
+    assert 27720 in grids and 1 in grids
 
 
 class _CountingRandom(random.Random):
-    """Counts ``randint`` draws: each split of either oracle draws once."""
+    """Counts draws: the integer oracle takes one ``getrandbits`` per split,
+    the random-order rewrite one ``randint`` per split (and more
+    ``getrandbits`` inside it and ``choice``)."""
 
-    draws = 0
+    bits = ints = 0
+
+    def getrandbits(self, k):
+        type(self).bits += 1
+        return super().getrandbits(k)
 
     def randint(self, a, b):
-        type(self).draws += 1
+        type(self).ints += 1
         return super().randint(a, b)
 
 
-def _split_work(monkeypatch, module, fn, s, seed) -> tuple[int, int]:
-    """(splits, distinct exponents the table ever held) for one call: the
-    table starts with the grid exponents of s, and every exponent entering
-    it later passes through the oracle's ``bump``."""
+def _split_work(monkeypatch, module, fn, s, seed) -> tuple[int, int, set]:
+    """(getrandbits draws, randint draws, exponents the table ever held)
+    for one call: the oracle's ``table`` is read at every line the oracle
+    runs, and a line adds or removes at most one exponent, so none comes
+    and goes unseen."""
     monkeypatch.setattr(module, "random", SimpleNamespace(Random=_CountingRandom))
-    _CountingRandom.draws = 0
+    _CountingRandom.bits = _CountingRandom.ints = 0
     held = set()
-    if s.terms:
-        g = kring._common_grid(s)
-        held = {(q / g).numerator for q, _ in s.terms}
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name == "bump" and code.co_filename == module.__file__:
-            held.add(frame.f_locals["k"])
+    def local(frame, event, arg):
+        held.update(frame.f_locals.get("table", ()))
+        return local
 
-    sys.setprofile(profile)
+    def trace(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    sys.settrace(trace)
     try:
         fn(s, seed=seed)
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
         monkeypatch.undo()
-    return _CountingRandom.draws, len(held)
+    return _CountingRandom.bits, _CountingRandom.ints, held
 
 
 def test_each_exponent_is_split_at_most_once(monkeypatch):
     slow_excess = False
+    total = 0
     for s, seed in _corpus():
-        splits, held = _split_work(monkeypatch, kring, oracle_reduce, s, seed)
-        assert splits <= held, (str(s), seed, splits, held)
+        splits, ints, held = _split_work(monkeypatch, kring, oracle_reduce, s, seed)
+        splittable = held - {0, 1}
+        assert ints == 0
+        assert splits <= len(splittable), (str(s), seed, splits, splittable)
+        # a monomial outside {1, x^g} is there from the start, and is split
+        assert (splits > 0) == bool(splittable), (str(s), seed, splits)
+        total += splits
         if not slow_excess:
-            splits, held = _split_work(monkeypatch, slow_paths, slow_oracle_reduce, s, seed)
-            slow_excess = splits > held
+            _, splits, held = _split_work(monkeypatch, slow_paths, slow_oracle_reduce, s, seed)
+            slow_excess = splits > len(held - {0, 1})
+    assert total > 10_000
     # the bound is one the random-order rewrite does break
     assert slow_excess
 
