@@ -2,7 +2,8 @@
 
 Reports are JSON with sorted keys, printed to stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 domain error (an operation's
-precondition failed), 2 malformed input.  Human-readable output is just
+precondition failed) or a stdout closed by its reader (nothing on
+stderr), 2 malformed input.  Human-readable output is just
 the JSON itself, so two runs on the same input are byte-identical.  Each
 ``cmd_*`` imports the modules it runs, so a call loads only those.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
@@ -242,7 +244,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with no stdout at all
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe, with no signal handler
+        # stdout to devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

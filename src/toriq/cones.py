@@ -45,8 +45,8 @@ from itertools import combinations, islice, product
 from math import prod
 from operator import le, mul
 
-from .errors import (DomainError, ResourceLimitError, _as_fraction, _check_int, _check_rows,
-                     _check_type, _shown)
+from .errors import (DomainError, ResourceLimitError, _as_fraction, _check_int, _check_iterable,
+                     _check_rows, _check_type, _shown)
 from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
@@ -194,11 +194,12 @@ def _scanned_rays(gens, rho, rank):
     """Dual rays found by scanning all C(len(gens), rho - 1) subsets."""
     rays = []
     for rows in combinations(gens, rho - 1):
-        if rows and _bareiss(rows, rank)[0] != rho - 1:
+        kernel = _kernel_columns(rows, rank)
+        if len(kernel) != rank - rho + 1:  # the rows have rank < rho - 1
             continue
         # the kernel is the lineality space plus one direction; a basis
         # vector is off the lineality space iff some generator sees it
-        u = next(v for v in _kernel_columns(rows, rank) if any(dot(g, v) for g in gens))
+        u = next(v for v in kernel if any(dot(g, v) for g in gens))
         if all(dot(g, u) >= 0 for g in gens):
             rays.append(u)
         elif all(dot(g, u) <= 0 for g in gens):
@@ -237,11 +238,8 @@ def cone_contains(cone: RationalCone, point) -> bool:
     """Exact membership via the dual description.  Coordinates are integers
     or ``Fraction``s; a float or a non-rational one raises ``DomainError``."""
     _check_type(cone, RationalCone, "cone_contains: cone must be a RationalCone, got {}")
-    try:
-        p = tuple(x if type(x) is int else _as_fraction(x) for x in point)
-    except TypeError:
-        raise DomainError(f"cone_contains: point must be an iterable of rationals, "
-                          f"got {_shown(point)}") from None
+    point = _check_iterable(point, "cone_contains: point must be an iterable of rationals, got {}")
+    p = tuple(x if type(x) is int else _as_fraction(x) for x in point)
     if len(p) != cone.ambient_rank:
         raise DomainError("point has wrong length")
     return all(dot(d, p) >= 0 for d in dual_cone(cone).generators)
@@ -437,16 +435,9 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(set(out), key=_grlex_key)))
 
 
-def _fan_cone_indices(fan: Fan, indices, caller: str) -> tuple[tuple[int, ...], int]:
+def _fan_cone_indices(fan: Fan, indices: tuple) -> tuple[tuple[int, ...], int]:
     """The sorted ray indices of a fan cone and the mask of the maximal
-    cones holding it; a ray set that is no cone raises ``DomainError``, as
-    do a non-``Fan`` and non-iterable indices, naming ``caller``."""
-    _check_type(fan, Fan, caller + ": fan must be a Fan, got {}")
-    try:
-        indices = tuple(indices)
-    except TypeError:
-        raise DomainError(f"{caller}: indices must be an iterable of ray indices, "
-                          f"got {_shown(indices)}") from None
+    cones holding it; a ray set that is no cone raises ``DomainError``."""
     idx, holders = fan._cone_indices(indices)
     if not holders:
         raise DomainError(f"{[i + 1 for i in idx]} is not a cone of the fan")
@@ -456,7 +447,10 @@ def _fan_cone_indices(fan: Fan, indices, caller: str) -> tuple[tuple[int, ...], 
 def fan_cone(fan: Fan, indices) -> RationalCone:
     """The cone of a fan spanned by the referenced rays (empty = zero cone)."""
     # fan rays are primitive and fan cones simplicial, hence pointed
-    idx = _fan_cone_indices(fan, indices, "fan_cone")[0]
+    _check_type(fan, Fan, "fan_cone: fan must be a Fan, got {}")
+    indices = _check_iterable(indices, "fan_cone: indices must be an iterable of ray indices, "
+                              "got {}")
+    idx = _fan_cone_indices(fan, indices)[0]
     return RationalCone._carrying(fan.lattice_rank, [fan.rays[i] for i in idx], ())
 
 
@@ -481,7 +475,10 @@ def affine_fiber_rank(fan: Fan, indices) -> int:
     when n = 2), which ``_rank2_count`` counts in O(log det) steps.  A
     singular cone with k >= 3 builds the Hilbert basis of its dual.
     """
-    idx, holders = _fan_cone_indices(fan, indices, "affine_fiber_rank")
+    _check_type(fan, Fan, "affine_fiber_rank: fan must be a Fan, got {}")
+    indices = _check_iterable(indices, "affine_fiber_rank: indices must be an iterable of ray "
+                              "indices, got {}")
+    idx, holders = _fan_cone_indices(fan, indices)
     n, k = fan.lattice_rank, len(idx)
     if k <= 1 or holders & fan._unimodular:
         return 2 * n - k

@@ -7,9 +7,10 @@ decides what an integer argument is (an ``int``, never a ``bool``, within
 the bounds if given), ``_as_fraction`` what a rational argument is (an
 ``int``, a ``Fraction`` or another exact rational number, never a float, a
 string or a ``bool``), ``_check_type`` what an object argument is (an
-instance of the class asked for), ``_check_vector`` what an integer vector
-is (an iterable of integers), ``_check_rows`` what a vector list is (an
-iterable of iterables), and ``_shown`` how a caller's value shows in a
+instance of the class asked for), ``_check_iterable`` what an iterable
+argument is (one that ``tuple`` takes), ``_check_vector`` what an integer
+vector is (an iterable of integers), ``_check_rows`` what a vector list is
+(an iterable of iterables), and ``_shown`` how a caller's value shows in a
 message: no number is cut, and none too long to print is printed.
 """
 
@@ -100,6 +101,16 @@ def _check_type(x, cls, message: str, error=DomainError):
     if not isinstance(x, cls):
         raise error(message.format(_shown(x)))
     return x
+
+
+def _check_iterable(x, message: str, error=DomainError) -> tuple:
+    """``tuple(x)``; if that raises ``TypeError`` (x is not iterable, or its
+    iteration breaks), raise ``error(message)``, its ``{}`` filled by
+    ``_shown(x)``."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise error(message.format(_shown(x))) from None
 
 
 def _check_vector(x, message: str, error=DomainError) -> tuple:

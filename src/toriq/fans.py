@@ -55,7 +55,7 @@ from os import PathLike
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _check_rows, _check_type, _shown)
+                     _check_int, _check_iterable, _check_rows, _check_type, _shown)
 from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
@@ -87,7 +87,6 @@ class Fan:
     name: str | None = field(default=None, compare=False)
     _cones = None  # not a field; see cones
     _lattice = None  # not a field; see ray_lattice
-    _orbit_plans = None  # not a field; see homogeneous._orbit_plan
 
     def __post_init__(self):
         rays = _check_rows(self.rays, "Fan: rays must be an iterable of integer vectors, got {}",
@@ -146,6 +145,7 @@ class Fan:
             unimodular |= (abs(pivot) == 1) << k
         object.__setattr__(self, "_star", star)
         object.__setattr__(self, "_unimodular", unimodular)
+        object.__setattr__(self, "_orbit_plans", {})  # see homogeneous._orbit_plan
         for k, a in enumerate(cones):
             others = self._holders(a) & ~(1 << k)
             if others:
@@ -236,11 +236,8 @@ class Fan:
 
     def is_cone(self, indices) -> bool:
         """Is this ray-index set a cone of the fan (a face of a maximal cone)?"""
-        try:
-            indices = tuple(indices)
-        except TypeError:
-            raise FanValidationError(f"Fan.is_cone: indices must be an iterable of ray indices, "
-                                     f"got {_shown(indices)}") from None
+        indices = _check_iterable(indices, "Fan.is_cone: indices must be an iterable of ray "
+                                  "indices, got {}", FanValidationError)
         return self._cone_indices(indices)[1] != 0
 
     def cones(self) -> tuple[ConeRef, ...]:

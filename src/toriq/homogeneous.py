@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _check_int, _check_type,
-                     _shown)
+from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _check_int,
+                     _check_iterable, _check_type)
 from .fans import Fan
 from .intlinalg import IntMatrix, _trusted, smith_normal_form
 from .quotient import charge_matrix
@@ -43,13 +43,10 @@ from .solenoid import (_POW_BITS_CAP, PolarComplex, _check_level, _integer_root,
 
 
 def _polar_tuple(values, what: str) -> tuple[PolarComplex, ...]:
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise DomainError(f"{what} must be an iterable of PolarComplex values, "
-                          f"got {_shown(values)}") from None
+    values = _check_iterable(values, what + " must be an iterable of PolarComplex values, got {}")
     for v in values:
-        _check_type(v, PolarComplex, what + " must be PolarComplex values, got {}")
+        if type(v) is not PolarComplex:
+            _check_type(v, PolarComplex, what + " must be PolarComplex values, got {}")
     return values
 
 
@@ -267,9 +264,6 @@ def _orbit_plan(fan: Fan, rows: tuple[int, ...]) -> tuple[tuple[int, tuple[int, 
     zero rows form a cone of the fan, so there is at most one plan per cone.
     """
     plans = fan._orbit_plans
-    if plans is None:
-        plans = {}
-        object.__setattr__(fan, "_orbit_plans", plans)
     plan = plans.get(rows)
     if plan is None:
         q = charge_matrix(fan).matrix

@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import DomainError, _check_int, _check_rows, _check_type, _check_vector, _shown
+from .errors import (DomainError, _check_int, _check_iterable, _check_rows, _check_type,
+                     _check_vector)
 
 IntVector = tuple[int, ...]
 
@@ -67,10 +68,9 @@ def primitive(v) -> IntVector:
     The result generates the same ray (it is ``v / g`` with ``g > 0``) and
     has coprime entries.  The zero vector has no primitive representative.
     """
-    try:
-        vec = tuple(_check_int(x, "exact integer expected, got {}") for x in v)
-    except TypeError:
-        raise DomainError(f"primitive: v must be an iterable of integers, got {_shown(v)}") from None
+    vec = _check_iterable(v, "primitive: v must be an iterable of integers, got {}")
+    for x in vec:
+        _check_int(x, "exact integer expected, got {}")
     if not any(vec):
         raise DomainError("the zero vector has no primitive representative")
     g = gcd(*vec)

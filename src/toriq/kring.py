@@ -27,7 +27,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import DomainError, ExpressionError, _as_fraction, _check_int, _check_type, _shown
+from .errors import (DomainError, ExpressionError, _as_fraction, _check_int, _check_iterable,
+                     _check_type, _shown)
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,8 @@ class FormalSum:
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        try:
-            terms = iter(self.terms)
-        except TypeError:
-            raise DomainError(f"terms must be an iterable of (exponent, coefficient) "
-                              f"pairs, got {_shown(self.terms)}") from None
+        terms = _check_iterable(self.terms, "terms must be an iterable of (exponent, "
+                                "coefficient) pairs, got {}")
         merged: dict[tuple[int, int], list] = {}
         for term in terms:
             try:

@@ -35,6 +35,15 @@ FAN_NAMES = [
 ]
 
 
+def _src_env() -> dict:
+    """The environment, with ``src/`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -135,13 +144,9 @@ def test_delzant_svg_is_utf8_whatever_the_locale(tmp_path):
     fan = dict(fan_to_dict(projective_space(2)), name=name)
     path = tmp_path / "named.json"
     path.write_text(json.dumps(fan), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run([sys.executable, *STRICT_ENCODING, "-m", "toriq", "delzant", str(path),
                            "--svg", "out.svg"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30)
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["name"] == name
     title = minidom.parse(str(tmp_path / "out.svg")).getElementsByTagName("text")[0]
@@ -179,6 +184,54 @@ def test_malformed_fan_file_is_input_error(capsys, tmp_path):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/fan.json")
     assert code == 2 and err
+
+
+def _toriq_into_pipe(tmp_path, argv, read):
+    """Run ``python -m toriq *argv`` with stdout a pipe whose reader takes
+    ``read`` bytes, or none if 0, and closes its end (before the start, if
+    0).  Block-buffered, so that a short report reaches the pipe only when
+    flushed.  Returns ``(bytes read, exit status, stderr)``."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, "-m", "toriq", *argv], cwd=tmp_path, env=env,
+                            stdout=w, stderr=subprocess.PIPE, text=True)
+    os.close(w)
+    data = b""
+    if read:
+        data = os.read(r, read)
+        os.close(r)
+    _, err = proc.communicate(timeout=30)
+    return data, proc.returncode, err
+
+
+@pytest.mark.parametrize("m, read", [(12, 5), (2, 0)], ids=["p12-after-5-bytes", "p2-closed"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, m, read):
+    """A reader that closes stdout early (``toriq analyze ... | head -c 5``)
+    is no malformed input: the run exits 1 with nothing on stderr, neither
+    an ``error:`` line nor a traceback from the flush at exit.  The P^12
+    report (about 1 MB) overfills the pipe after 5 bytes; the P^2 report
+    fits in the stdout buffer, so only the flush meets the closed pipe.  A
+    fan path that cannot be read still exits 2."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan_to_dict(projective_space(m))))
+    data, code, err = _toriq_into_pipe(tmp_path, ["analyze", str(path)], read)
+    assert (code, err) == (1, "") and len(data) == read
+    data, code, err = _toriq_into_pipe(tmp_path, ["analyze", str(tmp_path / "missing.json")], 5)
+    assert code == 2 and data == b"" and _one_error_line(err, tmp_path, "No such file"), err
+
+
+def test_a_run_started_with_no_stdout_exits_0(tmp_path):
+    """Started with file descriptor 1 closed (``toriq analyze fan.json >&-``),
+    Python sets ``sys.stdout`` to None and ``print`` writes nowhere: the
+    run exits 0 with nothing on stderr, with no flush to try."""
+    proc = subprocess.run([sys.executable, "-m", "toriq", "analyze", str(fan_path("cp2"))],
+                          cwd=tmp_path, env=_src_env(), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=30,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _one_error_line(err, path, cause):
@@ -235,12 +288,8 @@ def test_huge_fiber_rank_is_counted_not_built(capsys, tmp_path):
     fan = weighted_plane(10 ** 18)
     path = tmp_path / "cp11_huge.json"
     path.write_text(json.dumps(fan_to_dict(fan)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run([sys.executable, "-m", "toriq", "analyze", str(path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30)
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and proc.stderr == ""
     ranks = {tuple(r["cone"]): r["rank"] for r in json.loads(proc.stdout)["fiber_ranks"]}
     assert ranks[(1, 2)] == 10 ** 18 + 1 and ranks[(1, 3)] == ranks[(2, 3)] == 2

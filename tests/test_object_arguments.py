@@ -3,14 +3,14 @@
 Every object argument of the public names (a fan, a cone, a matrix, a
 point, a polar value, a profinite integer, a K-ring element, or an iterable
 of vectors or indices) is checked by ``errors._check_type``, or, for an
-iterable, where the function turns it into tuples (``errors._check_rows``
-or a ``try`` around the ``tuple`` it builds anyway), so that a wrong type raises a named ``ToriqError`` whose message names the
-function and shows the caller's value.  The eight ``lru_cache``s keyed on
-a fan or a cone run the check before the cache hashes the key
-(``fans._cached``).  The integer twin of this file is
-``test_int_arguments.py``; an AST guard keeps hand-written
-``if not isinstance(...): raise`` checks from growing back outside
-``errors.py``.
+iterable, where the function turns it into tuples (``errors._check_iterable``,
+``_check_vector`` or ``_check_rows``), so that a wrong type raises a named
+``ToriqError`` whose message names the function and shows the caller's
+value.  The eight ``lru_cache``s keyed on a fan or a cone run the check
+before the cache hashes the key (``fans._cached``).  The integer twin of
+this file is ``test_int_arguments.py``; two AST guards keep hand-written
+``if not isinstance(...): raise`` checks and ``try: tuple(x)`` /
+``except TypeError`` blocks from growing back outside ``errors.py``.
 """
 
 import ast
@@ -23,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 import toriq
 from toriq import catalog
 from toriq.cones import dual_cone, hilbert_basis
-from toriq.errors import (DomainError, FanValidationError, ToriqError, _check_rows, _check_type,
-                          _check_vector, _shown)
+from toriq.errors import (DomainError, FanValidationError, ToriqError, _check_iterable,
+                          _check_rows, _check_type, _check_vector, _shown)
 from toriq.intlinalg import inverse_unimodular
-from toriq.kring import in_level_image, reduce
+from toriq.kring import FormalSum, in_level_image, reduce
 from toriq.moment import face_lattice
 from toriq.quotient import (aut_presentation, charge_matrix, discriminant_locus, fan_symmetry,
                             group_structure)
@@ -84,6 +84,16 @@ CALLS = [
      "IntMatrix.mat_vec: v must be an iterable of integers, got ('a', 'b')"),
     (lambda: MATRIX.mat_vec((0.5, 1)),
      "IntMatrix.mat_vec: v must be an iterable of integers, got (0.5, 1)"),
+    # the iterable arguments that errors._check_iterable turns into tuples
+    (lambda: toriq.primitive(5), "primitive: v must be an iterable of integers, got 5"),
+    (lambda: toriq.cone_contains(CONE, 5),
+     "cone_contains: point must be an iterable of rationals, got 5"),
+    (lambda: toriq.fan_cone(CP2, 5), "fan_cone: indices must be an iterable of ray indices, got 5"),
+    (lambda: toriq.HomogeneousPoint(CP2, 1, 5),
+     "coordinates must be an iterable of PolarComplex values, got 5"),
+    (lambda: toriq.TorusElement(1, 5),
+     "torus parameters must be an iterable of PolarComplex values, got 5"),
+    (lambda: FormalSum(5), "terms must be an iterable of (exponent, coefficient) pairs, got 5"),
 ]
 # the eight cached names, the name their messages use and what they take
 CACHED = [
@@ -109,6 +119,42 @@ def test_an_object_argument_of_the_wrong_type_raises_a_named_error(call, message
     assert str(raised.value) == message
 
 
+def _broken(*items):
+    """An iterator that yields ``items`` and then raises ``TypeError``."""
+    yield from items
+    raise TypeError("iteration broke part-way")
+
+
+# each iterable argument given an iterator that breaks after valid items,
+# and the start of the message naming it
+BROKEN = [
+    (lambda: toriq.primitive(_broken(2, 4)), "primitive: v must be an iterable of integers"),
+    (lambda: toriq.cone_contains(CONE, _broken(1)),
+     "cone_contains: point must be an iterable of rationals"),
+    (lambda: toriq.fan_cone(CP2, _broken(0)),
+     "fan_cone: indices must be an iterable of ray indices"),
+    (lambda: toriq.affine_fiber_rank(CP2, _broken(0)),
+     "affine_fiber_rank: indices must be an iterable of ray indices"),
+    (lambda: CP2.is_cone(_broken(0)), "Fan.is_cone: indices must be an iterable of ray indices"),
+    (lambda: toriq.HomogeneousPoint(CP2, 1, _broken(P(1))),
+     "coordinates must be an iterable of PolarComplex values"),
+    (lambda: toriq.TorusElement(1, _broken(P(1))),
+     "torus parameters must be an iterable of PolarComplex values"),
+    (lambda: toriq.in_discriminant(CP2, _broken(P(1))),
+     "in_discriminant: coords must be an iterable of PolarComplex values"),
+    (lambda: FormalSum(_broken((F(1), 1))),
+     "terms must be an iterable of (exponent, coefficient) pairs"),
+]
+
+
+@pytest.mark.parametrize("call, message", BROKEN, ids=[m for _, m in BROKEN])
+def test_an_iterator_that_breaks_part_way_raises_the_named_error(call, message):
+    error = FanValidationError if message.startswith("Fan.is_cone") else DomainError
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message + ", got <generator object _broken at ")
+
+
 def test_cached_names_keep_their_cache_and_body():
     for f, *_, cls in CACHED:
         key = CP2 if cls == "Fan" else CONE
@@ -132,6 +178,11 @@ def test_check_type_and_check_rows_fill_the_message_only_on_failure():
     for bad in (5, None, [1, 2], [[1], None]):
         with pytest.raises(DomainError, match=r"^rows, got "):
             _check_rows(bad, "rows, got {}")
+    assert _check_iterable([1, "a", None], "{") == (1, "a", None)
+    assert _check_iterable(iter(()), "{") == () and _check_iterable("ab", "{") == ("a", "b")
+    for bad in (5, None, _broken(1)):
+        with pytest.raises(FanValidationError, match=r"^iterable, got (5|None|<generator)"):
+            _check_iterable(bad, "iterable, got {}", FanValidationError)
     assert _check_vector([1, -2], "{") == (1, -2) and _check_vector(iter(()), "{") == ()
     for bad in (5, None, [1, True], [0.5], [F(2)], ["1"], [[1]]):
         with pytest.raises(FanValidationError, match=r"^vector, got "):
@@ -280,3 +331,77 @@ def f(x, y):
 '''
     assert type_check_violations(source, "fans.py") == ["fans.py:3", "fans.py:5"]
     assert type_check_violations(source, "errors.py") == []
+
+
+def _catches_type_error(handler) -> bool:
+    """Does this ``except`` clause catch ``TypeError`` (bare, by name or by a base)?"""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(k is None or isinstance(k, ast.Name)
+               and k.id in ("TypeError", "Exception", "BaseException") for k in kinds)
+
+
+def _type_error_catches(source: str, filename: str) -> list:
+    """Each ``try`` in ``source`` with an ``except`` that catches ``TypeError``."""
+    return [node for node in ast.walk(ast.parse(source, filename=filename))
+            if isinstance(node, ast.Try) and any(map(_catches_type_error, node.handlers))]
+
+
+def iterable_check_violations(source: str, filename: str) -> list[str]:
+    """``file:line`` of each ``try`` that catches ``TypeError`` around a
+    ``tuple(...)`` or ``iter(...)`` call; ``errors.py``, which owns the
+    check (``_check_iterable``), is exempt."""
+    if filename == "errors.py":
+        return []
+    return [f"{filename}:{node.lineno}" for node in _type_error_catches(source, filename)
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id in ("tuple", "iter") for s in node.body for n in ast.walk(s))]
+
+
+def test_no_hand_written_iterable_check_outside_errors():
+    files = sorted(SRC.glob("*.py"))
+    assert [v for f in files for v in iterable_check_violations(f.read_text(), f.name)] == []
+    assert "def _check_iterable" in (SRC / "errors.py").read_text()
+    # the one TypeError caught outside errors.py: FormalSum's pair unpacking
+    catches = [(f.name, node) for f in files if f.name != "errors.py"
+               for node in _type_error_catches(f.read_text(), f.name)]
+    assert [(name, [type(s).__name__ for s in node.body], type(node.body[0].targets[0]))
+            for name, node in catches] == [("kring.py", ["Assign"], ast.Tuple)]
+
+
+def test_iterable_check_guard_reports_each_form():
+    # the first two blocks are Fan.is_cone and FormalSum.__post_init__ as
+    # they were written before _check_iterable
+    source = '''
+def f(self, indices, term):
+    try:
+        indices = tuple(indices)
+    except TypeError:
+        raise FanValidationError(f"Fan.is_cone: indices must be an iterable of ray indices, "
+                                 f"got {_shown(indices)}") from None
+    try:
+        terms = iter(self.terms)
+    except TypeError:
+        raise DomainError(f"terms must be an iterable of (exponent, coefficient) "
+                          f"pairs, got {_shown(self.terms)}") from None
+    try:
+        v = [int(x) for x in tuple(map(abs, indices))]
+    except (ValueError, TypeError):
+        v = None
+    try:
+        v = tuple(indices)
+    except:
+        pass
+    try:
+        q, c = term
+    except (TypeError, ValueError):
+        raise DomainError("not a pair") from None
+    try:
+        v = tuple(indices)
+    except ValueError:
+        v = None
+    return v
+'''
+    assert iterable_check_violations(source, "fans.py") == [
+        "fans.py:3", "fans.py:8", "fans.py:13", "fans.py:17"]
+    assert iterable_check_violations(source, "errors.py") == []
+    assert [node.lineno for node in _type_error_catches(source, "fans.py")] == [3, 8, 13, 17, 21]
