@@ -46,7 +46,7 @@ from math import prod
 from operator import le, mul
 
 from .errors import (DomainError, ResourceLimitError, _as_fraction, _check_int, _check_iterable,
-                     _check_rows, _check_type, _shown)
+                     _check_rows, _check_type, _shown, _trusted)
 from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
@@ -54,7 +54,6 @@ from .intlinalg import (
     _bareiss,
     _hermite,
     _kernel_columns,
-    _trusted,
     dot,
     inverse_unimodular,
     primitive,

@@ -12,6 +12,8 @@ argument is (one that ``tuple`` takes), ``_check_vector`` what an integer
 vector is (an iterable of integers), ``_check_rows`` what a vector list is
 (an iterable of iterables), and ``_shown`` how a caller's value shows in a
 message: no number is cut, and none too long to print is printed.
+``_trusted`` builds a result that already holds what the checks enforce
+without running them.
 """
 
 from fractions import Fraction
@@ -130,3 +132,21 @@ def _check_rows(x, message: str, error=DomainError) -> tuple:
         return tuple(map(tuple, x))
     except TypeError:
         raise error(message.format(_shown(x))) from None
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` stored as
+    given, without ``__post_init__``.
+
+    For results of this package that already hold what the checks enforce:
+    equality and hashing compare the stored values, so they must be in the
+    form the checks would leave them (an ``IntMatrix`` takes a tuple of
+    ``cols``-long tuples of ``int``, as ``from_rows`` would leave it).
+    """
+    obj = object.__new__(cls)
+    # one object.__setattr__ per field, as a dataclass __init__ sets them:
+    # writing obj.__dict__ instead would materialize the instance dict and
+    # slow every later attribute read
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

@@ -31,8 +31,8 @@ the rays and d = |det B|: directly when d = 1, else by a Hermite form
 modulo d.  Rays that do not span raise ``TorusFactorError`` before any
 kernel work.  The constructor never computes the lattice: it checks ranks
 by one ``_bareiss`` per maximal cone, whose last pivot is a k-minor of the
-cone's k rays (the determinant, by the cofactor formula, for a nonsingular
-2 x 2 or 3 x 3).  A pivot of +-1 sets bit k of ``_unimodular``: the cone
+cone's k rays (the determinant, by a closed form, for a nonsingular square
+matrix up to 4 x 4).  A pivot of +-1 sets bit k of ``_unimodular``: the cone
 and its faces are unimodular.  That decides every full-dimensional cone
 (the pivot is +-det), not every smaller one.
 
@@ -55,8 +55,9 @@ from os import PathLike
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _check_iterable, _check_rows, _check_type, _shown)
-from .intlinalg import IntMatrix, IntVector, _bareiss, _trusted, primitive, spanning_lattice
+                     _check_int, _check_iterable, _check_rows, _check_type, _shown,
+                     _trusted)
+from .intlinalg import IntMatrix, IntVector, _bareiss, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
 

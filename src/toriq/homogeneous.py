@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _check_int,
-                     _check_iterable, _check_type)
+                     _check_iterable, _check_type, _trusted)
 from .fans import Fan
-from .intlinalg import IntMatrix, _trusted, smith_normal_form
+from .intlinalg import IntMatrix, smith_normal_form
 from .quotient import charge_matrix
 from .solenoid import (_POW_BITS_CAP, PolarComplex, _check_level, _integer_root, _pow_bits,
                        _pow_parts, _reduced)

@@ -12,9 +12,9 @@ leaves ``[T @ a | T]`` (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4.3).  So one ``_hermite`` pass gives the inverse.
 
 Ranks and determinants come from fraction-free Bareiss elimination
-(``_bareiss``), or for a nonsingular 2 x 2 or 3 x 3 from the cofactor
-formula, which gives the same signed last pivot; a fan runs one per maximal
-cone.
+(``_bareiss``), or for a nonsingular square matrix up to 4 x 4 from a
+closed form, which gives the same signed last pivot; a fan runs one per
+maximal cone.
 
 Every canonical kernel takes one route: ``_lex_last_basis`` finds the
 lex-last basis among the rows by one fraction-free Gauss-Jordan pass, and
@@ -33,27 +33,9 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import (DomainError, _check_int, _check_iterable, _check_rows, _check_type,
-                     _check_vector)
+                     _check_vector, _trusted)
 
 IntVector = tuple[int, ...]
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields`` stored as
-    given, without ``__post_init__``.
-
-    For results of this package that already hold what the checks enforce:
-    equality and hashing compare the stored values, so they must be in the
-    form the checks would leave them (an ``IntMatrix`` takes a tuple of
-    ``cols``-long tuples of ``int``, as ``from_rows`` would leave it).
-    """
-    obj = object.__new__(cls)
-    # one object.__setattr__ per field, as a dataclass __init__ sets them:
-    # writing obj.__dict__ instead would materialize the instance dict and
-    # slow every later attribute read
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def dot(u, v) -> int:
@@ -139,7 +121,9 @@ class IntMatrix:
         return tuple(dot(row, v) for row in self.entries)
 
     def rank(self) -> int:
-        """Rank over the rationals, by fraction-free Bareiss elimination."""
+        """Rank over the rationals, by fraction-free Bareiss elimination, or
+        by a closed-form determinant for a nonsingular square matrix up to
+        4 x 4."""
         return _bareiss(self.entries, self.cols)[0]
 
     def __str__(self) -> str:
@@ -153,9 +137,10 @@ def _bareiss(rows, cols: int) -> tuple[int, int]:
     the rank is 0).  After ``r`` pivots every entry below them is an
     ``(r + 1)``-minor of the input, so each division by the previous pivot
     is exact and entries stay the size of minors.  For a square matrix of
-    full rank the signed last pivot is the determinant, so a square 2 x 2
-    or 3 x 3 input with a nonzero determinant returns ``(n, det)`` from the
-    cofactor formula; any other input is eliminated.  The elimination
+    full rank the signed last pivot is the determinant, so a square input
+    up to 4 x 4 with a nonzero determinant returns ``(n, det)`` from a
+    closed form (cofactors up to 3 x 3, Laplace expansion along the first
+    two rows at 4 x 4); any other input is eliminated.  The elimination
     rewrites a row below the pivot only when its entry in the pivot column
     is nonzero or the pivot changed, and only past that column: the input
     rows are never copied or modified.
@@ -171,6 +156,15 @@ def _bareiss(rows, cols: int) -> tuple[int, int]:
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if det:
             return 3, det
+    elif m == cols == 4:
+        # Laplace expansion along the first two rows: each 2 x 2 minor of
+        # rows 0-1 times its complementary minor of rows 2-3
+        (a, b, c, d), (e, f, g, h), (w, x, y, z), (p, q, r, s) = rows
+        det = ((a * f - b * e) * (y * s - z * r) - (a * g - c * e) * (x * s - z * q)
+               + (a * h - d * e) * (x * r - y * q) + (b * g - c * f) * (w * s - z * p)
+               - (b * h - d * f) * (w * r - y * p) + (c * h - d * g) * (w * q - x * p))
+        if det:
+            return 4, det
     a = list(rows)
     rank, sign, prev = 0, 1, 1
     for c in range(cols):

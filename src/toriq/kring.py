@@ -25,10 +25,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (DomainError, ExpressionError, _as_fraction, _check_int, _check_iterable,
-                     _check_type, _shown)
+                     _check_type, _shown, _trusted)
 
 
 @dataclass(frozen=True)
@@ -263,13 +263,15 @@ def parse_expression(text: str) -> FormalSum:
     coefficient (with optional ``*``), then optionally ``x`` with an
     optional exponent, written as an integer or as ``(p/q)``.  A run of
     signs before a term multiplies out; signs after the last term are
-    ignored.
+    ignored.  Terms merge on the exponent's reduced (numerator,
+    denominator) as they are read, and the result is built from the merged
+    terms as ``FormalSum`` would order them, without merging them again.
     """
     if not _check_type(text, str, "empty expression", ExpressionError).strip():
         raise ExpressionError("empty expression")
     if not _balanced(text):
         raise ExpressionError("unbalanced parentheses")
-    terms: list[tuple[Fraction, int]] = []
+    merged: dict[tuple[int, int], int] = {}
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
@@ -292,8 +294,11 @@ def parse_expression(text: str) -> FormalSum:
             ) from None
         if den == 0:
             raise ExpressionError(f"zero denominator in term {term!r}")
-        sign = -1 if signs.count("-") % 2 else 1
-        terms.append((Fraction(num, den), sign * coeff))
-    if not terms:
+        g = gcd(num, den)
+        key = num // g, den // g
+        merged[key] = merged.get(key, 0) + (-coeff if signs.count("-") % 2 else coeff)
+    if not merged:
         raise ExpressionError("no terms found")
-    return FormalSum.from_terms(terms)
+    grid = lcm(*(d for _, d in merged))
+    kept = sorted((n * (grid // d), n, d, c) for (n, d), c in merged.items() if c)
+    return _trusted(FormalSum, terms=tuple((Fraction(n, d), c) for _, n, d, c in kept))

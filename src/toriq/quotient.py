@@ -26,8 +26,9 @@ discriminant antichain; conversely, permuting the antichain fixes the cones,
 the ray sets holding no antichain member.  Row equality reproduces the
 known symmetry groups of the classical examples; the cone filter is a no-op
 on those but guards degenerate inputs.  So every such permutation preserves
-the maximal cones; the reported flag is computed by the same index test on
-the generators.
+the maximal cones, and the reported flag is true by that argument, not
+tested again; ``test_fan_index.test_preserves_maximal_cones_on_a_wide_corpus``
+runs the index test on every generator of a wide corpus of fans.
 """
 
 from __future__ import annotations
@@ -242,7 +243,11 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
     When every antichain member is a union of row classes, every such
     permutation fixes the antichain, so the cone filter is vacuous and the
     group is the full product of symmetric groups on the classes; otherwise
-    the subgroup is enumerated (desk-scale inputs only).
+    the subgroup is enumerated (desk-scale inputs only).  Either way every
+    generator preserves the maximal cones, so ``preserves_maximal_cones``
+    is true without a test: a transposition within one row class fixes
+    each antichain member, hence the cones, and an enumerated generator is
+    a member that passed ``_preserves_cones``.
     """
     n = fan.n_rays
     q = charge_matrix(fan).matrix
@@ -292,13 +297,12 @@ def fan_symmetry(fan: Fan) -> FanSymmetryGroup:
         full = order == _product_of_factorials(orbit_sizes)
         name = _structure_name(order, orbit_sizes, full)
 
-    preserves = all(_preserves_cones(g, fan) for g in generators)
     return FanSymmetryGroup(
         row_classes=classes,
         generators=generators,
         order=order,
         structure_name=name,
-        preserves_maximal_cones=preserves,
+        preserves_maximal_cones=True,
         torsion_warning=torsion,
     )
 

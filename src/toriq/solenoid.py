@@ -28,8 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (DomainError, LevelMismatchError, ResourceLimitError, _as_fraction,
-                     _check_int, _check_type, _shown)
-from .intlinalg import _trusted
+                     _check_int, _check_type, _shown, _trusted)
 
 # Bound on |k| * (bit length of the larger part of rho, less one) for each
 # power that pow_int or homogeneous.act forms, about the bit size of the

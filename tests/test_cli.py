@@ -64,16 +64,35 @@ def test_delzant_matches_golden(capsys, name):
     assert out == (GOLDEN / f"{name}_delzant.json").read_text()
 
 
+def _moved_cp4():
+    """cp^4 with its rays mapped by one fixed unimodular matrix (det 1)
+    whose entries pass 10^6, so that the 4 x 4 determinants of its maximal
+    cones run on large coordinates."""
+    basis = ((1, 1_000_003, 0, 2),
+             (0, 1, -1_000_033, 0),
+             (3, 3_000_009, 1, 6),
+             (0, 0, 1_000_037, 1))
+    cp4 = projective_space(4)
+    rays = [tuple(sum(a * x for a, x in zip(row, v)) for row in basis) for v in cp4.rays]
+    return build_fan(4, rays, cp4.maximal_cones, complete=True, name="cp4_moved")
+
+
 # no shipped fan has rank above 2; these pin analyze in rank 3 and 4, where
 # faces of maximal cones are neither rays nor maximal.  P(1,1,1,2) has one
-# singular maximal cone among three smooth ones.  Goldens live in a
-# subdirectory because every top-level *_analyze.json names a shipped fan.
+# singular maximal cone among three smooth ones, and P(1,1,1,1,2) one among
+# four.  Goldens live in a subdirectory because every top-level
+# *_analyze.json names a shipped fan.
 HIGHER_RANK_FANS = {
     "cp3": lambda: projective_space(3),
     "cp4": lambda: projective_space(4),
+    "cp4_moved": _moved_cp4,
     "cp111_2": lambda: build_fan(
         3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)], combinations(range(4), 3),
         complete=True, name="cp111_2",
+    ),
+    "cp1111_2": lambda: build_fan(
+        4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -2)],
+        combinations(range(5), 4), complete=True, name="cp1111_2",
     ),
 }
 

@@ -269,6 +269,41 @@ def test_fan_symmetry_matches_antichain_filter():
     fan_symmetry.cache_clear()
 
 
+def test_preserves_maximal_cones_on_a_wide_corpus():
+    """``fan_symmetry`` reports ``preserves_maximal_cones`` without testing
+    the generators; here every generator of a wide corpus takes the index
+    test it used to take, ``_preserves_cones``.  The corpus covers both
+    branches: fans whose antichain is a union of row classes (products of
+    projective spaces, cp^m, cp3 blow-ups) and random fans whose group is
+    enumerated."""
+    # imported here: test_discriminant_fastpath imports this module
+    from test_discriminant_fastpath import cp3_blowup, product_fan
+
+    rng = random.Random(SEED + 4)
+    fans = _corpus() + [_random_fan(rng) for _ in range(500)]
+    fans += [_cp1_power(k) for k in range(1, 6)]
+    fans += [catalog.projective_space(m) for m in range(1, 7)]
+    fans += [product_fan(dims) for dims in ((2, 2), (3, 1), (1, 1, 2), (1, 1, 1, 1))]
+    fans += [cp3_blowup(rng, rng.randint(1, 12)) for _ in range(60)]
+    checked = enumerated = generators = 0
+    for fan in fans:
+        got = _outcome(fan_symmetry, fan)
+        if isinstance(got, tuple):
+            continue
+        checked += 1
+        assert got.preserves_maximal_cones, fan
+        for g in got.generators:
+            assert _preserves_cones(g, fan), (fan, g)
+            generators += 1
+        classes = [set(c) for c in got.row_classes]
+        enumerated += any(
+            set(t) != set().union(*(c for c in classes if c & set(t)))
+            for t in discriminant_locus(fan).minimal_subsets
+        )
+    assert checked >= 550 and enumerated >= 10 and generators >= 300, (
+        checked, enumerated, generators)
+
+
 def test_preserves_cones_matches_antichain_image_for_every_permutation():
     rng = random.Random(SEED + 3)
     fans = [f for f in _corpus() + [_random_fan(rng) for _ in range(40)] if f.n_rays <= 7]

@@ -348,6 +348,54 @@ def test_bareiss_on_every_small_2x2_and_3x3():
     assert singular > 5000
 
 
+def test_bareiss_on_small_4x4():
+    """20,000 seeded 4 x 4s with entries in {0, 1}, {-1, 0, 1} or [-2, 2]
+    (one box per matrix, so that over a third are singular), some with a
+    zero leading entry: the nonsingular ones return (4, det) from the
+    Laplace expansion, and the singular ones fall through to the
+    elimination.  (Every {0, 1} matrix, 65,536 of them, takes over 3 s
+    against the n! oracle.)"""
+    rng = random.Random(4404)
+    boxes = [(0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)]
+    singular = 0
+    for _ in range(20_000):
+        box = rng.choice(boxes)
+        rows = [[rng.choice(box) for _ in range(4)] for _ in range(4)]
+        if rng.random() < 0.3:
+            rows[0][0] = 0
+        got = intlinalg._bareiss(rows, 4)
+        det = leibniz_det(rows)
+        assert got == ((4, det) if det else slow_bareiss(rows, 4)), rows
+        singular += not det
+    assert singular >= 5000
+
+
+def test_bareiss_on_large_4x4():
+    """Seeded 4 x 4s with entries past 2^64, a third with a zero leading
+    entry and a quarter made singular by a repeated combination of rows:
+    (4, det) when nonsingular, else the elimination's pair, and the input
+    rows left as they were."""
+    rng = random.Random(4444)
+    singular = leading_zero = 0
+    for _ in range(500):
+        bound = 1 << rng.choice([8, 65, 100, 200])
+        rows = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(4)]
+        if rng.random() < 0.34:
+            rows[0][0] = 0
+            leading_zero += 1
+        if rng.random() < 0.25:
+            i, j, k = rng.sample(range(4), 3)
+            q = rng.randint(-bound, bound)
+            rows[k] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        before = [row[:] for row in rows]
+        got = intlinalg._bareiss(rows, 4)
+        assert rows == before
+        det = leibniz_det(before)
+        assert got == ((4, det) if det else slow_bareiss(before, 4)), before
+        singular += not det
+    assert singular > 50 and leading_zero > 100
+
+
 def _random_matrices(rng, count):
     """Shapes up to 6 x 6 with entries up to +-100; every third matrix is a
     product through a smaller inner dimension (rank-deficient), and some

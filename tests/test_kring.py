@@ -217,6 +217,65 @@ def test_parser_matches_sign_splitting_parser():
     assert seen == kinds | {"parsed"}
 
 
+def _rendered_terms(rng):
+    """(text, its (exponent, coefficient) pairs): terms written as x, a
+    constant, x^k or x^(p/q) with p/q often not in lowest terms, repeats of
+    one exponent written differently, and terms that cancel."""
+    pairs, pieces = [], []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            num, den, var = 1, 1, "x"
+        elif kind == 1:
+            num, den, var = 0, 1, ""
+        elif kind == 2:
+            num = den = rng.randint(1, 4)
+            num *= rng.randint(0, 3)
+            var = f"x^({num}/{den})" if rng.random() < 0.5 else f"x^{num // den}"
+        else:
+            scale = rng.randint(1, 4)
+            num, den = rng.randint(-6, 6) * scale, rng.randint(1, 4) * scale
+            var = f"x^( {num} / {den} )" if rng.random() < 0.3 else f"x^({num}/{den})"
+        coeff = rng.randint(1, 5)
+        shown = rng.choice(["", f"{coeff}", f"{coeff}*", f"{coeff} * "]) if var else f"{coeff}"
+        if not shown:
+            coeff = 1
+        sign = rng.choice([1, -1])
+        pairs.append((F(num, den), sign * coeff))
+        pieces.append((sign, shown + var))
+        if rng.random() < 0.3:  # the same term again, cancelling it
+            pairs.append((F(num, den), -sign * coeff))
+            pieces.append((-sign, shown + var))
+    text = "".join(rng.choice(["+", " + ", "--", "- -"] if sign > 0 else ["-", " - ", "+-"]) + piece
+                   for sign, piece in pieces)
+    return text, pairs
+
+
+def test_parser_merges_terms_as_formal_sum_does():
+    """The parser's in-loop merge and trusted result against
+    ``FormalSum.from_terms`` of the parsed pairs: the same terms in the same
+    order, each exponent a ``Fraction`` and each coefficient an ``int``, over
+    cancelling terms, repeated exponents and equal fractions written
+    differently."""
+    for text, pairs in [("x - x", [(F(1), 1), (F(1), -1)]),
+                        ("x^(2/4) + x^(1/2)", [(F(1, 2), 1), (F(1, 2), 1)]),
+                        ("3x^2 - x^(4/2) + 2 - 2", [(F(2), 3), (F(2), -1), (F(0), 2), (F(0), -2)]),
+                        ("x^(-3/6) - -x^(-1/2)", [(F(-1, 2), 1), (F(-1, 2), 1)])]:
+        assert parse_expression(text).terms == FormalSum.from_terms(pairs).terms, text
+    rng = random.Random(20261020)
+    cancelled = merged = 0
+    for _ in range(3000):
+        text, pairs = _rendered_terms(rng)
+        got = parse_expression(text)
+        want = FormalSum.from_terms(pairs)
+        assert got == want == slow_parse_expression(text), text
+        assert [(type(q), type(c)) for q, c in got.terms] == [(F, int)] * len(want.terms), text
+        exponents = {q for q, _ in pairs}
+        merged += len(exponents) < len(pairs)
+        cancelled += len(want.terms) < len(exponents)
+    assert merged > 2000 and cancelled > 1000, (merged, cancelled)
+
+
 def test_formal_sum_merges_terms():
     s = FormalSum.from_terms([(F(1, 2), 3), (F(1, 2), -3), (F(0), 1)])
     assert s.terms == ((F(0), 1),)
