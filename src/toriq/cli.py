@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError, ResourceLimitError
@@ -26,7 +25,7 @@ def _max_bits(x) -> int:
         x = (x.numerator, x.denominator)
     elif isinstance(x, dict):
         x = tuple(x.values())
-    elif is_dataclass(x):
+    elif hasattr(type(x), "__dataclass_fields__"):  # dataclasses.is_dataclass, for an instance
         x = tuple(vars(x).values())
     if isinstance(x, (list, tuple)):
         return max(map(_max_bits, x), default=0)

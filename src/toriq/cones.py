@@ -46,7 +46,7 @@ from math import prod
 from operator import le, mul
 
 from .errors import (DomainError, ResourceLimitError, _as_fraction, _check_int, _check_iterable,
-                     _check_rows, _check_type, _shown, _trusted)
+                     _check_type, _shown, _trusted)
 from .fans import Fan, _cached
 from .intlinalg import (
     IntMatrix,
@@ -82,8 +82,8 @@ class RationalCone:
     def __post_init__(self):
         _check_int(self.ambient_rank, "ambient rank must be positive", 1)
         gens = []
-        for v in _check_rows(self.generators, "RationalCone: generators must be an iterable of "
-                                              "integer vectors, got {}"):
+        for v in _check_iterable(self.generators, "RationalCone: generators must be an iterable "
+                                 "of integer vectors, got {}", item=tuple):
             if len(v) != self.ambient_rank:
                 raise DomainError(f"generator {_shown(v)} has wrong length")
             gens.append(primitive(v))
@@ -219,8 +219,8 @@ def _lineality_quotient(lineality, rank):
     u, _, _ = smith_normal_form(_trusted(IntMatrix, entries=tuple(zip(*lineality)), cols=ell))
     uinv = inverse_unimodular(u)
     return (
-        lambda x: u.mat_vec(x)[ell:],
-        lambda y: uinv.mat_vec((0,) * ell + tuple(y)),
+        lambda x: tuple(dot(row, x) for row in u.entries[ell:]),
+        lambda y: tuple(dot(row[ell:], y) for row in uinv.entries),
     )
 
 

@@ -8,10 +8,10 @@ the bounds if given), ``_as_fraction`` what a rational argument is (an
 ``int``, a ``Fraction`` or another exact rational number, never a float, a
 string or a ``bool``), ``_check_type`` what an object argument is (an
 instance of the class asked for), ``_check_iterable`` what an iterable
-argument is (one that ``tuple`` takes), ``_check_vector`` what an integer
-vector is (an iterable of integers), ``_check_rows`` what a vector list is
-(an iterable of iterables), and ``_shown`` how a caller's value shows in a
-message: no number is cut, and none too long to print is printed.
+argument is (one that ``tuple`` takes; with ``item=tuple``, a list of
+vectors; with ``item=_int_item``, an integer vector), and ``_shown`` how a
+caller's value shows in a message: no number is cut, and none too long to
+print is printed.
 ``_trusted`` builds a result that already holds what the checks enforce
 without running them.
 """
@@ -105,33 +105,20 @@ def _check_type(x, cls, message: str, error=DomainError):
     return x
 
 
-def _check_iterable(x, message: str, error=DomainError) -> tuple:
-    """``tuple(x)``; if that raises ``TypeError`` (x is not iterable, or its
-    iteration breaks), raise ``error(message)``, its ``{}`` filled by
-    ``_shown(x)``."""
-    try:
-        return tuple(x)
-    except TypeError:
-        raise error(message.format(_shown(x))) from None
-
-
-def _check_vector(x, message: str, error=DomainError) -> tuple:
-    """``x`` as a tuple if it is an iterable of integers, each as
-    ``_check_int`` takes it; else raise ``error(message)``, its ``{}`` filled
+def _check_iterable(x, message: str, error=DomainError, item=None) -> tuple:
+    """``tuple(x)``, or ``tuple(map(item, x))`` when ``item`` is given; if
+    that raises ``TypeError`` (x is not iterable, its iteration breaks or
+    ``item`` rejects an item), raise ``error(message)``, its ``{}`` filled
     by ``_shown(x)``."""
     try:
-        return tuple(_check_int(y, "", error=TypeError) for y in x)
+        return tuple(x) if item is None else tuple(map(item, x))
     except TypeError:
         raise error(message.format(_shown(x))) from None
 
 
-def _check_rows(x, message: str, error=DomainError) -> tuple:
-    """``x`` as a tuple of tuples if it and its items are iterable; else
-    raise ``error(message)``, its ``{}`` filled by ``_shown(x)``."""
-    try:
-        return tuple(map(tuple, x))
-    except TypeError:
-        raise error(message.format(_shown(x))) from None
+def _int_item(y) -> int:
+    """``_check_iterable``'s ``item`` for an integer vector: ``TypeError`` unless an int."""
+    return _check_int(y, "", error=TypeError)
 
 
 def _trusted(cls, **fields):

@@ -55,8 +55,7 @@ from os import PathLike
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _check_iterable, _check_rows, _check_type, _shown,
-                     _trusted)
+                     _check_int, _check_iterable, _check_type, _shown, _trusted)
 from .intlinalg import IntMatrix, IntVector, _bareiss, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
@@ -90,10 +89,10 @@ class Fan:
     _lattice = None  # not a field; see ray_lattice
 
     def __post_init__(self):
-        rays = _check_rows(self.rays, "Fan: rays must be an iterable of integer vectors, got {}",
-                           FanValidationError)
-        cones = _check_rows(self.maximal_cones, "Fan: maximal_cones must be an iterable of index "
-                            "lists, got {}", FanValidationError)
+        rays = _check_iterable(self.rays, "Fan: rays must be an iterable of integer vectors, "
+                               "got {}", FanValidationError, item=tuple)
+        cones = _check_iterable(self.maximal_cones, "Fan: maximal_cones must be an iterable of "
+                                "index lists, got {}", FanValidationError, item=tuple)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "maximal_cones", cones)
         rank = self.lattice_rank
@@ -265,10 +264,10 @@ class Fan:
 
 def build_fan(lattice_rank, rays, maximal_cones, complete=False, name=None) -> Fan:
     """Validate and normalize fan data (cones sorted, duplicates rejected)."""
-    rays = _check_rows(rays, "build_fan: rays must be an iterable of integer vectors, got {}",
-                       FanValidationError)
-    cones = _check_rows(maximal_cones, "build_fan: maximal_cones must be an iterable of index "
-                        "lists, got {}", FanValidationError)
+    rays = _check_iterable(rays, "build_fan: rays must be an iterable of integer vectors, got {}",
+                           FanValidationError, item=tuple)
+    cones = _check_iterable(maximal_cones, "build_fan: maximal_cones must be an iterable of "
+                            "index lists, got {}", FanValidationError, item=tuple)
     if not {type(i) for c in cones for i in c} <= {int}:
         cones = [_int_indices(k, c) for k, c in enumerate(cones)]
     cones = sorted(tuple(sorted(set(c))) for c in cones)

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import (DomainError, _check_int, _check_iterable, _check_rows, _check_type,
-                     _check_vector, _trusted)
+from .errors import DomainError, _check_int, _check_iterable, _check_type, _int_item, _trusted
 
 IntVector = tuple[int, ...]
 
@@ -71,7 +70,8 @@ class IntMatrix:
     cols: int
 
     def __post_init__(self):
-        rows = _check_rows(self.entries, "IntMatrix: entries must be an iterable of rows, got {}")
+        rows = _check_iterable(self.entries, "IntMatrix: entries must be an iterable of rows, "
+                               "got {}", item=tuple)
         entries = tuple(tuple(_check_int(x, "exact integer expected, got {}") for x in row)
                         for row in rows)
         object.__setattr__(self, "entries", entries)
@@ -82,7 +82,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = _check_rows(rows, "IntMatrix.from_rows: rows must be an iterable of rows, got {}")
+        rows = _check_iterable(rows, "IntMatrix.from_rows: rows must be an iterable of rows, "
+                               "got {}", item=tuple)
         if cols is None:
             if not rows:
                 raise DomainError("cannot infer column count of an empty matrix")
@@ -115,7 +116,8 @@ class IntMatrix:
         return _trusted(IntMatrix, entries=self.columns(), cols=self.rows)
 
     def mat_vec(self, v) -> IntVector:
-        v = _check_vector(v, "IntMatrix.mat_vec: v must be an iterable of integers, got {}")
+        v = _check_iterable(v, "IntMatrix.mat_vec: v must be an iterable of integers, got {}",
+                            item=_int_item)
         if len(v) != self.cols:
             raise DomainError("matrix-vector shape mismatch")
         return tuple(dot(row, v) for row in self.entries)

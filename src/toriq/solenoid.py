@@ -215,7 +215,7 @@ class PolarComplex:
 
 
 def _integer_root(n: int, q: int) -> int | None:
-    """Integer q-th root of n, or ``None`` when n is not a perfect power.
+    """Integer q-th root of n >= 0, or ``None`` when n is not a perfect power.
 
     A square root is ``math.isqrt``'s, in time near-linear in the bits.
     For ``q >= 3`` and ``n >= 2`` a root x >= 2 has ``x ** q >= 2 ** q``,
@@ -223,8 +223,6 @@ def _integer_root(n: int, q: int) -> int | None:
     bisection under ``x < 2 ** (bit_length // q + 1)`` finds it: no power
     above ``2 ** (bit_length + q)`` is formed.
     """
-    if n < 0:
-        raise DomainError("negative radicand")
     if n in (0, 1):
         return n
     if q == 2:

@@ -135,9 +135,11 @@ def test_the_kring_command_loads_only_errors_and_kring():
 
 
 def test_importing_the_cli_loads_only_errors():
-    loaded = run_python("""
+    loaded, dataclasses = run_python("""
 import json, sys
 import toriq.cli
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("toriq."))))
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("toriq.")),
+                  "dataclasses" in sys.modules]))
 """)
     assert loaded == ["toriq.cli", "toriq.errors"]
+    assert not dataclasses  # cli._max_bits tests __dataclass_fields__ itself

@@ -4,7 +4,8 @@ Every object argument of the public names (a fan, a cone, a matrix, a
 point, a polar value, a profinite integer, a K-ring element, or an iterable
 of vectors or indices) is checked by ``errors._check_type``, or, for an
 iterable, where the function turns it into tuples (``errors._check_iterable``,
-``_check_vector`` or ``_check_rows``), so that a wrong type raises a named
+with ``item=tuple`` for a list of vectors and ``item=_int_item`` for an
+integer vector), so that a wrong type raises a named
 ``ToriqError`` whose message names the function and shows the caller's
 value.  The eight ``lru_cache``s keyed on a fan or a cone run the check
 before the cache hashes the key (``fans._cached``).  The integer twin of
@@ -24,7 +25,7 @@ import toriq
 from toriq import catalog
 from toriq.cones import dual_cone, hilbert_basis
 from toriq.errors import (DomainError, FanValidationError, ToriqError, _check_iterable,
-                          _check_rows, _check_type, _check_vector, _shown)
+                          _check_type, _int_item, _shown)
 from toriq.intlinalg import inverse_unimodular
 from toriq.kring import FormalSum, in_level_image, reduce
 from toriq.moment import face_lattice
@@ -169,24 +170,25 @@ def test_cached_names_keep_their_cache_and_body():
         assert f.cache_info() == info  # a refused key never reaches the cache
 
 
-def test_check_type_and_check_rows_fill_the_message_only_on_failure():
+def test_check_type_and_check_iterable_fill_the_message_only_on_failure():
     assert _check_type(CP2, toriq.Fan, "{") is CP2
     assert _check_type("p", (str, bytes), "{") == "p"
     with pytest.raises(FanValidationError, match=r"^want a Fan, got \[1\]$"):
         _check_type([1], toriq.Fan, "want a Fan, got {}", FanValidationError)
-    assert _check_rows([[1, 2], (3,), "ab"], "{") == ((1, 2), (3,), ("a", "b"))
+    assert _check_iterable([[1, 2], (3,), "ab"], "{", item=tuple) == ((1, 2), (3,), ("a", "b"))
     for bad in (5, None, [1, 2], [[1], None]):
         with pytest.raises(DomainError, match=r"^rows, got "):
-            _check_rows(bad, "rows, got {}")
+            _check_iterable(bad, "rows, got {}", item=tuple)
     assert _check_iterable([1, "a", None], "{") == (1, "a", None)
     assert _check_iterable(iter(()), "{") == () and _check_iterable("ab", "{") == ("a", "b")
     for bad in (5, None, _broken(1)):
         with pytest.raises(FanValidationError, match=r"^iterable, got (5|None|<generator)"):
             _check_iterable(bad, "iterable, got {}", FanValidationError)
-    assert _check_vector([1, -2], "{") == (1, -2) and _check_vector(iter(()), "{") == ()
+    assert _check_iterable([1, -2], "{", item=_int_item) == (1, -2)
+    assert _check_iterable(iter(()), "{", item=_int_item) == ()
     for bad in (5, None, [1, True], [0.5], [F(2)], ["1"], [[1]]):
         with pytest.raises(FanValidationError, match=r"^vector, got "):
-            _check_vector(bad, "vector, got {}", FanValidationError)
+            _check_iterable(bad, "vector, got {}", FanValidationError, item=_int_item)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

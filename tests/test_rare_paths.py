@@ -4,10 +4,16 @@ torus-element guards, ``cone_contains`` on a point of the wrong length, the
 structure messages of ``fan_from_dict``, ``ProfiniteInt`` subtraction and
 ``catalog.fan_path`` on an unknown name.  And ``cusp_count``, the number of
 maximal cones, against the face lattice's cusps on the complete fans of
-the face-order corpus."""
+the face-order corpus.  And the statements no other test runs in process:
+the guards of ``dot``, ``IntMatrix.from_rows`` and ``integer_kernel``,
+``str`` of an ``IntMatrix``, ``delzant_svg``'s tie-break for a cone whose
+rays are a half turn apart, the ``NotImplemented`` of the arithmetic
+operators, and the bit count of an overlong integer in a dict report."""
 
 import json
+import sys
 from fractions import Fraction as F
+from xml.dom import minidom
 
 import pytest
 
@@ -16,12 +22,13 @@ from toriq import catalog
 from toriq.cli import main
 from toriq.cones import RationalCone, cone_contains
 from toriq.errors import DomainError, FanValidationError, LevelMismatchError
-from toriq.fans import fan_from_dict
+from toriq.fans import build_fan, fan_from_dict
 from toriq.homogeneous import HomogeneousPoint, TorusElement, same_orbit
+from toriq.intlinalg import IntMatrix, dot, integer_kernel
 from toriq.kring import FormalSum
-from toriq.moment import cusp_count, face_lattice
+from toriq.moment import cusp_count, delzant_svg, face_lattice
 from toriq.solenoid import PolarComplex as P
-from toriq.solenoid import ProfiniteInt
+from toriq.solenoid import ProfiniteInt, SolenoidPoint
 
 CP2 = catalog.projective_plane()
 
@@ -103,3 +110,47 @@ def test_cusp_count_is_the_number_of_cusps_on_the_face_order_corpus():
     assert len(complete) == 622
     for fan in complete:
         assert cusp_count(fan) == len(face_lattice(fan).cusps) == len(fan.maximal_cones), fan
+
+
+def test_integer_matrix_guards_and_str():
+    with pytest.raises(DomainError, match=r"^dot product of vectors of unequal length$"):
+        dot((1, 2), (1,))
+    with pytest.raises(DomainError, match=r"^cannot infer column count of an empty matrix$"):
+        IntMatrix.from_rows([])
+    with pytest.raises(DomainError, match=r"^integer_kernel requires a nonempty matrix$"):
+        integer_kernel(IntMatrix((), 3))
+    assert str(IntMatrix.from_rows([[1, 2], [3, 4]])) == "1 2\n3 4"
+
+
+def test_delzant_svg_breaks_the_tie_of_rays_a_half_turn_apart():
+    # the unit rays of cone [1, 2] sum to (0, 2e-12), inside the 1e-9 tie
+    fan = build_fan(2, [(10**12, 1), (-10**12, 1), (0, -1)], [[0, 1], [1, 2], [0, 2]],
+                    complete=True)
+    svg = minidom.parseString(delzant_svg(fan)).documentElement
+    assert len(svg.getElementsByTagName("circle")) == len(svg.getElementsByTagName("line")) == 3
+
+
+@pytest.mark.parametrize("op", [
+    lambda: TorusElement(1, (P(1),)) * 3,
+    lambda: P(1) * 3,
+    lambda: SolenoidPoint(2, P(1)) * 3,
+    lambda: ProfiniteInt(4, 1) + 3,
+])
+def test_arithmetic_with_a_plain_int_is_not_implemented(op):
+    with pytest.raises(TypeError, match=r"^unsupported operand type"):
+        op()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer-to-string conversion")
+def test_overlong_integer_in_a_dict_report_is_resource_error(capsys, tmp_path):
+    a, b = 10**2200 + 1, 10**2200 + 3
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"lattice_rank": 3, "rays": [[1, a, 0], [0, 1, b], [0, 0, 1]],
+                                "maximal_cones": [[1, 2, 3]]}))
+    assert main(["hilbert", str(path), "--cone", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: hilbert: the result holds a 14617-bit integer, past the "
+                            f"limit of {sys.get_int_max_str_digits()} decimal digits on "
+                            "integer-to-string conversion\n")
