@@ -55,7 +55,7 @@ from os import PathLike
 from pathlib import Path
 
 from .errors import (DomainError, FanValidationError, ResourceLimitError, TorusFactorError,
-                     _check_int, _check_iterable, _check_type, _shown, _trusted)
+                     _check_int, _check_iterable, _check_type, _shown)
 from .intlinalg import IntMatrix, IntVector, _bareiss, primitive, spanning_lattice
 
 ConeRef = tuple[int, ...]
@@ -189,10 +189,6 @@ class Fan:
     @property
     def n_rays(self) -> int:
         return len(self.rays)
-
-    def ray_matrix(self) -> IntMatrix:
-        """Rows are the primitive ray generators."""
-        return _trusted(IntMatrix, entries=self.rays, cols=self.lattice_rank)
 
     def ray_lattice(self) -> tuple[IntMatrix, IntMatrix]:
         """``spanning_lattice`` of the ray matrix: its Hermite form and the

@@ -69,7 +69,7 @@ def _in_discriminant(fan: Fan, coords: tuple[PolarComplex, ...]) -> bool:
 
 @dataclass(frozen=True)
 class HomogeneousPoint:
-    """Coordinates outside the discriminant locus, at one truncation level."""
+    """Coordinates outside the discriminant locus (zero pattern a cone), at one truncation level."""
 
     fan: Fan
     level: int
@@ -81,10 +81,6 @@ class HomogeneousPoint:
         object.__setattr__(self, "coords", _polar_tuple(self.coords, "coordinates"))
         if _in_discriminant(self.fan, self.coords):
             raise DomainError("point lies in the discriminant locus")
-
-    @property
-    def zero_pattern(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coords) if c.is_zero)
 
 
 @dataclass(frozen=True)

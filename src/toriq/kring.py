@@ -70,16 +70,8 @@ class FormalSum:
         object.__setattr__(self, "terms", tuple((q, c) for _, q, c in kept))
 
     @classmethod
-    def from_terms(cls, pairs) -> "FormalSum":
-        return cls(pairs)
-
-    @classmethod
     def monomial(cls, q, c: int = 1) -> "FormalSum":
         return cls(((_as_fraction(q), c),))
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls(())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
-from .errors import IncompleteFanError, ResourceLimitError, _check_int, _check_type
+from .errors import IncompleteFanError, ResourceLimitError, _check_type
 from .fans import Fan, _cached
 from .intlinalg import IntMatrix, smith_normal_form
 
@@ -48,7 +48,7 @@ _ENUMERATION_CAP = 500_000
 
 @dataclass(frozen=True)
 class ChargeMatrix:
-    """n_rays x s integer matrix with Hermite-canonical columns."""
+    """n_rays x s integer matrix with Hermite-canonical columns; row i is the charge of ray i."""
 
     matrix: IntMatrix
 
@@ -59,11 +59,6 @@ class ChargeMatrix:
     @property
     def torus_rank(self) -> int:
         return self.matrix.cols
-
-    def row(self, i: int):
-        _check_int(i, f"ChargeMatrix.row: i must be an integer in [0, {self.n_rays}), got {{}}", 0,
-                   below=self.n_rays)
-        return self.matrix.entries[i]
 
 
 @dataclass(frozen=True)

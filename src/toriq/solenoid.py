@@ -84,7 +84,7 @@ def _check_level(m) -> int:
 
 @dataclass(frozen=True)
 class ProfiniteInt:
-    """Residue at a finite truncation level of the profinite integers."""
+    """Level-M residue of a profinite integer; ProfiniteInt(M, n) is the canonical inclusion of n."""
 
     level: int
     residue: int
@@ -93,11 +93,6 @@ class ProfiniteInt:
         _check_level(self.level)
         _check_int(self.residue, "residue must be an integer")
         object.__setattr__(self, "residue", self.residue % self.level)
-
-    @classmethod
-    def from_int(cls, n: int, level: int) -> "ProfiniteInt":
-        """Canonical inclusion of an integer at the given level."""
-        return cls(level, n)
 
     def project(self, d: int) -> int:
         """Residue mod a divisor d of the level."""
@@ -264,9 +259,8 @@ def cover_map(n: int, m: int, z: PolarComplex) -> PolarComplex:
 class SolenoidPoint:
     """Point of a solenoidal object truncated at level M.
 
-    Only the level-M coordinate is stored; the coordinate at a divisor d is
-    top**(M/d), so the compatibility relations hold by construction.
-    """
+    Only the level-M coordinate is stored, so the compatibility relations
+    hold by construction."""
 
     level: int
     top: PolarComplex
@@ -276,14 +270,11 @@ class SolenoidPoint:
         _check_type(self.top, PolarComplex, "top coordinate must be a PolarComplex, got {}")
 
     def coordinate(self, d: int) -> PolarComplex:
+        """top**(M/d) at a divisor d of M; d = 1 gives the image in the base circle or plane."""
         _check_level(d)
         if self.level % d != 0:
             raise DomainError(f"{_shown(d)} does not divide the level {_shown(self.level)}")
         return self.top.pow_int(self.level // d)
-
-    def base_coordinate(self) -> PolarComplex:
-        """The level-1 coordinate (image in the base circle or plane)."""
-        return self.coordinate(1)
 
     def __mul__(self, other: "SolenoidPoint") -> "SolenoidPoint":
         if not isinstance(other, SolenoidPoint):

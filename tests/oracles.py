@@ -12,7 +12,7 @@ the caller passes them in.  Nothing here imports ``toriq``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 
 def dot(u, v) -> int:
@@ -236,3 +236,9 @@ def matmul(a, b, cols: int | None = None) -> tuple:
     assert all(len(row) == len(b) for row in a), "matrix product shape mismatch"
     columns = list(zip(*b)) or [()] * (cols or 0)
     return tuple(tuple(dot(row, col) for col in columns) for row in a)
+
+
+def powerset(iterable):
+    """Every subset of the items, as tuples in order of size."""
+    s = list(iterable)
+    return chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))

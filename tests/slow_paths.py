@@ -894,12 +894,18 @@ def slow_multiplicity(b: int, n: int) -> int:
     return k
 
 
+def zero_indices(z: HomogeneousPoint) -> frozenset[int]:
+    """The indices of a point's zero coordinates."""
+    return frozenset(i for i, c in enumerate(z.coords) if c.is_zero)
+
+
 def slow_same_orbit(z: HomogeneousPoint, z2: HomogeneousPoint) -> bool:
     """``same_orbit`` with one ``solve_integer`` per prime of the modulus
     ratios, found by trial division; the caller checks fan and level."""
-    if z.zero_pattern != z2.zero_pattern:
+    pattern = zero_indices(z)
+    if pattern != zero_indices(z2):
         return False
-    rows = sorted(set(range(z.fan.n_rays)) - z.zero_pattern)
+    rows = sorted(set(range(z.fan.n_rays)) - pattern)
     if not rows:
         return True
     q = charge_matrix(z.fan).matrix
@@ -1056,7 +1062,7 @@ def slow_parse_expression(text: str) -> FormalSum:
         if den == 0:
             raise ExpressionError(f"zero denominator in term {chunk.strip()!r}")
         terms.append((Fraction(num, den), sgn * coeff))
-    return FormalSum.from_terms(terms)
+    return FormalSum(terms)
 
 
 def _common_grid(s: FormalSum) -> Fraction:

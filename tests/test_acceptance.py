@@ -10,9 +10,8 @@ import json
 import random
 import time
 from fractions import Fraction as F
-from itertools import chain, combinations
 
-from oracles import generated_points, irreducible_in_semigroup, leibniz_det, matmul
+from oracles import generated_points, irreducible_in_semigroup, leibniz_det, matmul, powerset
 from slow_paths import solve_integer
 from test_intlinalg import column_hermite_form
 from toriq import catalog
@@ -176,7 +175,7 @@ def test_solenoid_identities():
         # nu(full turns n) = phi(n) at every level up to 1000
         for level in range(1, 1001):
             for n in range(-50, 51):
-                assert nu(n, level) == phi(ProfiniteInt.from_int(n, level))
+                assert nu(n, level) == phi(ProfiniteInt(level, n))
         # covering functoriality over all divisor chains n | m | l <= 360
         z = PolarComplex(F(3, 2), F(5, 7))
         for l in range(1, 361):
@@ -247,7 +246,7 @@ def test_kring_normal_forms():
         rng = random.Random(271828)
         for trial in range(1000):
             n_terms = rng.randint(0, 6)
-            sum_ = FormalSum.from_terms(
+            sum_ = FormalSum(
                 [
                     (F(rng.randint(-15, 15), rng.randint(1, 24)), rng.randint(-6, 6))
                     for _ in range(n_terms)
@@ -259,7 +258,7 @@ def test_kring_normal_forms():
         # worked identity: x^(1/2) * x^(1/2) == 2 x^(1/2) - 1 in normal form
         half = reduce(FormalSum.monomial(F(1, 2)))
         assert half * half == reduce(
-            FormalSum.from_terms([(F(1, 2), 2), (F(0), -1)])
+            FormalSum([(F(1, 2), 2), (F(0), -1)])
         )
         # directedness of level images under divisibility
         elements = [
@@ -278,11 +277,6 @@ def test_kring_normal_forms():
         _fail_line(name)
         raise
     _report(name, started, 30.0)
-
-
-def powerset(iterable):
-    s = list(iterable)
-    return chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))
 
 
 def test_property_suites():

@@ -1,20 +1,24 @@
 """Command-line interface: golden reports, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_demos import STRICT_ENCODING
 from test_discriminant_fastpath import cp3_blowup
+from toriq import catalog
 from toriq.catalog import fan_path, projective_space, weighted_plane
 from toriq.cli import main
 from toriq.cones import affine_fiber_rank
@@ -198,6 +202,74 @@ def test_malformed_fan_file_is_input_error(capsys, tmp_path):
     path.write_text("{oops")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2 and "invalid JSON" in err
+
+
+# valid fan files that the sweep below breaks one field at a time
+SWEEP_FANS = [fan_to_dict(fan) for fan in (
+    catalog.projective_line(), catalog.projective_plane(), catalog.weighted_plane(3),
+    catalog.hirzebruch(1), projective_space(3),
+    build_fan(2, [(1, 0), (1, 3)], [(0, 1)], complete=False, name="cone"))]
+BAD_SCALARS = [0, -1, True, False, 2.0, 0.5, "2", "x", None, 10 ** 20, -(10 ** 20), 2 ** 200,
+               [], {}, [1]]
+
+
+@st.composite
+def malformed_fan_texts(draw):
+    """A shipped-style fan file with one defect, or none: a key dropped, a
+    bad lattice rank, a ragged ray, a bad ray entry, a bad cone index
+    (0, negative, repeated, out of range, bool, float, str or huge), a
+    wrong-typed field, or a document that is not an object."""
+    fan = json.loads(json.dumps(draw(st.sampled_from(SWEEP_FANS))))
+    rays, cones = fan["rays"], fan["maximal_cones"]
+    kind = draw(st.sampled_from(["none", "drop", "rank", "ragged", "entry", "index", "field",
+                                 "document"]))
+    if kind == "drop":
+        del fan[draw(st.sampled_from(sorted(fan)))]
+    elif kind == "rank":
+        fan["lattice_rank"] = draw(st.sampled_from(BAD_SCALARS + [1, 3]))
+    elif kind == "ragged":
+        ray = draw(st.sampled_from(rays))
+        if draw(st.booleans()):
+            ray.append(1)
+        else:
+            ray.pop()
+    elif kind == "entry":
+        ray = draw(st.sampled_from(rays))
+        ray[draw(st.integers(0, len(ray) - 1))] = draw(st.sampled_from(BAD_SCALARS))
+    elif kind == "index":
+        cone = draw(st.sampled_from(cones))
+        others = [c for c in cone if c != cone[0]]
+        cone[0] = draw(st.sampled_from(BAD_SCALARS + [len(rays) + 1] + others))
+    elif kind == "field":
+        key = draw(st.sampled_from(["rays", "maximal_cones", "complete", "name"]))
+        fan[key] = draw(st.sampled_from(BAD_SCALARS + [[[]], [5], ["x"]]))
+    elif kind == "document":
+        fan = draw(st.sampled_from([[], 5, "fan", None, [fan]]))
+    return json.dumps(fan)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(malformed_fan_texts(),
+       st.sampled_from([["analyze"], ["delzant"]]
+                       + [["hilbert", "--cone", c] for c in ("0", "1", "1,2", "9", "1,1", "x")]))
+def test_malformed_fan_files_exit_0_with_json_or_1_or_2_with_one_error_line(
+        tmp_path_factory, text, command):
+    """Every command on a broken fan file, within 2 s: exit 0 with JSON on
+    stdout, or exit 1 or 2 with nothing on stdout and one ``error:`` line
+    on stderr."""
+    path = tmp_path_factory.getbasetemp() / "sweep_fan.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert time.perf_counter() - started < 2.0, (text, command)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        json.loads(out)
+    else:
+        assert code in (1, 2) and out == "", (text, command, code, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, command, err)
 
 
 def test_missing_file_is_input_error(capsys):

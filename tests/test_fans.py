@@ -1,10 +1,10 @@
 """Fan construction, validation, cone queries, file round-trips."""
 
 import json
-from itertools import chain, combinations
 
 import pytest
 
+from oracles import powerset
 from toriq import catalog
 from toriq.cones import affine_fiber_rank, fan_cone
 from toriq.errors import DomainError, FanValidationError
@@ -177,11 +177,6 @@ def test_fan_cones_cp2_counts():
 def test_single_cone_chain():
     fan = build_fan(1, [(1,)], [[0]])
     assert fan.cones() == ((), (0,))
-
-
-def powerset(iterable):
-    s = list(iterable)
-    return chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slow_paths import zero_indices
 from toriq import catalog
 from toriq.errors import DomainError, LevelMismatchError
 from toriq.fans import build_fan
@@ -131,7 +132,7 @@ def test_power_map_examples():
     cubed = power_map(3, z)
     assert cubed.coords == (polar(1), polar(1), P(F(8), F(1, 2)))
     z = HomogeneousPoint(CP2, 1, (polar(1), P.zero(), P.zero()))
-    assert power_map(5, z).zero_pattern == z.zero_pattern
+    assert zero_indices(power_map(5, z)) == zero_indices(z)
 
 
 def test_power_map_is_functorial():

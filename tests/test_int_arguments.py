@@ -34,7 +34,6 @@ from toriq.fans import build_fan, fan_from_dict
 from toriq.homogeneous import HomogeneousPoint, TorusElement, act, check_equivariance, power_map
 from toriq.intlinalg import IntMatrix, primitive
 from toriq.kring import FormalSum, KRingElement, in_level_image
-from toriq.quotient import charge_matrix
 from toriq.solenoid import PolarComplex as P
 from toriq.solenoid import ProfiniteInt, SolenoidPoint, cover_map, nu, refine
 
@@ -65,8 +64,6 @@ def _with(data: dict, key: str, path: tuple, x) -> dict:
 SITES = {
     "ProfiniteInt level": (lambda x: ProfiniteInt(x, 1), 6),
     "ProfiniteInt residue": (lambda x: ProfiniteInt(6, x), -7),
-    "ProfiniteInt.from_int n": (lambda x: ProfiniteInt.from_int(x, 6), 13),
-    "ProfiniteInt.from_int level": (lambda x: ProfiniteInt.from_int(1, x), 6),
     "ProfiniteInt.project divisor": (lambda x: ProfiniteInt(6, 1).project(x), 3),
     "PolarComplex.pow_int exponent": (lambda x: P(4, F(1, 3)).pow_int(x), -3),
     "PolarComplex.root degree": (lambda x: P(4, F(1, 3)).root(x, 0), 2),
@@ -108,7 +105,6 @@ SITES = {
     "IntMatrix.row index": (lambda x: IntMatrix.from_rows([(1, 2), (3, 4)]).row(x), 1),
     "IntMatrix.column index": (lambda x: IntMatrix.from_rows([(1, 2), (3, 4)]).column(x), 0),
     "IntMatrix.mat_vec entry": (lambda x: IntMatrix.from_rows([(1, 2)]).mat_vec((1, x)), -2),
-    "ChargeMatrix.row index": (lambda x: charge_matrix(CP2).row(x), 2),
     "catalog.projective_space m": (catalog.projective_space, 3),
     "catalog.weighted_plane n": (catalog.weighted_plane, 5),
     "catalog.hirzebruch n": (catalog.hirzebruch, 0),

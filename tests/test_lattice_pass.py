@@ -120,7 +120,7 @@ def test_one_pass_matches_carried_transform_oracles():
     A and T side by side, and ``_hermite`` on a alone leaves the same form."""
     rng = random.Random(SEED)
     inputs = [_random_matrix(rng, i) for i in range(600)]
-    inputs += [fan.ray_matrix() for fan in _lattice_corpus()]
+    inputs += [IntMatrix.from_rows(fan.rays, fan.lattice_rank) for fan in _lattice_corpus()]
     inputs += [IntMatrix(((),) * k, 0) for k in range(6)] + [IntMatrix((), n) for n in range(4)]
     steps = 0
     for a in inputs:

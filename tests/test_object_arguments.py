@@ -76,8 +76,6 @@ CALLS = [
     (lambda: MATRIX.column(None), "IntMatrix.column: j must be an integer in [0, 2), got None"),
     (lambda: MATRIX.row(5), "IntMatrix.row: i must be an integer in [0, 2), got 5"),
     (lambda: MATRIX.column(7), "IntMatrix.column: j must be an integer in [0, 2), got 7"),
-    (lambda: charge_matrix(CP2).row(9),
-     "ChargeMatrix.row: i must be an integer in [0, 3), got 9"),
     (lambda: MATRIX.row(-1), "IntMatrix.row: i must be an integer in [0, 2), got -1"),
     (lambda: MATRIX.row(True), "IntMatrix.row: i must be an integer in [0, 2), got True"),
     (lambda: MATRIX.mat_vec(5), "IntMatrix.mat_vec: v must be an iterable of integers, got 5"),

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slow_paths import slow_act, slow_power_map
+from slow_paths import slow_act, slow_power_map, zero_indices
 from toriq import catalog
 from toriq.errors import ResourceLimitError
 from toriq.homogeneous import (
@@ -105,7 +105,7 @@ def test_action_power_map_and_equivariance_match_validated_arithmetic(inputs, l)
     assert powered == slow_power_map(l, z)
     for c, x in zip(z.coords, powered.coords):
         assert_matches(x, c.rho ** l, c.turns * l)
-    assert powered.zero_pattern == z.zero_pattern
+    assert zero_indices(powered) == zero_indices(z)
     t_l = t.pow_int(l)
     assert t_l == TorusElement(t.level, t_l.params)
     assert t_l * t == TorusElement(t.level, tuple(a * b for a, b in zip(t_l.params, t.params)))
@@ -210,5 +210,5 @@ def test_no_revalidation_inside_action_powers_or_solenoid_maps(monkeypatch):
     (base * base).coordinate(1)
     sol_exp(ProfiniteInt(6, 5), F(7, 3))
     phi(ProfiniteInt(4, 1))
-    nu(F(-5, 2), 3).base_coordinate()
+    nu(F(-5, 2), 3).coordinate(1)
     assert calls == []

@@ -1,11 +1,10 @@
 """Charge matrices, quotient groups, discriminants, fan symmetry."""
 
 import random
-from itertools import chain, combinations
 
 import pytest
 
-from oracles import leibniz_det, matmul
+from oracles import leibniz_det, matmul, powerset
 from test_intlinalg import column_hermite_form
 from toriq import catalog
 from toriq.errors import IncompleteFanError, TorusFactorError
@@ -69,11 +68,6 @@ def test_discriminant_examples():
     assert one_based(discriminant_locus(catalog.product_of_lines()).minimal_subsets) == [[1, 2], [3, 4]]
     for n in (1, 2, 3):
         assert one_based(discriminant_locus(catalog.hirzebruch(n)).minimal_subsets) == [[1, 2], [3, 4]]
-
-
-def powerset(iterable):
-    s = list(iterable)
-    return chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))
 
 
 @pytest.mark.parametrize(
@@ -212,7 +206,7 @@ def test_rank_nullity_when_rays_span():
         q = charge_matrix(fan)
         assert q.torus_rank + fan.lattice_rank == fan.n_rays
         # Q-columns kill the rays
-        rt = fan.ray_matrix().transpose()
+        rt = IntMatrix.from_rows(fan.rays, fan.lattice_rank).transpose()
         assert not any(map(any, matmul(rt.entries, q.matrix.entries)))
 
 

@@ -49,7 +49,7 @@ def test_analyze_of_an_incomplete_fan_has_no_face_lattice_and_no_aut(capsys, tmp
 
 def test_str_of_a_formal_sum():
     assert str(FormalSum([(F(1, 2), 3), (0, -1), (F(-2, 3), 1)])) == "+1*x^(-2/3) -1 +3*x^(1/2)"
-    assert str(FormalSum.zero()) == "0"
+    assert str(FormalSum(())) == "0"
 
 
 def test_same_orbit_refuses_points_of_different_fans_or_levels():

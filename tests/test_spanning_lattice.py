@@ -84,7 +84,7 @@ def _check(fans, monkeypatch):
     monkeypatch.setattr(intlinalg, "_relations_mod", lambda v, d: scans.append(d) or scan(v, d))
     paths = [0, 0, 0]
     for fan in fans:
-        expected = hermite_and_left_kernel(fan.ray_matrix())
+        expected = hermite_and_left_kernel(IntMatrix.from_rows(fan.rays, fan.lattice_rank))
         before = len(scans)
         if expected[0].rows < fan.lattice_rank:
             assert spanning_lattice(fan.rays, fan.lattice_rank) is None, fan
